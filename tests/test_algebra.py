@@ -16,6 +16,8 @@ Frozen oracle facts used below, computed by hand before the implementation:
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,3 +380,45 @@ class TestGlobalization:
         full = frozenset(range(glob.algebra.nblocks))
         for t in pa.group.elements():
             assert frozenset(glob.action.iso(t).phi) == full
+
+
+def envelope_signature(pa: PartialAction, glob) -> tuple:
+    """The combinatorial shape of an envelope, as plain ints: block sizes,
+    image blocks, the input-block correspondence and every block map."""
+    phis = tuple(
+        tuple(sorted((int(j), int(k)) for j, k in glob.action.iso(t).phi.items()))
+        for t in pa.group.elements()
+    )
+    return (
+        tuple(glob.algebra.blocks),
+        tuple(sorted(int(i) for i in glob.image_blocks)),
+        tuple(sorted((int(j), int(k)) for j, k in glob.block_of_input_block.items())),
+        phis,
+    )
+
+
+class TestGlobalizationCharacterization:
+    """Envelope block indices and permutations, pinned from the numerical
+    block-recovery construction over criterion 2's 200 fixtures, so any
+    construction of the envelope must reproduce them exactly."""
+
+    def test_envelope_signatures_over_200_fixtures(self):
+        sigs = []
+        for seed in range(200):
+            pa = random_partial_action(rng_for(seed))
+            sigs.append(envelope_signature(pa, globalize_finite(pa)))
+        assert sum(len(s[0]) for s in sigs) == 1118
+        assert sigs[2] == (
+            (1, 1, 1, 1, 1, 1),
+            (4, 5),
+            ((0, 5), (1, 4)),
+            (
+                ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)),
+                ((0, 2), (1, 3), (2, 0), (3, 1), (4, 5), (5, 4)),
+                ((0, 1), (1, 0), (2, 4), (3, 5), (4, 2), (5, 3)),
+                ((0, 4), (1, 5), (2, 1), (3, 0), (4, 3), (5, 2)),
+                ((0, 3), (1, 2), (2, 5), (3, 4), (4, 0), (5, 1)),
+                ((0, 5), (1, 4), (2, 3), (3, 2), (4, 1), (5, 0)),
+            ),
+        )
+        assert zlib.crc32(repr(sigs).encode()) == 2021197800

@@ -174,6 +174,47 @@ class TestGlobalize:
         r2 = run("--config", str(env), "validate", "trivc.global")
         assert r2.exit_code == 0, r2.stderr
 
+    @pytest.mark.parametrize(
+        "action, expected",
+        [
+            (
+                "trivc",
+                [
+                    "envelope-blocks,1 1 1",
+                    "image-blocks,2",
+                    "orbit-span,rank 3 of 3",
+                    "global-iso,0: 0>0 1>1 2>2",
+                    "global-iso,1: 0>2 1>0 2>1",
+                    "global-iso,2: 0>1 1>2 2>0",
+                ],
+            ),
+            (
+                "rand4",
+                [
+                    "envelope-blocks,2 2 2 2 2 2 2 2",
+                    "image-blocks,5 6 7",
+                    "orbit-span,rank 32 of 32",
+                    "global-iso,0: 0>0 1>1 2>2 3>3 4>4 5>5 6>6 7>7",
+                    "global-iso,1: 0>7 1>6 2>0 3>1 4>2 5>3 6>5 7>4",
+                    "global-iso,2: 0>4 1>5 2>7 3>6 4>0 5>1 6>3 7>2",
+                    "global-iso,3: 0>2 1>3 2>4 3>5 4>7 5>6 6>1 7>0",
+                ],
+            ),
+        ],
+    )
+    def test_envelope_rows_are_pinned(self, conf, tmp_path, action, expected):
+        out = tmp_path / "g.csv"
+        r = run("--config", conf, "--out", str(out), "globalize", action)
+        assert r.exit_code == 0, r.stderr
+        _, rows = read_rows(out)
+        pinned = ("envelope-blocks", "image-blocks", "orbit-span", "global-iso")
+        got = [
+            ",".join(row.split(",")[4:6])
+            for row in rows
+            if row.split(",")[4] in pinned
+        ]
+        assert got == expected
+
     def test_infinite_group_unsupported(self, conf):
         r = run("--config", conf, "globalize", "trivline")
         assert r.exit_code == 3
