@@ -32,6 +32,8 @@ print("trivial action on C:", validate_partial_action(pa).render())
 
 # Globalization embeds C into a 3-block algebra where the generator has
 # room to move: the envelope is C^3 and the action is the cyclic shift.
+# Each envelope block is one orbit class of pairs (group element, block),
+# so the construction is exact and needs no random numbers.
 glob = globalize_finite(pa)
 print("envelope blocks:", glob.algebra.blocks)
 shift = glob.action.iso(z3.elem(1)).phi

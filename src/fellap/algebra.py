@@ -7,12 +7,16 @@ so ideals are stored as block-index sets and the unit projection of an ideal
 is exact. A *-isomorphism between two such ideals is a block bijection plus
 one unitary per block; this representation composes exactly and is closed
 under inversion, which keeps partial-action arithmetic free of drift.
+
+Globalization is Abadie's enveloping action (J. Funct. Anal. 197, 2003),
+built on blocks: each envelope block is an orbit class of pairs (group
+element, input block), translation permutes the classes, and every envelope
+unitary is a stored unitary of the input action. It is exact and draws no
+random numbers.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -130,17 +134,6 @@ class FdAlgebra:
                 pairs.append(np.stack([re, re + d * d], axis=1))
         return np.concatenate(pairs).ravel()
 
-    def basis(self) -> list["FdElement"]:
-        """Matrix-unit basis, ordered by (block, row, column)."""
-        out = []
-        for j, d in enumerate(self.blocks):
-            for p in range(d):
-                for q in range(d):
-                    x = self.zero()
-                    x.mats[j][p, q] = 1.0
-                    out.append(x)
-        return out
-
     def full_ideal(self) -> "Ideal":
         return Ideal(self, frozenset(range(self.nblocks)))
 
@@ -240,9 +233,6 @@ class FdElement:
     def norm(self) -> float:
         return op_norm(self)
 
-    def frobenius(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(np.abs(a) ** 2)) for a in self.mats)))
-
     def flat(self) -> np.ndarray:
         """All block entries concatenated into one vector (fixed order)."""
         if not self.packs:
@@ -264,15 +254,6 @@ def _packed(algebra: FdAlgebra, packs: tuple[np.ndarray, ...]) -> FdElement:
     return x
 
 
-def fd_from_flat(algebra: FdAlgebra, vec: np.ndarray) -> FdElement:
-    mats = []
-    pos = 0
-    for d in algebra.blocks:
-        mats.append(np.asarray(vec[pos : pos + d * d], dtype=complex).reshape(d, d))
-        pos += d * d
-    return FdElement(algebra, mats)
-
-
 def op_norm(x: FdElement) -> float:
     """C*-norm of a block element: the largest singular value over blocks.
 
@@ -289,10 +270,6 @@ def op_norms(xs: Sequence[FdElement]) -> list[float]:
         s = np.linalg.svd(np.stack(packs), compute_uv=False)
         np.maximum(out, s.max(axis=(1, 2)), out=out)
     return out.tolist()
-
-
-def fd_close(x: FdElement, y: FdElement, tol: float = DEFAULT_TOL) -> bool:
-    return op_norm(x - y) <= tol
 
 
 def center_basis(algebra: FdAlgebra) -> list[FdElement]:
@@ -787,12 +764,16 @@ def unit_identity_residual(pa: PartialAction, elements: Sequence[Elem] | None = 
 # ---------------------------------------------------------------------------
 # Globalization for finite groups.
 #
-# The embedding iota(x)(t) = alpha_{t^-1}(1_t x) realizes the algebra inside
-# the |G|-fold direct sum; the enveloping algebra is the *-algebra generated
-# by the translates of the image, which in finite dimension is just the
-# linear span once products are folded in. The block structure of that span
-# is recovered numerically (center, minimal central projections, matrix
-# units), and the translation action is transported to those coordinates.
+# Abadie's enveloping action (J. Funct. Anal. 197, 2003; Exel, "Partial
+# Dynamical Systems, Fell Bundles and Applications", AMS 2017), made
+# combinatorial on blocks. The embedding iota(x)(t) = alpha_{t^-1}(1_t x)
+# puts input block j into the |G|-fold direct sum at the ambient blocks
+# K_j = {(t^-1, alpha_t(j)) : j in the source of alpha_t}. The enveloping
+# algebra is generated by the translates of the image, and its blocks are
+# exactly the distinct sets r.K_j, which partition G x blocks. Translation
+# by s moves r.K_j to sr.K_j, and in the coordinates that a class takes
+# from its representative, the move is conjugation by a stored unitary of
+# the input action. Nothing is recovered numerically.
 # ---------------------------------------------------------------------------
 
 
@@ -800,9 +781,7 @@ def unit_identity_residual(pa: PartialAction, elements: Sequence[Elem] | None = 
 class GlobalizationResult:
     action: PartialAction
     algebra: FdAlgebra
-    ambient: FdAlgebra
     embed: Callable[[FdElement], FdElement]
-    embed_ambient: Callable[[FdElement], FdElement]
     image_blocks: frozenset[int]
     block_of_input_block: dict[int, int]
     orbit_rank: int
@@ -817,260 +796,20 @@ class GlobalizationResult:
         return Ideal(self.algebra, self.image_blocks)
 
 
-class _SpanBasis:
-    """Orthonormal basis of a linear span of ambient elements."""
-
-    def __init__(self, ambient: FdAlgebra, vectors: list[FdElement], tol: float = 1e-9):
-        self.ambient = ambient
-        mat = np.stack([v.flat() for v in vectors])
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        keep = s > tol * max(s[0], 1.0) if len(s) else np.zeros(0, dtype=bool)
-        self.basis_flat = vh[keep]
-        self.rank = int(keep.sum())
-
-    def elements(self) -> list[FdElement]:
-        return [fd_from_flat(self.ambient, row) for row in self.basis_flat]
-
-    def coeffs(self, x: FdElement) -> np.ndarray:
-        return self.basis_flat.conj() @ x.flat()
-
-    def project_residual(self, x: FdElement) -> float:
-        v = x.flat()
-        proj = self.basis_flat.T @ (self.basis_flat.conj() @ v)
-        return float(np.linalg.norm(v - proj))
-
-
-def _solve_unit(basis: list[FdElement]) -> FdElement:
-    """The unit of a *-closed span: solve u*b = b for all basis elements."""
-    amb = basis[0].algebra
-    cols = []
-    rhs = []
-    for b in basis:
-        rows = [(u * b).flat() for u in basis]
-        cols.append(np.stack(rows, axis=1))
-        rhs.append(b.flat())
-    lhs = np.concatenate(cols, axis=0)
-    target = np.concatenate(rhs)
-    c, *_ = np.linalg.lstsq(lhs, target, rcond=None)
-    u = amb.zero()
-    for ck, b in zip(c, basis):
-        u = u + ck * b
-    u = 0.5 * (u + u.star())
-    return u
-
-
-def _center_basis_of_span(basis: list[FdElement], tol: float = 1e-9) -> list[FdElement]:
-    amb = basis[0].algebra
-    rows = []
-    for b in basis:
-        block = np.stack([(z * b - b * z).flat() for z in basis], axis=1)
-        rows.append(block)
-    mat = np.concatenate(rows, axis=0)
-    if mat.shape[0] == 0:
-        mat = np.zeros((1, len(basis)), dtype=complex)
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    ns = [vh[i].conj() for i in range(len(s), vh.shape[0])] + [
-        vh[i].conj() for i in range(len(s)) if s[i] <= tol * max(s[0], 1.0)
-    ]
-    out = []
-    for coeff in ns:
-        z = amb.zero()
-        for ck, b in zip(coeff, basis):
-            z = z + ck * b
-        out.append(z)
-    return out
-
-
-def _eig_cluster(values: np.ndarray, gap: float) -> list[list[int]]:
-    order = np.argsort(values)
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and values[idx] - values[clusters[-1][-1]] <= gap:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return clusters
-
-
-def _ambient_eigh(x: FdElement) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """Eigendecomposition of a hermitian ambient element.
-
-    Returns all eigenvalues plus (block, eigenvector) pairs in matching order.
-    """
-    vals = []
-    vecs = []
-    for j, m in enumerate(x.mats):
-        w, v = np.linalg.eigh(m)
-        for i in range(len(w)):
-            vals.append(w[i])
-            vecs.append((j, v[:, i]))
-    return np.asarray(vals), vecs
-
-
-def _spectral_projections(
-    x: FdElement, support: FdElement, gap: float = 1e-5
-) -> list[FdElement] | None:
-    """Spectral projections of hermitian x within its support projection.
-
-    Directions outside the support are pushed far away by a large shift so
-    they never mix with genuine clusters. Returns None when clusters are not
-    cleanly separated at the requested gap.
-    """
-    amb = x.algebra
-    shift = 1e6 * (1.0 + op_norm(x))
-    shifted = x + shift * (amb.one() - support)
-    vals, vecs = _ambient_eigh(shifted)
-    genuine = [i for i in range(len(vals)) if vals[i] < shift / 2]
-    if not genuine:
-        return []
-    gvals = np.asarray([vals[i] for i in genuine])
-    clusters = _eig_cluster(gvals, gap)
-    # clusters must be tight and mutually separated
-    for ci, cluster in enumerate(clusters):
-        cv = gvals[cluster]
-        if cv.max() - cv.min() > gap:
-            return None
-    centers = [float(np.mean(gvals[c])) for c in clusters]
-    for a, b in itertools.combinations(centers, 2):
-        if abs(a - b) < 10 * gap:
-            return None
-    projs = []
-    for cluster in clusters:
-        p = amb.zero()
-        for local in cluster:
-            j, v = vecs[genuine[local]]
-            p.mats[j] = p.mats[j] + np.outer(v, v.conj())
-        projs.append(p)
-    return projs
-
-
-def _random_hermitian_in(
-    span: list[FdElement], rng: np.random.Generator
-) -> FdElement:
-    amb = span[0].algebra
-    h = amb.zero()
-    for b in span:
-        c = rng.normal() + 1j * rng.normal()
-        h = h + c * b
-    return 0.5 * (h + h.star())
-
-
-def _polar_isometry(x: FdElement, tol: float = 1e-8) -> FdElement:
-    out = x.algebra.zero()
-    for j, m in enumerate(x.mats):
-        if m.shape[0] == 0 or np.abs(m).max(initial=0.0) <= tol:
-            continue
-        u, s, vh = np.linalg.svd(m)
-        keep = s > tol * s[0]
-        out.mats[j] = u[:, keep] @ vh[keep]
-    return out
-
-
-class _Summand:
-    """One minimal central summand of the enveloping algebra, with matrix
-    units giving explicit coordinates."""
-
-    def __init__(self, q: FdElement, span: _SpanBasis, rng: np.random.Generator):
-        amb = q.algebra
-        raw = [fd_from_flat(amb, row) for row in span.basis_flat]
-        compressed = [q * b * q for b in raw]
-        local = _SpanBasis(amb, compressed)
-        dim = local.rank
-        n = int(round(np.sqrt(dim)))
-        if n * n != dim:
-            raise ArithmeticError(f"summand dimension {dim} is not a perfect square")
-        self.n = n
-        self.q = q
-        basis_els = local.elements()
-
-        units: list[FdElement] | None = None
-        for _ in range(40):
-            h = _random_hermitian_in(basis_els, rng)
-            projs = _spectral_projections(h, q)
-            if projs is not None and len(projs) == n:
-                units = projs
-                break
-        if units is None:
-            raise ArithmeticError("could not isolate minimal projections")
-        # deterministic order: by trace then by first moments
-        units.sort(key=lambda p: sum(float(np.real(np.trace(m))) for m in p.mats))
-        self.mult = int(round(sum(float(np.real(np.trace(m))) for m in units[0].mats)))
-
-        vs: list[FdElement] = [units[0]]
-        for a in range(1, n):
-            v = None
-            for _ in range(40):
-                x = _random_hermitian_in(basis_els, rng)
-                cand = units[0] * x * units[a]
-                iso = _polar_isometry(cand)
-                if abs(iso.frobenius() ** 2 - self.mult) < 0.25:
-                    v = iso
-                    break
-            if v is None:
-                raise ArithmeticError("could not build matrix units")
-            vs.append(v)
-        # E[a][b] = v_a* v_b maps the b-th minimal projection onto the a-th
-        self.E = [[vs[a].star() * vs[b] for b in range(n)] for a in range(n)]
-
-    def coords(self, x: FdElement) -> np.ndarray:
-        n = self.n
-        out = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                prod = self.E[b][a] * x
-                out[a, b] = sum(np.trace(m) for m in prod.mats) / self.mult
-        return out
-
-    def from_coords(self, mat: np.ndarray) -> FdElement:
-        amb = self.q.algebra
-        out = amb.zero()
-        for a in range(self.n):
-            for b in range(self.n):
-                out = out + mat[a, b] * self.E[a][b]
-        return out
-
-    def structure_residual(self) -> float:
-        # E_{ab} E_{cd} = delta_{bc} E_{ad}
-        res = 0.0
-        n = self.n
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        prod = self.E[a][b] * self.E[c][d]
-                        expect = self.E[a][d] if b == c else prod.algebra.zero()
-                        res = max(res, op_norm(prod - expect))
-        return res
-
-
-def _unitary_from_conjugation(L: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """Recover w (up to phase) from the map x -> w x w* on n x n matrices."""
-    e11 = np.zeros((n, n), dtype=complex)
-    e11[0, 0] = 1.0
-    t = L(e11)
-    w_vals, w_vecs = np.linalg.eigh(0.5 * (t + t.conj().T))
-    v = w_vecs[:, np.argmax(w_vals)]
-    cols = []
-    for a in range(n):
-        ea1 = np.zeros((n, n), dtype=complex)
-        ea1[a, 0] = 1.0
-        cols.append(L(ea1) @ v)
-    w = np.stack(cols, axis=1)
-    # re-unitarize to clean up float dust
-    u, _, vh = np.linalg.svd(w)
-    return u @ vh
-
-
-def globalize_finite(
-    pa: PartialAction, tol: float = DEFAULT_TOL, seed: int = 7
-) -> GlobalizationResult:
+def globalize_finite(pa: PartialAction) -> GlobalizationResult:
     """Enveloping global action of a partial action of a finite group.
 
-    Builds the embedding iota(x)(t) = alpha_{t^-1}(1_t x) into the |G|-fold
-    direct sum, generates the *-algebra N from the translates of the image,
-    recovers N's block structure numerically, and returns the translation
-    action transported to those blocks together with the embedding and the
-    block indices of the image ideal.
+    ``pa`` must satisfy the partial-action axioms (see
+    ``validate_partial_action``). Each envelope block is one class r.K_j of
+    ambient blocks (position, input block), named by a representative
+    (r, j): (e, j) when the class meets the identity slice, else its
+    smallest (position of r, j). Its coordinates are those of input block j
+    carried to position r. Translation by s sends the class of (r, j) to the
+    class of (sr, j), whose representative (r', j') is reached from (r, j)
+    by alpha_h with h = r'^-1 s r, so the block unitary is alpha_h's stored
+    unitary on j. The embedding puts input block j into the class of (e, j)
+    unchanged. Envelope blocks are ordered by size, then by the smallest
+    ambient position (pos(t), k) in the class, descending.
     """
     g = pa.group
     if not isinstance(g, FiniteGroup):
@@ -1079,155 +818,66 @@ def globalize_finite(
     if A.nblocks == 0:
         raise ValueError("cannot globalize an action on the zero algebra")
     els = g.elements()
-    n = len(els)
     pos = {t: i for i, t in enumerate(els)}
-    ambient = FdAlgebra(A.blocks * n)
+    e = g.identity
     nb = A.nblocks
 
-    def embed_ambient(x: FdElement) -> FdElement:
-        out = ambient.zero()
-        for t in els:
-            y = pa.iso(g.inv(t)).apply(x)  # alpha_{t^-1}(1_t x), projection implicit
-            base = pos[t] * nb
-            for j in range(nb):
-                out.mats[base + j] = y.mats[j]
-        return out
+    # K[j]: the pairs (t^-1, alpha_t(j)) as (position, block)
+    K = [[] for _ in range(nb)]
+    for t in els:
+        t_inv = pos[g.inv(t)]
+        for j, k in pa.iso(t).phi.items():
+            K[j].append((t_inv, k))
 
-    def tau(s: Elem, f: FdElement) -> FdElement:
-        out = ambient.zero()
-        for t in els:
-            src = pos[g.mul(g.inv(s), t)] * nb
-            dst = pos[t] * nb
-            for j in range(nb):
-                out.mats[dst + j] = f.mats[src + j]
-        return out
+    class_of: dict[tuple[int, int], int] = {}
+    reps: list[tuple[Elem, int]] = []
+    lowest: list[int] = []
+    for r in [e] + [t for t in els if t != e]:
+        for j in range(nb):
+            if (pos[r], j) in class_of:
+                continue
+            members = [(pos[g.mul(r, els[p])], k) for p, k in K[j]]
+            for m in members:
+                class_of[m] = len(reps)
+            reps.append((r, j))
+            lowest.append(min(p * nb + k for p, k in members))
 
-    a_basis = A.basis()
-    orbit_vectors: list[FdElement] = []
-    for s in els:
-        for b in a_basis:
-            orbit_vectors.append(tau(s, embed_ambient(b)))
-    orbit_span = _SpanBasis(ambient, orbit_vectors)
-    orbit_rank = orbit_span.rank
-
-    # fold in products until the span stabilizes
-    span = orbit_span
-    for _ in range(8):
-        cur = span.elements()
-        prods = [x * y for x, y in itertools.product(cur, repeat=2)]
-        bigger = _SpanBasis(ambient, cur + prods + [x.star() for x in cur])
-        if bigger.rank == span.rank:
-            span = bigger
-            break
-        span = bigger
-
-    basis_els = span.elements()
-    rng = np.random.default_rng(seed)
-    structure_residual = 0.0
-
-    unit = _solve_unit(basis_els)
-    structure_residual = max(structure_residual, op_norm(unit * unit - unit))
-
-    center = _center_basis_of_span(basis_els)
-    projs = None
-    for _ in range(40):
-        z0 = _random_hermitian_in(center, rng)
-        projs = _spectral_projections(z0, unit)
-        if projs is not None and len(projs) == len(center):
-            break
-        projs = None
-    if projs is None:
-        raise ArithmeticError("could not separate the central projections")
-    total = projs[0].algebra.zero()
-    for p in projs:
-        structure_residual = max(structure_residual, op_norm(p * p - p))
-        total = total + p
-    structure_residual = max(structure_residual, op_norm(total - unit))
-
-    summands = [_Summand(q, span, rng) for q in projs]
-    # deterministic global ordering of blocks: by size then by mean position
-    order = sorted(
-        range(len(summands)),
-        key=lambda i: (
-            summands[i].n,
-            [round(float(np.real(np.trace(m))), 6) for m in summands[i].q.mats],
-        ),
-    )
-    summands = [summands[i] for i in order]
-    projs = [s.q for s in summands]
-    n_alg = FdAlgebra([s.n for s in summands])
-
-    def to_coords(x: FdElement) -> FdElement:
-        return FdElement(n_alg, [s.coords(x) for s in summands])
-
-    def from_coords(y: FdElement) -> FdElement:
-        out = ambient.zero()
-        for ys, s in zip(y.mats, summands):
-            out = out + s.from_coords(ys)
-        return out
-
-    # transported translation action
-    iso_table: dict[Elem, IdealIso] = {}
+    order = sorted(range(len(reps)), key=lambda c: (A.blocks[reps[c][1]], -lowest[c]))
+    index = {c: i for i, c in enumerate(order)}
+    n_alg = FdAlgebra([A.blocks[reps[c][1]] for c in order])
     full = n_alg.full_ideal()
-    for s_el in els:
+
+    iso_table: dict[Elem, IdealIso] = {}
+    for s in els:
         phi = {}
         unis = {}
-        for i, summ in enumerate(summands):
-            moved = tau(s_el, summ.q)
-            dists = [op_norm(moved - p) for p in projs]
-            k = int(np.argmin(dists))
-            structure_residual = max(structure_residual, dists[k])
-            phi[i] = k
-
-            def L(x, i=i, k=k):
-                return summands[k].coords(tau(s_el, summands[i].from_coords(x)))
-
-            w = _unitary_from_conjugation(L, summ.n)
-            # residual of Ad(w) against the transported map on a basis
-            for p in range(summ.n):
-                for q in range(summ.n):
-                    epq = np.zeros((summ.n, summ.n), dtype=complex)
-                    epq[p, q] = 1.0
-                    structure_residual = max(
-                        structure_residual,
-                        float(np.linalg.norm(L(epq) - w @ epq @ w.conj().T, ord=2)),
-                    )
-            unis[i] = w
-        iso_table[s_el] = IdealIso(full, full, phi, unis)
-
+        for i, c in enumerate(order):
+            r, j = reps[c]
+            sr = g.mul(s, r)
+            target = class_of[(pos[sr], j)]
+            r2, _ = reps[target]
+            phi[i] = index[target]
+            unis[i] = pa.iso(g.mul(g.inv(r2), sr)).unitaries[j]
+        iso_table[s] = IdealIso(full, full, phi, unis)
     global_action = PartialAction(g, n_alg, iso_table)
 
+    block_of = {j: index[class_of[(pos[e], j)]] for j in range(nb)}
+
     def embed(x: FdElement) -> FdElement:
-        return to_coords(embed_ambient(x))
+        mats = [np.zeros((d, d), dtype=complex) for d in n_alg.blocks]
+        for j, m in enumerate(x.mats):
+            mats[block_of[j]] = m
+        return FdElement(n_alg, mats)
 
-    # image ideal and the block correspondence through the embedding
-    unit_image = embed(A.one())
-    image_blocks = frozenset(
-        i for i in range(n_alg.nblocks) if np.abs(unit_image.mats[i]).max(initial=0.0) > 0.5
-    )
-    block_of: dict[int, int] = {}
-    for j in range(A.nblocks):
-        p = A.zero()
-        p.mats[j] = np.eye(A.blocks[j], dtype=complex)
-        img = embed(p)
-        hits = [
-            i
-            for i in range(n_alg.nblocks)
-            if np.abs(img.mats[i]).max(initial=0.0) > 0.5
-        ]
-        if len(hits) != 1:
-            raise ArithmeticError("embedded block unit is not concentrated in one block")
-        block_of[j] = hits[0]
-
+    image_blocks = frozenset(block_of.values())
+    reached = {iso.phi[i] for iso in iso_table.values() for i in image_blocks}
     return GlobalizationResult(
         action=global_action,
         algebra=n_alg,
-        ambient=ambient,
         embed=embed,
-        embed_ambient=embed_ambient,
         image_blocks=image_blocks,
         block_of_input_block=block_of,
-        orbit_rank=orbit_rank,
-        algebra_rank=span.rank,
-        structure_residual=structure_residual,
+        orbit_rank=sum(n_alg.blocks[i] ** 2 for i in reached),
+        algebra_rank=n_alg.dim,
+        structure_residual=max(iso.unitarity_residual() for iso in iso_table.values()),
     )

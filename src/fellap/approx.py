@@ -363,30 +363,3 @@ def ap_certify(
         bound_cap=bound_cap,
     )
 
-
-def fit_weights(
-    witnesses: Sequence[APWitness], targets: Sequence[Target]
-) -> np.ndarray:
-    """Heuristic convex weights by least squares; no optimality claimed.
-
-    Stacks the defect sums of each witness at each target and solves for
-    the weight vector bringing the mix closest to the targets, then clips
-    to the simplex.  Useful as plumbing when no principled weights exist.
-    """
-    if not witnesses:
-        return np.zeros(0)
-    cols = []
-    rhs = []
-    for tgt in targets:
-        rhs.append(tgt.b.flat())
-    rhs_vec = np.concatenate(rhs) if rhs else np.zeros(0, dtype=complex)
-    for a in witnesses:
-        parts = [defect_sum(a, tgt.t, tgt.b).flat() for tgt in targets]
-        cols.append(np.concatenate(parts) if parts else np.zeros(0, dtype=complex))
-    mat = np.stack(cols, axis=1)
-    lam, *_ = np.linalg.lstsq(mat, rhs_vec, rcond=None)
-    lam = np.clip(lam.real, 0.0, None)
-    total = lam.sum()
-    if total > 1.0:
-        lam = lam / total
-    return lam

@@ -408,7 +408,7 @@ def globalize(ctx, action, emit_config):
             )
             _finish(ctx, report)
             return
-        glob = globalize_finite(pa, seed=store.seed)
+        glob = globalize_finite(pa)
         g = pa.group
         rows.append((action, "envelope-blocks", " ".join(map(str, glob.algebra.blocks)), _fval(0.0)))
         rows.append((action, "image-blocks", " ".join(map(str, sorted(glob.image_blocks))), _fval(0.0)))
@@ -420,7 +420,7 @@ def globalize(ctx, action, emit_config):
                 _fval(0.0 if glob.orbit_spans_all else 1.0),
             )
         )
-        rows.append((action, "structure", "block recovery", _fval(glob.structure_residual)))
+        rows.append((action, "structure", "envelope unitarity", _fval(glob.structure_residual)))
         rows.append((action, "unit-identity", "input action", _fval(unit_identity_residual(pa))))
 
         sorted_img = sorted(glob.image_blocks)

@@ -24,7 +24,6 @@ C*-algebra norm of pi(k) it is a lower bound that grows with the window.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -357,16 +356,12 @@ class _WindowRep:
         return float(np.linalg.norm(self.matrix(k), ord=2))
 
 
-_REP_CACHE: "weakref.WeakKeyDictionary[FellBundle, Dict[tuple, _WindowRep]]"
-_REP_CACHE = weakref.WeakKeyDictionary()
-
-
 def window_rep(bundle: FellBundle, window: Window) -> _WindowRep:
-    """Cached representation of M_F(B) for the given bundle and window."""
-    per_bundle = _REP_CACHE.get(bundle)
-    if per_bundle is None:
-        per_bundle = {}
-        _REP_CACHE[bundle] = per_bundle
+    """Cached representation of M_F(B) for the given bundle and window.
+
+    The cache lives on the bundle itself, so it goes when the bundle does.
+    """
+    per_bundle = vars(bundle).setdefault("_window_reps", {})
     key = window.elements
     rep = per_bundle.get(key)
     if rep is None:

@@ -16,6 +16,7 @@ Frozen oracle facts used below, computed by hand before the implementation:
 
 from __future__ import annotations
 
+import time
 import zlib
 
 import numpy as np
@@ -373,6 +374,34 @@ class TestGlobalization:
             assert glob.structure_residual <= 1e-8
             assert validate_partial_action(glob.action).passed
             assert_round_trip(pa, glob)
+            # minimality: the translates of the image cover every block
+            reached = {
+                glob.action.iso(s).phi[i]
+                for s in pa.group.elements()
+                for i in glob.image_blocks
+            }
+            assert reached == set(range(glob.algebra.nblocks))
+
+    def assert_large_envelope(self, pa: PartialAction) -> None:
+        start = time.perf_counter()
+        glob = globalize_finite(pa)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        assert glob.orbit_spans_all
+        assert validate_partial_action(glob.action).passed
+        assert_round_trip(pa, glob)
+
+    def test_z12_with_24_input_blocks(self):
+        full = random_global_action(rng_for(0), cyclic_group(12), (1, 1, 1, 1))
+        pa = restrict_action(full, Ideal(full.algebra, range(0, 48, 2)))
+        assert pa.algebra.nblocks == 24
+        self.assert_large_envelope(pa)
+
+    def test_s4_with_base_1_2(self):
+        pa = random_partial_action(
+            rng_for(0), symmetric_group(4), (1, 2), max_kept_blocks=None
+        )
+        self.assert_large_envelope(pa)
 
     def test_envelope_action_is_global(self):
         pa = random_partial_action(rng_for(51))

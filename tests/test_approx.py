@@ -43,7 +43,6 @@ from fellap.approx import (
     convexify,
     default_targets,
     defect_sum,
-    fit_weights,
     folner_witness,
     uniform_witness,
     witness_bound,
@@ -343,19 +342,3 @@ class TestCertify:
         defects = [r.defect for r in verdict.rows]
         assert all(x >= y - EXACT for x, y in zip(defects, defects[1:]))
         assert verdict.passed
-
-
-class TestFitWeights:
-    def test_favors_useful_witness(self):
-        rng = np.random.default_rng(41)
-        g = LatticeGroup(1)
-        bundle = group_bundle(g, FdAlgebra([1]))
-        good = folner_witness(bundle, 6)
-        useless = APWitness.zero(bundle)
-        t = g.vector([1])
-        b = random_fiber_element(rng, bundle, t)
-        lam = fit_weights([good, useless], [Target(t, b, "x")])
-        assert lam.shape == (2,)
-        assert lam[0] > 0.9
-        assert lam[1] <= 1e-9
-        assert lam.sum() <= 1.0 + 1e-9

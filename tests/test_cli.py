@@ -215,6 +215,27 @@ class TestGlobalize:
         ]
         assert got == expected
 
+    def test_output_does_not_depend_on_seed(self, conf, tmp_path):
+        csvs = []
+        for seed in ("1", "9"):
+            out = tmp_path / f"g{seed}.csv"
+            env = tmp_path / f"env{seed}.json"
+            r = run("--config", conf, "--seed", seed, "--out", str(out),
+                    "globalize", "ident", "--emit-config", str(env))
+            assert r.exit_code == 0, r.stderr
+            _, rows = read_rows(out)
+            kept = []
+            for row in rows:
+                cols = row.split(",")
+                assert cols[2] == seed
+                del cols[2]
+                if cols[3] == "emitted":
+                    del cols[4]
+                kept.append(cols)
+            csvs.append(kept)
+        assert csvs[0] == csvs[1]
+        assert (tmp_path / "env1.json").read_bytes() == (tmp_path / "env9.json").read_bytes()
+
     def test_infinite_group_unsupported(self, conf):
         r = run("--config", conf, "globalize", "trivline")
         assert r.exit_code == 3

@@ -26,6 +26,9 @@ implementation existed:
   the e-fiber realizes the supremum.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +59,7 @@ from fellap.kernels import (
     rank_one,
     section_vector,
     to_mf,
+    window_rep,
 )
 from fellap.testing import (
     random_fell_bundle,
@@ -101,6 +105,21 @@ class TestWindows:
         g = LatticeGroup(1)
         assert Window.ball(g, 2).covers(Window.ball(g, 1))
         assert not Window.ball(g, 1).covers(Window.ball(g, 2))
+
+
+class TestWindowRepCache:
+    def test_rep_is_reused_for_the_same_window(self):
+        bundle = group_bundle(cyclic_group(3), FdAlgebra([1]))
+        w = Window.ball(bundle.group, 1)
+        assert window_rep(bundle, w) is window_rep(bundle, Window.ball(bundle.group, 1))
+
+    def test_bundle_is_freed_after_its_rep_was_built(self):
+        bundle = group_bundle(cyclic_group(3), FdAlgebra([1]))
+        window_rep(bundle, Window.ball(bundle.group, 1))
+        ref = weakref.ref(bundle)
+        del bundle
+        gc.collect()
+        assert ref() is None
 
 
 class TestStarProductLaw:
