@@ -773,7 +773,7 @@ def unit_identity_residual(pa: PartialAction, elements: Sequence[Elem] | None = 
 # exactly the distinct sets r.K_j, which partition G x blocks. Translation
 # by s moves r.K_j to sr.K_j, and in the coordinates that a class takes
 # from its representative, the move is conjugation by a stored unitary of
-# the input action. Nothing is recovered numerically.
+# the input action.
 # ---------------------------------------------------------------------------
 
 
