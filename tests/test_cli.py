@@ -4,7 +4,8 @@ Pinned behaviours: exit codes (0 pass, 1 fail, 2 config, 3 unsupported),
 the corrupted-cocycle fixture failing on exactly the cocycle rows, the
 trivial one-dimensional action globalizing to the cyclic shift on three
 blocks, the Folner defect |t|/N on the integers, the 1/i defect column of
-the boundary net, the 16-arrow groupoid table, and byte-identical reruns.
+the boundary net, the 16-arrow groupoid table, the norm column of the
+kernels report, and byte-identical reruns.
 """
 
 import json
@@ -13,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from fellap.cli import main
+from test_acceptance import CLI_CONFIG
 
 
 BASE_CONFIG = {
@@ -352,6 +354,27 @@ class TestKernels:
     def test_shift_residuals_on_twisted_bundle(self, conf):
         r = run("--config", conf, "kernels", "--bundle", "b2", "--window", "1")
         assert r.exit_code == 0, r.stderr
+
+    # norm column of `kernels --window 2 --seed 7` on the criterion-10 config,
+    # recorded from the Gram eigendecomposition representation
+    PINNED_NORMS = {
+        "bl": [4.465273599599, 3.393448287722, 3.272797653101, 2.876894772411,
+               1.818738939503],
+        "b1": [3.392848988109, 3.310583672212, 4.852085400649, 4.375148845775,
+               3.985754770016],
+    }
+
+    @pytest.mark.parametrize("bundle", sorted(PINNED_NORMS))
+    def test_norms_are_pinned(self, bundle, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(CLI_CONFIG))
+        out = tmp_path / "k.csv"
+        r = run("--config", str(path), "--seed", "7", "--out", str(out),
+                "kernels", "--bundle", bundle, "--window", "2")
+        assert r.exit_code == 0, r.stderr
+        header, rows = read_rows(out)
+        norms = [float(dict(zip(header, row.split(",")))["norm"]) for row in rows]
+        assert norms == pytest.approx(self.PINNED_NORMS[bundle], rel=1e-11)
 
 
 class TestCuntzAp:
