@@ -91,6 +91,8 @@ print(
 )
 
 # window_rep caches the concrete representation for repeated use; its
-# Hilbert space stacks one copy of the fiber per window point.
+# Hilbert space has one slot per window point t, identified through the
+# unit section of the fiber with the corner 1_{t^-1} C^V of the block
+# representation space.
 rep = window_rep(bundle, w)
-print("representation space dimension:", sum(rep.qdims.values()))
+print("representation space dimension:", rep.dim)

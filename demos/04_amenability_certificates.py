@@ -19,7 +19,6 @@ from fellap.approx import (
     APWitness,
     ap_certify,
     ap_defect,
-    ap_report,
     convexify,
     default_targets,
     folner_witness,
@@ -62,10 +61,9 @@ family = [folner_witness(zbundle, n) for n in (2, 4, 8, 16, 32)]
 targets = default_targets(zbundle, radius=1)
 verdict = ap_certify(zbundle, family, targets, tolerance=0.05)
 print("certificate over boxes up to N=32:", "pass" if verdict.passed else "fail")
-report = ap_report(family[-1], targets)
-print("  final witness bound:", f"{report.bound:.4f}")
-for t_label, target_label, defect in report.rows:
-    print(f"   target {target_label} over t={t_label}: defect {defect:.4f}")
+print("  final witness bound:", f"{verdict.rows[-1].bound:.4f}")
+for target_label, defect in verdict.final_defects().items():
+    print(f"   target {target_label}: defect {defect:.4f}")
 
 # Convex mixing over the free group: translate the witnesses so their
 # supports are disjoint, then mix. The exact identities make the mixed

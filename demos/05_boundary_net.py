@@ -11,8 +11,6 @@ the scaled indicator family against a positive word g of length at most
 i lands exactly at |g|/i.
 """
 
-import numpy as np
-
 from fellap.cantor import (
     CylFun,
     cantor_witness_bound,

@@ -45,7 +45,9 @@ def run(*args, expect=0):
     return res
 
 
-tmp = pathlib.Path(tempfile.mkdtemp(prefix="fellap-demo-"))
+# The work directory goes, with everything in it, when the script exits.
+work = tempfile.TemporaryDirectory(prefix="fellap-demo-")
+tmp = pathlib.Path(work.name)
 conf = tmp / "conf.json"
 conf.write_text(json.dumps(CONFIG, indent=2))
 

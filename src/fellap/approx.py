@@ -19,13 +19,13 @@ are documented as out of scope: a norm-small defect implies the weak one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .algebra import FdElement, PartialAction, op_norm
 from .bundles import FellBundle, fiber_norm
-from .groups import Elem, Group, LatticeGroup, UnsupportedGroupError
+from .groups import Elem, LatticeGroup, UnsupportedGroupError
 
 
 class TranslateSearchError(RuntimeError):
@@ -289,23 +289,6 @@ class APRow:
     target_label: str
     bound: float
     defect: float
-
-
-@dataclass(frozen=True)
-class APReport:
-    """Defect table for one witness: its bound plus one row per target."""
-
-    bound: float
-    rows: Tuple[Tuple[str, str, float], ...]
-
-
-def ap_report(a: APWitness, targets: Sequence[Target]) -> APReport:
-    g = a.bundle.group
-    bound = witness_bound(a)
-    rows = tuple(
-        (g.format_elem(tgt.t), tgt.label, ap_defect(a, tgt.t, tgt.b)) for tgt in targets
-    )
-    return APReport(bound=bound, rows=rows)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ C*-algebra norm of pi(k) it is a lower bound that grows with the window.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -251,81 +251,52 @@ def mf_dim(bundle: FellBundle, window: Window) -> int:
 class _WindowRep:
     """Concrete *-representation of the windowed matrix algebra.
 
-    The Hilbert space is built from columns f = (f(t))_{t in F} with
-    f(t) in the fiber over t, carrying the unit fiber valued inner product
-    <f, g> = sum_t f(t)* g(t), then composed with the defining block
-    representation of the coefficient algebra and quotiented by null
-    vectors.  Kernels act by (pi(k) f)(s) = sum_t k(s, t) f(t); on the
-    resulting orthonormal basis the matrix of pi(k) is exact, so operator
-    norms computed here are the C*-norms of M_F(B).
+    The Hilbert space is the direct sum over t in F of B_t (x)_{B_e} C^V,
+    where B_e acts on C^V by the defining block representation; kernels
+    act by (pi(k) f)(s) = sum_t k(s, t) f(t).  Each slot is identified with
+    a coordinate subspace of C^V through the unit section of its fiber.
+
+    For a slot t let u_t = 1_t d_t, the unit of the fiber ideal, and write
+    <u_t, x> = u_t* x, a product landing in the unit fiber.  In a Fell
+    bundle of a (twisted) partial action <u_t, u_t> = 1_{t^-1} and
+    u_t <u_t, x> = x for every x in B_t.  Hence x* y = <u_t, x>* <u_t, y>,
+    so x (x) v -> <u_t, x> v is isometric, and it is onto 1_{t^-1} C^V
+    because <u_t, u_t a> = a there.  It is therefore a unitary from the
+    slot onto 1_{t^-1} C^V, whose coordinates are those of the blocks of
+    the fiber ideal at t^-1.  In these coordinates the (s, t) block of
+    pi(k) is the block representation of <u_s, k(s, t) u_t>, cut down to
+    the rows of slot s and the columns of slot t.  Nothing is recovered
+    numerically, so operator norms computed here are the C*-norms of
+    M_F(B) up to rounding.
     """
 
     def __init__(self, bundle: FellBundle, window: Window):
         self.bundle = bundle
         self.window = window
         g = bundle.group
-        alg = bundle.coeff_algebra
-        self.vdim = sum(alg.blocks)
-
-        def block_rep(x: FdElement) -> np.ndarray:
-            out = np.zeros((self.vdim, self.vdim), dtype=complex)
-            at = 0
-            for d, m in zip(alg.blocks, x.mats):
-                out[at : at + d, at : at + d] = m
-                at += d
-            return out
-
-        self.fiber_basis: Dict[Elem, List[FdElement]] = {}
-        self.raw_dims: Dict[Elem, int] = {}
-        self.onb_maps: Dict[Elem, np.ndarray] = {}
-        self.gram_onb: Dict[Elem, np.ndarray] = {}
-        self.qdims: Dict[Elem, int] = {}
-        for t in window:
-            basis = bundle.fiber_ideal(t).basis()
-            n = len(basis)
-            self.fiber_basis[t] = basis
-            self.raw_dims[t] = n * self.vdim
-            if n == 0:
-                self.onb_maps[t] = np.zeros((0, 0), dtype=complex)
-                self.gram_onb[t] = np.zeros((0, 0), dtype=complex)
-                self.qdims[t] = 0
-                continue
-            tinv = g.inv(t)
-            gram = np.zeros((n * self.vdim, n * self.vdim), dtype=complex)
-            for a_idx, ba in enumerate(basis):
-                ba_star = bundle.star(t, ba)
-                for b_idx, bb in enumerate(basis):
-                    inner = bundle.mul(tinv, ba_star, t, bb)
-                    gram[
-                        a_idx * self.vdim : (a_idx + 1) * self.vdim,
-                        b_idx * self.vdim : (b_idx + 1) * self.vdim,
-                    ] = block_rep(inner)
-            gram = 0.5 * (gram + gram.conj().T)
-            vals, vecs = np.linalg.eigh(gram)
-            top = float(vals.max(initial=0.0))
-            cut = max(top * 1e-12, 1e-14)
-            keep = vals > cut
-            w = vecs[:, keep] / np.sqrt(vals[keep])
-            self.onb_maps[t] = w
-            self.gram_onb[t] = gram @ w
-            self.qdims[t] = int(keep.sum())
+        self.starts = np.cumsum((0,) + bundle.coeff_algebra.blocks)
+        self.vdim = int(self.starts[-1])
+        self.units = {t: bundle.fiber_ideal(t).unit() for t in window}
+        self.unit_stars = {t: bundle.star(t, u) for t, u in self.units.items()}
+        self.coords: Dict[Elem, np.ndarray] = {}
         self.offsets: Dict[Elem, int] = {}
         at = 0
         for t in window:
+            held = sorted(bundle.fiber_ideal(g.inv(t)).block_set)
+            self.coords[t] = np.array(
+                [i for j in held for i in range(self.starts[j], self.starts[j + 1])], dtype=int
+            )
             self.offsets[t] = at
-            at += self.qdims[t]
+            at += len(self.coords[t])
         self.dim = at
 
-    def _fiber_coords(self, t: Elem, x: FdElement) -> np.ndarray:
-        """Coordinates of a fiber element in the matrix unit basis order."""
-        alg = self.bundle.coeff_algebra
-        blocks = sorted(self.bundle.fiber_ideal(t).block_set)
-        coords = []
-        for j in blocks:
-            coords.append(x.mats[j].reshape(alg.blocks[j] ** 2))
-        if not coords:
-            return np.zeros(0, dtype=complex)
-        return np.concatenate(coords)
+    def inner(self, t: Elem, x: FdElement) -> np.ndarray:
+        """Block representation of <u_t, x> for x in the fiber over t."""
+        y = self.bundle.mul(self.bundle.group.inv(t), self.unit_stars[t], t, x)
+        out = np.zeros((self.vdim, self.vdim), dtype=complex)
+        for lo, hi, m in zip(self.starts, self.starts[1:], y.mats):
+            out[lo:hi, lo:hi] = m
+        return out
 
     def matrix(self, k: Kernel) -> np.ndarray:
         g = self.bundle.group
@@ -333,21 +304,14 @@ class _WindowRep:
         for (s, t), a in k.data.items():
             if s not in self.window or t not in self.window:
                 raise ValueError("kernel support leaves the window")
-            ns = len(self.fiber_basis[s])
-            nt = len(self.fiber_basis[t])
-            if ns == 0 or nt == 0 or self.qdims[s] == 0 or self.qdims[t] == 0:
+            rows, cols = self.coords[s], self.coords[t]
+            if not len(rows) or not len(cols):
                 continue
-            st = g.mul(s, g.inv(t))
-            tmat = np.zeros((ns, nt), dtype=complex)
-            for col, bt in enumerate(self.fiber_basis[t]):
-                tmat[:, col] = self._fiber_coords(s, self.bundle.mul(st, a, t, bt))
-            w_t = self.onb_maps[t].reshape(nt, self.vdim, self.qdims[t])
-            moved = np.einsum("ab,bvq->avq", tmat, w_t).reshape(
-                ns * self.vdim, self.qdims[t]
-            )
-            block = self.gram_onb[s].conj().T @ moved
+            moved = self.bundle.mul(g.mul(s, g.inv(t)), a, t, self.units[t])
             r0, c0 = self.offsets[s], self.offsets[t]
-            out[r0 : r0 + self.qdims[s], c0 : c0 + self.qdims[t]] += block
+            out[r0 : r0 + len(rows), c0 : c0 + len(cols)] += self.inner(s, moved)[
+                np.ix_(rows, cols)
+            ]
         return out
 
     def norm(self, k: Kernel) -> float:
@@ -371,9 +335,10 @@ def window_rep(bundle: FellBundle, window: Window) -> _WindowRep:
 
 
 def pi_matrix(k: Kernel, window: Window) -> np.ndarray:
-    """Matrix of pi(k) on the windowed Hilbert space, in orthonormal coordinates.
+    """Matrix of pi(k) on the windowed Hilbert space, in unit-section coordinates.
 
-    Row and column chunks follow the window order.  The map is linear in k,
+    Row and column chunks follow the window order; the chunk of t holds the
+    coordinates of 1_{t^-1} C^V (see ``_WindowRep``).  The map is linear in k,
     sends k_mul(h, k) to pi(k) pi(h), and sends k_star(k) to the conjugate
     transpose.
     """
@@ -395,7 +360,7 @@ def section_vector(f: Section, window: Window, v: np.ndarray) -> np.ndarray:
 
     The windowed Hilbert space is spanned by tensors of a section with a
     vector of the block representation space; this returns the coordinate
-    vector that ``pi_matrix`` acts on.  Support of ``f`` must lie in the
+    vector that ``pi_matrix`` acts on, whose chunk at t is <u_t, f(t)> v.  Support of ``f`` must lie in the
     window and ``v`` must have one entry per coefficient block dimension.
     """
     rep = window_rep(f.bundle, window)
@@ -404,11 +369,9 @@ def section_vector(f: Section, window: Window, v: np.ndarray) -> np.ndarray:
     for t, a in f.data.items():
         if t not in window:
             raise ValueError("section support leaves the window")
-        if rep.qdims[t] == 0:
-            continue
-        raw = np.kron(rep._fiber_coords(t, a), vv)
+        coords = rep.coords[t]
         r0 = rep.offsets[t]
-        out[r0 : r0 + rep.qdims[t]] = rep.gram_onb[t].conj().T @ raw
+        out[r0 : r0 + len(coords)] = (rep.inner(t, a) @ vv)[coords]
     return out
 
 

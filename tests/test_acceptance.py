@@ -23,7 +23,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from conftest import record_acceptance
@@ -36,7 +35,6 @@ from fellap.algebra import (
 )
 from fellap.approx import (
     APWitness,
-    Target,
     ap_defect,
     ap_defect_partial,
     convexify,

@@ -26,12 +26,10 @@ from hypothesis import strategies as st
 
 from fellap.algebra import (
     FdAlgebra,
-    FdElement,
     Ideal,
     IdealIso,
     PartialAction,
     center_basis,
-    conjugation_distance,
     globalize_finite,
     op_norm,
     op_norms,

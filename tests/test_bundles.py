@@ -24,7 +24,6 @@ import pytest
 from fellap.algebra import (
     ActionReport,
     FdAlgebra,
-    FdElement,
     Ideal,
     PartialAction,
     identity_action,

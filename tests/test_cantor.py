@@ -18,9 +18,6 @@ Frozen oracles, derived before the implementation ran:
     (4 units, 8 forward shifts, 4 backward shifts).
 """
 
-import itertools
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

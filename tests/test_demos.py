@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in ``src``."""
+"""Every demo script runs to completion against the library in ``src`` and
+leaves no work directory behind in the temporary directory."""
 
 import os
 import pathlib
@@ -27,3 +28,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert res.returncode == 0, res.stderr[-2000:]
+    assert not list(tmp_path.glob("fellap-demo-*")), "demo left its work directory"

@@ -34,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fellap.algebra import FdAlgebra, op_norm
+from fellap.algebra import FdAlgebra
 from fellap.bundles import (
     Section,
     fiber_norm,
@@ -68,6 +68,8 @@ from fellap.testing import (
 )
 
 TOL = 1e-10
+# bundles per window radius compared with the dense route
+SEEDS = {1: 40, 2: 20}
 
 
 def kdist(a: Kernel, b: Kernel) -> float:
@@ -86,6 +88,99 @@ def bundle_with_window(seed: int, radius: int = 1):
     rng = np.random.default_rng(seed)
     bundle, _ = random_fell_bundle(rng)
     return rng, bundle, Window.ball(bundle.group, radius)
+
+
+class DenseWindowRep:
+    """Reference route to the windowed representation: a Gram matrix and eigh.
+
+    For each slot t it forms the Gram matrix of the tensors b (x) e_i, over
+    the matrix units b of the fiber at t and the standard basis of C^V,
+    under <x (x) v, y (x) w> = <v, (x* y) w>.  An orthonormal basis of the
+    range (eigenvalues above a relative cutoff) gives the slot its
+    coordinates, and kernels and sections are expressed in them.  Nothing
+    here uses the unit sections of ``window_rep``, so the two routes check
+    each other: they agree on every basis-free quantity.
+    """
+
+    def __init__(self, bundle, window):
+        self.bundle = bundle
+        self.window = window
+        g = bundle.group
+        alg = bundle.coeff_algebra
+        self.vdim = sum(alg.blocks)
+        self.fiber_basis = {}
+        self.onb_maps = {}
+        self.gram_onb = {}
+        self.qdims = {}
+        for t in window:
+            basis = bundle.fiber_ideal(t).basis()
+            n = len(basis)
+            self.fiber_basis[t] = basis
+            gram = np.zeros((n * self.vdim, n * self.vdim), dtype=complex)
+            for a_idx, ba in enumerate(basis):
+                ba_star = bundle.star(t, ba)
+                for b_idx, bb in enumerate(basis):
+                    inner = bundle.mul(g.inv(t), ba_star, t, bb)
+                    gram[
+                        a_idx * self.vdim : (a_idx + 1) * self.vdim,
+                        b_idx * self.vdim : (b_idx + 1) * self.vdim,
+                    ] = self.block_rep(inner)
+            gram = 0.5 * (gram + gram.conj().T)
+            vals, vecs = np.linalg.eigh(gram)
+            keep = vals > max(float(vals.max(initial=0.0)) * 1e-12, 1e-14)
+            w = vecs[:, keep] / np.sqrt(vals[keep])
+            self.onb_maps[t] = w
+            self.gram_onb[t] = gram @ w
+            self.qdims[t] = int(keep.sum())
+        self.offsets = {}
+        at = 0
+        for t in window:
+            self.offsets[t] = at
+            at += self.qdims[t]
+        self.dim = at
+
+    def block_rep(self, x):
+        out = np.zeros((self.vdim, self.vdim), dtype=complex)
+        at = 0
+        for m in x.mats:
+            d = m.shape[0]
+            out[at : at + d, at : at + d] = m
+            at += d
+        return out
+
+    def fiber_coords(self, t, x):
+        """Coordinates of a fiber element in the matrix unit basis order."""
+        blocks = sorted(self.bundle.fiber_ideal(t).block_set)
+        return np.concatenate([np.zeros(0, dtype=complex)] + [x.mats[j].ravel() for j in blocks])
+
+    def matrix(self, k):
+        g = self.bundle.group
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for (s, t), a in k.data.items():
+            ns, nt = len(self.fiber_basis[s]), len(self.fiber_basis[t])
+            if self.qdims[s] == 0 or self.qdims[t] == 0:
+                continue
+            st = g.mul(s, g.inv(t))
+            tmat = np.zeros((ns, nt), dtype=complex)
+            for col, bt in enumerate(self.fiber_basis[t]):
+                tmat[:, col] = self.fiber_coords(s, self.bundle.mul(st, a, t, bt))
+            w_t = self.onb_maps[t].reshape(nt, self.vdim, self.qdims[t])
+            moved = np.einsum("ab,bvq->avq", tmat, w_t).reshape(ns * self.vdim, self.qdims[t])
+            r0, c0 = self.offsets[s], self.offsets[t]
+            out[r0 : r0 + self.qdims[s], c0 : c0 + self.qdims[t]] += (
+                self.gram_onb[s].conj().T @ moved
+            )
+        return out
+
+    def section_vector(self, f, v):
+        out = np.zeros(self.dim, dtype=complex)
+        for t, a in f.data.items():
+            if self.qdims[t] == 0:
+                continue
+            raw = np.kron(self.fiber_coords(t, a), v)
+            r0 = self.offsets[t]
+            out[r0 : r0 + self.qdims[t]] = self.gram_onb[t].conj().T @ raw
+        return out
 
 
 class TestWindows:
@@ -120,6 +215,29 @@ class TestWindowRepCache:
         del bundle
         gc.collect()
         assert ref() is None
+
+
+class TestExactWindowRep:
+    """The unit-section representation agrees with the dense Gram route."""
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_agrees_with_dense_gram_route(self, radius):
+        for seed in range(SEEDS[radius]):
+            rng, bundle, w = bundle_with_window(seed, radius)
+            dense = DenseWindowRep(bundle, w)
+            rep = window_rep(bundle, w)
+            assert {t: len(rep.coords[t]) for t in w} == dense.qdims
+            k = random_kernel(rng, bundle, w)
+            f = random_section(rng, bundle, w.elements)
+            h = random_section(rng, bundle, w.elements)
+            v = rng.standard_normal(rep.vdim) + 1j * rng.standard_normal(rep.vdim)
+            u = rng.standard_normal(rep.vdim) + 1j * rng.standard_normal(rep.vdim)
+            fv, hu = section_vector(f, w, v), section_vector(h, w, u)
+            dfv, dhu = dense.section_vector(f, v), dense.section_vector(h, u)
+            dk = dense.matrix(k)
+            assert abs(np.vdot(fv, pi_matrix(k, w) @ hu) - np.vdot(dfv, dk @ dhu)) <= TOL
+            assert abs(np.vdot(fv, hu) - np.vdot(dfv, dhu)) <= TOL
+            assert abs(mf_embed_norm(k, w) - np.linalg.norm(dk, 2)) <= TOL
 
 
 class TestStarProductLaw:
