@@ -360,8 +360,9 @@ def section_vector(f: Section, window: Window, v: np.ndarray) -> np.ndarray:
 
     The windowed Hilbert space is spanned by tensors of a section with a
     vector of the block representation space; this returns the coordinate
-    vector that ``pi_matrix`` acts on, whose chunk at t is <u_t, f(t)> v.  Support of ``f`` must lie in the
-    window and ``v`` must have one entry per coefficient block dimension.
+    vector that ``pi_matrix`` acts on, whose chunk at t is <u_t, f(t)> v.
+    Support of ``f`` must lie in the window and ``v`` must have one entry
+    per coefficient block dimension.
     """
     rep = window_rep(f.bundle, window)
     vv = np.asarray(v, dtype=complex).reshape(rep.vdim)
