@@ -16,16 +16,23 @@ Frozen oracles, derived before the implementation ran:
   * truncated groupoid sizes: radius 0 keeps the n^depth units; the
     two-letter table at depth 2, radius 1 has exactly 16 arrows
     (4 units, 8 forward shifts, 4 backward shifts).
+  * groupoid validation outcomes (checked counts, the violation rows of a
+    table that miscomposes one pair, and the order of every report entry)
+    are pinned from the all-pairs validator.
 """
+
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fellap import algebra
 from fellap.cantor import (
     Arrow,
     CantorDomainError,
     CylFun,
+    GroupoidTable,
     cantor_witness_bound,
     cuntz_ap_defect,
     cuntz_defect_table,
@@ -65,6 +72,36 @@ def brute_cuntz_defect(i, g, grp, include_identity=False):
     )
     depth = i + len(sym.pos) + len(sym.neg)
     return (target - total).refine_to(depth).sup_norm()
+
+
+class MisComposingTable(GroupoidTable):
+    """Planted defect: composing the unit at X_11 with the arrow
+    (X_21, 1 2^-1) returns a wrong symbol instead of the arrow itself."""
+
+    def compose(self, first, second):
+        out = super().compose(first, second)
+        grp = self.group
+        if (
+            out is not None
+            and first == self.unit_at((1, 1))
+            and second == Arrow((2, 1), grp.word([1, -2]))
+        ):
+            return Arrow(out.source, grp.mul(out.g, grp.generator(1)))
+        return out
+
+
+def recorded_adds(monkeypatch, table):
+    """validate_groupoid's report entries in call order, with the report."""
+    calls = []
+    add = algebra.ActionReport.add
+
+    def record(self, axiom, context, residual, tol):
+        calls.append((axiom, context, residual, tol))
+        add(self, axiom, context, residual, tol)
+
+    monkeypatch.setattr(algebra.ActionReport, "add", record)
+    report = validate_groupoid(table)
+    return calls, report
 
 
 class TestCylinders:
@@ -405,3 +442,45 @@ class TestGroupoid:
     def test_axioms_exhaustive(self, n, d, r):
         report = validate_groupoid(spectral_groupoid(n, d, r))
         assert report.passed, report.render()
+
+    @pytest.mark.parametrize(
+        "n,d,r,checked",
+        [
+            (2, 2, 1, 64),
+            (2, 3, 1, 128),
+            (2, 4, 2, 1120),
+            (3, 2, 1, 180),
+            (2, 3, 3, 1232),
+            (3, 3, 2, 5508),
+        ],
+    )
+    def test_checked_counts_pinned(self, n, d, r, checked):
+        report = validate_groupoid(spectral_groupoid(n, d, r))
+        assert report.passed, report.render()
+        assert report.checked == checked
+
+    def test_miscomposed_pair_rows_pinned(self):
+        t = spectral_groupoid(2, 2, 2)
+        bad = MisComposingTable(t.group, t.depth, t.radius, t.arrows)
+        report = validate_groupoid(bad)
+        assert report.checked == 280
+        assert report.rows == [("unit-absorbs", "(21,1 -2)", 1.0)] + [
+            ("associativity", "assoc", 1.0)
+        ] * 12
+
+    @pytest.mark.parametrize(
+        "cls,shape,crc",
+        [
+            (GroupoidTable, (2, 2, 2), 3559737325),
+            (MisComposingTable, (2, 2, 2), 3947634277),
+            (GroupoidTable, (2, 4, 2), 2980853681),
+            (GroupoidTable, (3, 3, 2), 4221282867),
+        ],
+    )
+    def test_report_entry_order_pinned(self, monkeypatch, cls, shape, crc):
+        t = spectral_groupoid(*shape)
+        calls, report = recorded_adds(
+            monkeypatch, cls(t.group, t.depth, t.radius, t.arrows)
+        )
+        assert len(calls) == report.checked
+        assert zlib.crc32(repr(calls).encode()) == crc

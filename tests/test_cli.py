@@ -5,10 +5,12 @@ the corrupted-cocycle fixture failing on exactly the cocycle rows, the
 trivial one-dimensional action globalizing to the cyclic shift on three
 blocks, the Folner defect |t|/N on the integers, the 1/i defect column of
 the boundary net, the 16-arrow groupoid table, the norm column of the
-kernels report, and byte-identical reruns.
+kernels report, the byte-exact boundary-net CSVs, and byte-identical
+reruns.
 """
 
 import json
+import zlib
 
 import pytest
 from click.testing import CliRunner
@@ -434,6 +436,40 @@ class TestGroupoid:
         assert r.exit_code == 0
         _, rows = read_rows(out)
         assert len(rows) == 9
+
+
+class TestBoundaryNetPins:
+    """Boundary-net CSVs pinned byte for byte (CRC-32 of the whole file at
+    seed 7 on the criterion-10 config), recorded from the word-walking
+    defect evaluator and the all-pairs groupoid validator, so any faster
+    evaluation must reproduce them exactly."""
+
+    PINNED = [
+        (("cuntz-ap", "--n", "2", "--imax", "10", "--targets", "a,ab,ab',b'"),
+         0, 41, 4227186796),
+        (("cuntz-ap", "--n", "3", "--imax", "12", "--targets", "a,ca"),
+         0, 25, 1801938715),
+        # the final defect 1/10 is above the default tolerance: exit 1
+        (("ap-check", "--bundle", "bf", "--witness", "builtin:cuntz:10"),
+         1, 11, 891993881),
+        (("groupoid", "--n", "2", "--depth", "4", "--radius", "2"),
+         0, 161, 2958089000),
+        (("groupoid", "--n", "3", "--depth", "2", "--radius", "1"),
+         0, 46, 634824949),
+    ]
+
+    @pytest.mark.parametrize(
+        "args,code,lines,crc", PINNED, ids=[p[0][0] + str(k) for k, p in enumerate(PINNED)]
+    )
+    def test_csv_bytes_are_pinned(self, tmp_path, args, code, lines, crc):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(CLI_CONFIG))
+        out = tmp_path / "net.csv"
+        r = run("--config", str(path), "--seed", "7", "--out", str(out), *args)
+        assert r.exit_code == code, r.stderr
+        data = out.read_bytes()
+        assert len(data.splitlines()) == lines
+        assert zlib.crc32(data) == crc
 
 
 class TestDeterminism:
