@@ -10,11 +10,11 @@ theta_g maps the cylinder X_b onto X_a by swapping the prefix.  Words with
 a positive letter after a negative one act nowhere (zero domain ideal).
 
 The witness net xi_i assigns (1/sqrt(i)) times the cylinder indicator to
-every positive word of length 1..i.  Because each length layer partitions
-X, the net has bound exactly 1, and the defect at a symbol g = ab^{-1}
-comes out to a rational number with denominator i; the closed forms are
-pinned in the tests and cross-checked against a brute-force pointwise
-evaluator at small i.
+every positive word of length 1..i.  Nothing walks that support: the
+cylinders of one length partition X, so the bound and the defect at a
+symbol g = ab^{-1} are counts of whole length layers, integers over i, in
+O(1) arithmetic.  The tests compare both against the word-by-word
+enumeration and a brute-force pointwise evaluator at small i.
 """
 
 from __future__ import annotations
@@ -207,10 +207,10 @@ class CuntzWitness:
     """The net member xi_i: positive words up to length i, scaled indicators.
 
     The table of values is never materialized; ``value`` builds single
-    indicators on demand and the defect evaluator walks the support by
-    layers.  ``include_identity`` adds the empty word to the support with
-    the same scale; it is off by default, which is what makes the bound
-    come out to exactly 1 instead of (i+1)/i.
+    indicators on demand, and the bound and defect evaluators count whole
+    length layers without visiting a word.  ``include_identity`` adds the
+    empty word to the support with the same scale; it is off by default,
+    which is what makes the bound come out to exactly 1 instead of (i+1)/i.
     """
 
     group: FreeGroup
@@ -251,31 +251,23 @@ def xi_witness(i: int, n: int, include_identity: bool = False) -> CuntzWitness:
     return CuntzWitness(FreeGroup(n), i, include_identity)
 
 
+def _layer_count(i: int, a_len: int, b_len: int, min_len: int) -> int:
+    """Tail lengths m with min_len <= |a| + m <= i and min_len <= |b| + m <= i."""
+    lo = max(0, min_len - a_len, min_len - b_len)
+    hi = i - max(a_len, b_len)
+    return max(0, hi - lo + 1)
+
+
 def cantor_witness_bound(w: CuntzWitness) -> float:
-    """sup norm of sum_g xi(g)* xi(g), accumulated word by word.
+    """sup norm of sum_g xi(g)* xi(g), counted by length layers.
 
-    Every summand is (1/i) times an indicator, so the table is tallied in
-    integer counts and divided once at the end; the result is the nearest
-    float to the true rational value, with no accumulation drift.
+    Every summand is (1/i) times the indicator of X_s for a support word
+    s, and the words of one length k partition X, so each admissible
+    length adds exactly 1 everywhere: the sum is (i - min_len + 1)/i times
+    the constant 1.  The integer count is divided once, which gives the
+    nearest float to the rational value.
     """
-    n = w.group.rank
-    depths: Dict[int, np.ndarray] = {}
-    for k in range(w.min_length(), w.i + 1):
-        tbl = np.zeros(n**k, dtype=np.int64)
-        for word in positive_words(n, k):
-            tbl[_word_index(n, word)] += 1
-        depths[k] = tbl
-    counts = _merge_counts(n, depths, 0)
-    return float(counts.max(initial=0)) / float(w.i)
-
-
-def _merge_counts(n: int, depths: Dict[int, np.ndarray], floor: int) -> np.ndarray:
-    top = max(depths, default=floor)
-    top = max(top, floor)
-    total = np.zeros(n**top, dtype=np.int64)
-    for d, tbl in depths.items():
-        total += np.repeat(tbl, n ** (top - d))
-    return total
+    return float(_layer_count(w.i, 0, 0, w.min_length())) / float(w.i)
 
 
 def _cylinder_meet(u: Word, v: Word) -> Optional[Word]:
@@ -292,13 +284,19 @@ def cuntz_ap_defect(
 ) -> float:
     """Defect sup|1_g - sum_h xi_i(h) theta_g(1_{g^-1} xi_i(g^-1 h))|.
 
-    The sum is walked over s = g^{-1} h in the support of xi_i; each term
-    is evaluated with exact index arithmetic (the indicators involved are
-    single cylinders, so products and theta images are prefix bookkeeping)
-    and tallied as an integer count per cylinder, every term carrying the
-    same weight 1/i.  The final table i*1_g - counts is integer valued and
-    one division yields the defect exactly, at whatever depth a refinement
-    would have used.
+    Write g = a b^{-1} and let l = 0 with ``include_identity``, else 1.
+    Substitute s = g^{-1} h, a support word: the term for s survives only
+    when s = b t with t a positive tail, since otherwise 1_{X_b} 1_{X_s}
+    vanishes or a negative letter survives in h = g s.  Then h = a t, and
+    theta_g carries 1_{X_s} = 1_{X_b t} to 1_{X_{a t}}, which meets
+    xi_i(h) on the same cylinder: the term is (1/i) 1_{X_{a t}}.  The
+    term is kept when both s and h are support words, i.e. for tail
+    lengths m = |t| with l <= |a| + m, |b| + m <= i.  For each such m the
+    tails run over all n^m words and their cylinders X_{a t} partition
+    X_a, so the sum is (N/i) 1_{X_a} with N the number of admissible m:
+    from max(0, l - |a|, l - |b|) to i - max(|a|, |b|).  As 1_g = 1_{X_a},
+    the defect is |i - N|/i, the integer divided once.  No word is
+    visited and no table is built, so the cost does not depend on i.
     """
     if isinstance(g, PartialSymbol):
         sym = g
@@ -308,45 +306,11 @@ def cuntz_ap_defect(
         sym = partial_symbol(group, g)
     if sym.domain_zero:
         raise ValueError("symbol acts nowhere; no defect to evaluate")
-    grp = sym.group
-    n = grp.rank
-    a, b = sym.pos, sym.neg
     i = int(i)
     if i < 1:
         raise ValueError("witness index starts at 1")
-    min_len = 0 if include_identity else 1
-    acc: Dict[int, np.ndarray] = {}
-    for k in range(min_len, i + 1):
-        for s in positive_words(n, k):
-            # h = g s by explicit cancellation of b against the prefix of s
-            cut = 0
-            while cut < len(b) and cut < k and b[cut] == s[cut]:
-                cut += 1
-            if cut < len(b):
-                # cancellation stalls before b is used up: a negative letter
-                # survives inside h, so xi_i(h) = 0
-                continue
-            h: Word = a + s[cut:]
-            if not (min_len <= len(h) <= i):
-                continue
-            # 1_{X_b} 1_{X_s}: s extends b here, so the product is 1_{X_s};
-            # theta_g turns it into the cylinder a + s-tail
-            image: Word = a + s[cut:]
-            meet = _cylinder_meet(h, image)
-            if meet is None:
-                continue
-            depth = len(meet)
-            slot = acc.get(depth)
-            if slot is None:
-                slot = np.zeros(n**depth, dtype=np.int64)
-                acc[depth] = slot
-            slot[_word_index(n, meet)] += 1
-    counts = _merge_counts(n, acc, len(a))
-    width = counts.size // (n ** len(a)) if a else counts.size
-    start = _word_index(n, a) * width if a else 0
-    numerator = -counts
-    numerator[start : start + width] += i
-    return float(np.abs(numerator).max(initial=0)) / float(i)
+    count = _layer_count(i, len(sym.pos), len(sym.neg), 0 if include_identity else 1)
+    return float(abs(i - count)) / float(i)
 
 
 @dataclass(frozen=True)
@@ -371,22 +335,25 @@ def cuntz_defect_table(
     residual so the applicable checks stay separable downstream.
     """
     grp = FreeGroup(n)
+    per_target = [
+        (
+            partial_symbol(grp, t),
+            grp.format_elem(t),
+            grp.word_length(t),
+            (grp.is_positive(t) or t == grp.identity) and not include_identity,
+        )
+        for t in targets
+    ]
     rows: List[CuntzRow] = []
     for i in range(1, i_max + 1):
-        for t in targets:
-            sym = partial_symbol(grp, t)
+        for sym, word, length, positive in per_target:
             defect = cuntz_ap_defect(i, sym, include_identity=include_identity)
-            length = grp.word_length(t)
-            lawful = (
-                (grp.is_positive(t) or t == grp.identity)
-                and length <= i
-                and not include_identity
-            )
+            lawful = positive and length <= i
             predicted = length / i if lawful else -1.0
             rows.append(
                 CuntzRow(
                     i=i,
-                    word=grp.format_elem(t),
+                    word=word,
                     defect=defect,
                     predicted=predicted,
                     residual=defect - predicted if lawful else 0.0,
@@ -506,17 +473,27 @@ def spectral_groupoid(n: int, depth: int, radius: int) -> GroupoidTable:
         sym = partial_symbol(grp, g)
         if sym.domain_zero or len(sym.neg) > depth:
             continue
-        for word in positive_words(n, depth):
-            if word[: len(sym.neg)] == sym.neg:
-                arrows.append(Arrow(word, g))
+        # the depth-d words inside X_b, in lexicographic order
+        for tail in positive_words(n, depth - len(sym.neg)):
+            arrows.append(Arrow(sym.neg + tail, g))
     return GroupoidTable(group=grp, depth=depth, radius=radius, arrows=tuple(arrows))
 
 
 def validate_groupoid(table: GroupoidTable) -> ActionReport:
-    """Exhaustive axiom check on the enumerated arrow table."""
+    """Exhaustive axiom check on the enumerated arrow table.
+
+    Associativity is checked on every composable triple: y composes after
+    x when its range word is x's source, so arrows are indexed by range
+    word once and each triple is reached from x through that index, in the
+    order of an all-pairs scan.
+    """
     report = ActionReport()
     grp = table.group
-    for arrow in table.arrows:
+    ranges = [table.range_word(arrow) for arrow in table.arrows]
+    by_range: Dict[Word, List[Arrow]] = {}
+    for arrow, rng in zip(table.arrows, ranges):
+        by_range.setdefault(rng, []).append(arrow)
+    for arrow, rng in zip(table.arrows, ranges):
         label = f"({''.join(map(str, arrow.source))},{grp.format_elem(arrow.g)})"
         inv = table.invert(arrow)
         double = table.invert(inv)
@@ -526,10 +503,10 @@ def validate_groupoid(table: GroupoidTable) -> ActionReport:
         report.add(
             "inverse-source-is-range",
             label,
-            0.0 if inv.source == table.range_word(arrow) else 1.0,
+            0.0 if inv.source == rng else 1.0,
             0.5,
         )
-        left_unit = table.unit_at(table.range_word(arrow))
+        left_unit = table.unit_at(rng)
         right_unit = table.unit_at(arrow.source)
         report.add(
             "unit-absorbs",
@@ -540,25 +517,21 @@ def validate_groupoid(table: GroupoidTable) -> ActionReport:
             else 1.0,
             0.5,
         )
-    composable = [
-        (x, y)
-        for x in table.arrows
-        for y in table.arrows
-        if table.compose(x, y) is not None
-    ]
-    for x, y in composable:
-        xy = table.compose(x, y)
-        for z in table.arrows:
-            yz = table.compose(y, z)
-            if yz is None:
+    for x in table.arrows:
+        for y in by_range.get(x.source, ()):
+            xy = table.compose(x, y)
+            if xy is None:
                 continue
-            lhs = table.compose(xy, z)
-            rhs = table.compose(x, yz)
-            label = "assoc"
-            report.add(
-                "associativity",
-                label,
-                0.0 if lhs is not None and rhs is not None and lhs == rhs else 1.0,
-                0.5,
-            )
+            for z in by_range.get(y.source, ()):
+                yz = table.compose(y, z)
+                if yz is None:
+                    continue
+                lhs = table.compose(xy, z)
+                rhs = table.compose(x, yz)
+                report.add(
+                    "associativity",
+                    "assoc",
+                    0.0 if lhs is not None and rhs is not None and lhs == rhs else 1.0,
+                    0.5,
+                )
     return report

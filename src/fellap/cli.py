@@ -51,7 +51,6 @@ from .bundles import (
 )
 from .cantor import (
     cantor_witness_bound,
-    cuntz_ap_defect,
     cuntz_defect_table,
     partial_symbol,
     spectral_groupoid,
@@ -591,19 +590,16 @@ def _ap_check_cuntz(ctx, store, b, bundle_ref, witness_spec, imax, targets_text,
     for t in targets:
         if partial_symbol(g, t).domain_zero:
             raise ConfigError(f"target {g.format_elem(t)} acts nowhere")
-    rows: List[Tuple[str, ...]] = []
-    worst_final = 0.0
-    bound_ok = True
-    for idx in range(1, imax + 1):
-        w = xi_witness(idx, g.rank)
-        bound = cantor_witness_bound(w)
-        bound_ok = bound_ok and bound <= 1.0 + 1e-8
-        for t in targets:
-            d = cuntz_ap_defect(idx, t, g)
-            label = f"1_{g.format_elem(t)}"
-            rows.append((str(idx - 1), g.format_elem(t), label, _fval(bound), _fval(d)))
-            if idx == imax:
-                worst_final = max(worst_final, d)
+    bounds = {
+        idx: cantor_witness_bound(xi_witness(idx, g.rank)) for idx in range(1, imax + 1)
+    }
+    table = cuntz_defect_table(g.rank, imax, targets)
+    rows = [
+        (str(r.i - 1), r.word, f"1_{r.word}", _fval(bounds[r.i]), _fval(r.defect))
+        for r in table
+    ]
+    worst_final = max((r.defect for r in table if r.i == imax), default=0.0)
+    bound_ok = all(bound <= 1.0 + 1e-8 for bound in bounds.values())
     passed = bound_ok and worst_final <= tol
     report = Report(
         command=f"ap-check {bundle_ref} {witness_spec}",

@@ -12,7 +12,10 @@ Frozen oracles, derived before the implementation ran:
   * defect closed forms: 0 at the identity; |g|/i for positive g with
     i >= |g| (1.0 below); and for a mixed symbol a b^{-1} with both parts
     nonempty, (max(|a|,|b|) - 1)/i once i >= max(|a|,|b|).  The brute
-    evaluator below re-derives these pointwise at depth i + |a| + |b|.
+    evaluator below re-derives these pointwise at depth i + |a| + |b|, and
+    the word-by-word enumerator below (the library's former evaluator)
+    matches the layer count with float equality on ball(4) of F2 with
+    i <= 8 and ball(3) of F3 with i <= 6, under both identity flags.
   * truncated groupoid sizes: radius 0 keeps the n^depth units; the
     two-letter table at depth 2, radius 1 has exactly 16 arrows
     (4 units, 8 forward shifts, 4 backward shifts).
@@ -21,8 +24,10 @@ Frozen oracles, derived before the implementation ran:
     are pinned from the all-pairs validator.
 """
 
+import time
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +38,8 @@ from fellap.cantor import (
     CantorDomainError,
     CylFun,
     GroupoidTable,
+    _cylinder_meet,
+    _word_index,
     cantor_witness_bound,
     cuntz_ap_defect,
     cuntz_defect_table,
@@ -72,6 +79,63 @@ def brute_cuntz_defect(i, g, grp, include_identity=False):
     )
     depth = i + len(sym.pos) + len(sym.neg)
     return (target - total).refine_to(depth).sup_norm()
+
+
+def _merge_counts(n, depths, floor):
+    top = max(max(depths, default=floor), floor)
+    total = np.zeros(n**top, dtype=np.int64)
+    for d, tbl in depths.items():
+        total += np.repeat(tbl, n ** (top - d))
+    return total
+
+
+def walked_witness_bound(w):
+    """Enumerator route for the bound: one integer count per cylinder,
+    tallied word by word over every support word, divided once."""
+    n = w.group.rank
+    depths = {}
+    for k in range(w.min_length(), w.i + 1):
+        tbl = np.zeros(n**k, dtype=np.int64)
+        for word in positive_words(n, k):
+            tbl[_word_index(n, word)] += 1
+        depths[k] = tbl
+    counts = _merge_counts(n, depths, 0)
+    return float(counts.max(initial=0)) / float(w.i)
+
+
+def walked_cuntz_defect(i, g, grp, include_identity=False):
+    """Enumerator route for the defect: walk s = g^-1 h over every support
+    word, tally each surviving term as an integer count on its cylinder,
+    and divide the table i*1_g - counts once."""
+    sym = partial_symbol(grp, g)
+    n = grp.rank
+    a, b = sym.pos, sym.neg
+    min_len = 0 if include_identity else 1
+    acc = {}
+    for k in range(min_len, i + 1):
+        for s in positive_words(n, k):
+            # h = g s by explicit cancellation of b against the prefix of s
+            cut = 0
+            while cut < len(b) and cut < k and b[cut] == s[cut]:
+                cut += 1
+            if cut < len(b):
+                continue  # a negative letter survives inside h
+            h = a + s[cut:]
+            if not (min_len <= len(h) <= i):
+                continue
+            # 1_{X_b} 1_{X_s} = 1_{X_s}; theta_g turns it into X_{a + tail}
+            meet = _cylinder_meet(h, a + s[cut:])
+            if meet is None:
+                continue
+            if len(meet) not in acc:
+                acc[len(meet)] = np.zeros(n ** len(meet), dtype=np.int64)
+            acc[len(meet)][_word_index(n, meet)] += 1
+    counts = _merge_counts(n, acc, len(a))
+    width = counts.size // (n ** len(a)) if a else counts.size
+    start = _word_index(n, a) * width if a else 0
+    numerator = -counts
+    numerator[start : start + width] += i
+    return float(np.abs(numerator).max(initial=0)) / float(i)
 
 
 class MisComposingTable(GroupoidTable):
@@ -354,6 +418,41 @@ class TestDefects:
         grp = FreeGroup(2)
         for i in (2, 4, 5):
             assert cuntz_ap_defect(i, grp.identity, grp, include_identity=True) == 1.0 / i
+
+    def test_layer_count_matches_enumerator(self):
+        cases = 0
+        for n, radius, i_max in ((2, 4, 8), (3, 3, 6)):
+            grp = FreeGroup(n)
+            acting = [g for g in grp.ball(radius) if not partial_symbol(grp, g).domain_zero]
+            for flag in (False, True):
+                for i in range(1, i_max + 1):
+                    w = xi_witness(i, n, include_identity=flag)
+                    assert cantor_witness_bound(w) == walked_witness_bound(w)
+                    for g in acting:
+                        got = cuntz_ap_defect(i, g, grp, include_identity=flag)
+                        assert got == walked_cuntz_defect(i, g, grp, flag), (n, i, g, flag)
+                        cases += 1
+        assert cases == 2972
+
+    def test_large_index_closed_forms(self):
+        grp = FreeGroup(3)
+        i = 200
+        assert cuntz_ap_defect(i, grp.word([1, 2, 3]), grp) == 3 / i
+        assert cuntz_ap_defect(i, grp.word([1, 1, -2]), grp) == 1 / i
+        assert cuntz_ap_defect(i, grp.word([1, -2, -3]), grp) == 1 / i
+        assert cuntz_ap_defect(i, grp.word([1, -2]), grp) == 0.0
+        assert cuntz_ap_defect(i, grp.identity, grp, include_identity=True) == 1 / i
+        assert cantor_witness_bound(xi_witness(i, 3)) == 1.0
+
+    def test_large_index_takes_under_ten_ms(self):
+        grp = FreeGroup(3)
+        g = grp.word([1, 2, -3])
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            cuntz_ap_defect(200, g, grp)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.010
 
     def test_domain_zero_target_rejected(self):
         grp = FreeGroup(2)

@@ -319,6 +319,18 @@ class TestApCheck:
             assert float(cells[-2]) == 1.0           # bound
             assert float(cells[-1]) == pytest.approx(1.0 / (pos + 1), rel=1e-11)
 
+    def test_cuntz_index_in_the_hundreds_passes(self, conf, tmp_path):
+        out = tmp_path / "ap.csv"
+        r = run("--config", conf, "--tol", "0.01", "--out", str(out),
+                "ap-check", "--bundle", "bf2", "--witness", "builtin:cuntz:200",
+                "--targets", "1,1 2")
+        assert r.exit_code == 0, r.stderr
+        _, rows = read_rows(out)
+        assert len(rows) == 400
+        last = [row.split(",") for row in rows[-2:]]
+        assert [cells[3] for cells in last] == ["199", "199"]
+        assert [float(cells[-1]) for cells in last] == [1 / 200, 2 / 200]
+
     def test_unsupported_combinations(self, conf):
         r = run("--config", conf, "ap-check", "--bundle", "bline",
                 "--witness", "builtin:uniform")
@@ -407,6 +419,23 @@ class TestCuntzAp:
         assert mixed and all(
             float(row.split(",")[6]) == -1.0 for row in mixed
         )
+
+    def test_index_in_the_hundreds(self, tmp_path):
+        out = tmp_path / "c.csv"
+        r = run("--out", str(out), "cuntz-ap", "--n", "3", "--imax", "200",
+                "--targets", "a,ab,aab'")
+        assert r.exit_code == 0, r.stderr
+        header, rows = read_rows(out)
+        assert len(rows) == 600
+        # |g|/i for the positive words once i >= |g|; for a^2 b^-1 it is
+        # (max(|a|, |b|) - 1)/i = 1/i once i >= 2
+        for row in rows:
+            cells = dict(zip(header, row.split(",")))
+            i = int(cells["i"])
+            length, reach = {"1": (1, 1), "1 2": (2, 2), "1 1 -2": (1, 2)}[cells["word"]]
+            law = 1.0 if i < reach else length / i
+            assert float(cells["defect"]) == pytest.approx(law, rel=1e-11)
+            assert float(cells["residual"]) == 0.0
 
     def test_domain_zero_word_rejected(self):
         r = run("cuntz-ap", "--n", "2", "--targets", "a'b")
