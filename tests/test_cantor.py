@@ -13,9 +13,9 @@ Frozen oracles, derived before the implementation ran:
     i >= |g| (1.0 below); and for a mixed symbol a b^{-1} with both parts
     nonempty, (max(|a|,|b|) - 1)/i once i >= max(|a|,|b|).  The brute
     evaluator below re-derives these pointwise at depth i + |a| + |b|, and
-    the word-by-word enumerator below (the library's former evaluator)
-    matches the layer count with float equality on ball(4) of F2 with
-    i <= 8 and ball(3) of F3 with i <= 6, under both identity flags.
+    the word-by-word enumerator below matches the layer count with float
+    equality on ball(4) of F2 with i <= 8 and ball(3) of F3 with i <= 6,
+    under both identity flags.
   * truncated groupoid sizes: radius 0 keeps the n^depth units; the
     two-letter table at depth 2, radius 1 has exactly 16 arrows
     (4 units, 8 forward shifts, 4 backward shifts).
