@@ -34,6 +34,13 @@ __all__ = [
     "ActionReport",
     "GlobalizationResult",
     "op_norm",
+    "op_norms",
+    "batch_norms",
+    "stack_elements",
+    "split_batch",
+    "apply_many",
+    "project_batch",
+    "outside_mass",
     "center_basis",
     "validate_partial_action",
     "trivial_partial_action",
@@ -113,13 +120,18 @@ class FdAlgebra:
         Draws what the block-by-block loop ``rng.normal(size=(d, d)) + 1j *
         rng.normal(size=(d, d))`` over the blocks in order draws, in one call.
         """
-        z = rng.normal(size=2 * self.dim).take(self._gauss_order).view(complex)
+        return split_batch(self, self.gaussian_many(rng, 1), 1)[0]
+
+    def gaussian_many(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
+        """A batch of m Gaussian elements (see :func:`stack_elements`), the
+        same draws, bit for bit, as m successive ``gaussian`` calls."""
+        z = rng.normal(size=(m, 2 * self.dim)).take(self._gauss_order, axis=1).view(complex)
         packs = []
         at = 0
-        for d, m in zip(self.sizes, self.members):
-            packs.append(z[at : at + len(m) * d * d].reshape(len(m), d, d))
-            at += len(m) * d * d
-        return _packed(self, tuple(packs))
+        for d, mem in zip(self.sizes, self.members):
+            packs.append(z[:, at : at + len(mem) * d * d].reshape(m, len(mem), d, d))
+            at += len(mem) * d * d
+        return tuple(packs)
 
     @cached_property
     def _gauss_order(self) -> np.ndarray:
@@ -254,6 +266,38 @@ def _packed(algebra: FdAlgebra, packs: tuple[np.ndarray, ...]) -> FdElement:
     return x
 
 
+# ---------------------------------------------------------------------------
+# Batches: many elements of one algebra in the packed layout of FdElement
+# with a leading term axis, one array of shape (m, n_c, d_c, d_c) per size
+# class. Batched routines run one numpy call per class over all m terms.
+# ---------------------------------------------------------------------------
+
+
+def stack_elements(algebra: FdAlgebra, xs: Sequence[FdElement]) -> tuple[np.ndarray, ...]:
+    """The batch holding the elements ``xs`` of ``algebra`` in order."""
+    if not xs:
+        return tuple(
+            np.zeros((0, len(m), d, d), dtype=complex)
+            for d, m in zip(algebra.sizes, algebra.members)
+        )
+    return tuple(np.stack(packs) for packs in zip(*(x.packs for x in xs)))
+
+
+def split_batch(algebra: FdAlgebra, batch: Sequence[np.ndarray], m: int) -> list[FdElement]:
+    """The m elements of a batch, as views into it. ``m`` is passed because
+    the zero algebra has no class array to read it from."""
+    return [_packed(algebra, tuple(p[i] for p in batch)) for i in range(m)]
+
+
+def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
+    """``op_norm`` of every term of a batch: one batched SVD per class."""
+    out = np.zeros(m)
+    for p in batch:
+        s = np.linalg.svd(p, compute_uv=False)
+        np.maximum(out, s.max(axis=(1, 2)), out=out)
+    return out
+
+
 def op_norm(x: FdElement) -> float:
     """C*-norm of a block element: the largest singular value over blocks.
 
@@ -265,11 +309,9 @@ def op_norm(x: FdElement) -> float:
 def op_norms(xs: Sequence[FdElement]) -> list[float]:
     """``op_norm`` of each of several elements of one algebra, with one
     batched SVD per size class for all of them together."""
-    out = np.zeros(len(xs))
-    for packs in zip(*(x.packs for x in xs)):
-        s = np.linalg.svd(np.stack(packs), compute_uv=False)
-        np.maximum(out, s.max(axis=(1, 2)), out=out)
-    return out.tolist()
+    if not xs:
+        return []
+    return batch_norms(stack_elements(xs[0].algebra, xs), len(xs)).tolist()
 
 
 def center_basis(algebra: FdAlgebra) -> list[FdElement]:
@@ -350,6 +392,27 @@ class Ideal:
         return self.block_set <= other.block_set
 
 
+def _inside_masks(ideals: Sequence[Ideal], c: int, n: int) -> np.ndarray:
+    """Membership masks of the n blocks of class c, per term: (m, n, 1, 1)."""
+    return np.array([ideal._by_class[c][0] for ideal in ideals], dtype=bool).reshape(-1, n, 1, 1)
+
+
+def project_batch(ideals: Sequence[Ideal], batch: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """``ideals[i].project`` applied to term i of a batch."""
+    return tuple(np.where(_inside_masks(ideals, c, p.shape[1]), p, 0) for c, p in enumerate(batch))
+
+
+def outside_mass(ideals: Sequence[Ideal], batch: Sequence[np.ndarray]) -> np.ndarray:
+    """Largest entry modulus of term i outside ``ideals[i]`` (0 when none is
+    outside, NaN when one is NaN), so ``ideals[i].contains(x_i, tol)`` is
+    ``outside_mass(...)[i] <= tol``."""
+    out = np.zeros(len(ideals))
+    for c, p in enumerate(batch):
+        mass = np.where(_inside_masks(ideals, c, p.shape[1]), 0.0, np.abs(p))
+        np.maximum(out, mass.max(axis=(1, 2, 3), initial=0.0), out=out)
+    return out
+
+
 def conjugation_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Distance between Ad(u) and Ad(v) as maps on matrices.
 
@@ -372,14 +435,42 @@ def conjugation_distance(u: np.ndarray, v: np.ndarray) -> float:
 _KRON_MAX = 4
 
 
-def _conjugation(u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> U x U* on a stack of blocks, for a stack ``u`` of matrices U."""
-    n, d, _ = u.shape
+def _conjugate(conj: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x -> U x U* on stacks of blocks of size d, given a conjugation stack
+    of an iso plan (see ``IdealIso._plan``) shaped like ``x`` in front."""
+    d = x.shape[-1]
     if d <= _KRON_MAX:
-        k = np.einsum("nik,njl->nijkl", u, u.conj()).reshape(n, d * d, d * d)
-        return lambda x: (k @ x.reshape(n, d * d, 1)).reshape(n, d, d)
-    uh = u.conj().transpose(0, 2, 1)
-    return lambda x: u @ x @ uh
+        return (conj @ x.reshape(x.shape[:-2] + (d * d, 1))).reshape(x.shape)
+    return conj @ x @ np.swapaxes(conj.conj(), -1, -2)
+
+
+def apply_many(
+    isos: Sequence["IdealIso"], batch: Sequence[np.ndarray], slot: Sequence[int] | None = None
+) -> tuple[np.ndarray, ...]:
+    """The isos on the terms of a batch, all at once: term i goes through
+    ``isos[slot[i]]``, or through ``isos[i]`` when ``slot`` is omitted.
+
+    Per size class this is one gather of the source blocks into target
+    position (a zero block where a target position lies outside the iso's
+    target) and one batched conjugation, with the stacks of each iso's
+    class plan (see ``IdealIso._plan``), so the isos may all differ.
+    """
+    plans = [iso._plan for iso in isos]
+    slot = np.arange(len(isos)) if slot is None else np.asarray(slot, dtype=int)
+    m = len(slot)
+    out = []
+    for c, x in enumerate(batch):
+        _, n, d, _ = x.shape
+        padded = np.zeros((m, n + 1, d, d), dtype=complex)
+        padded[:, :n] = x
+        if not m:
+            out.append(padded[:, :n])
+            continue
+        gather = np.stack([plan[c][0] for plan in plans])[slot]
+        gather += (n + 1) * np.arange(m)[:, None]
+        conj = np.stack([plan[c][1] for plan in plans])[slot]
+        out.append(_conjugate(conj, padded.reshape(m * (n + 1), d, d)[gather]))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,29 +507,29 @@ class IdealIso:
                 raise ValueError("unitary shape mismatch")
 
     @cached_property
-    def _plan(self) -> tuple:
-        """Per size class, what ``apply`` does there: None when no source
-        block lies in the class, else (source positions, target positions,
-        conjugation by the stacked U_j), ordered by target position. The
-        source positions are None when they are all positions in order, and
-        the target positions when the target holds the whole class. Made
-        on the first ``apply`` and kept."""
+    def _plan(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per size class of n blocks of size d, what ``apply`` does there:
+        (gather, conjugation). ``gather[q]`` is the class position of the
+        source block sent to target position q, or n (a zero pad) when q is
+        outside the target. The conjugation stack holds, per target
+        position, the d^2 x d^2 matrix of x -> U x U* for d up to
+        ``_KRON_MAX`` and U itself above it, with U the unitary of the block
+        sent there (zero outside the target). Made on first use and kept."""
         alg = self.algebra
         plan = []
-        for c, m in enumerate(alg.members):
-            moves = sorted(
-                (alg.where[self.phi[j]][1], alg.where[j][1], j)
-                for j in m
-                if j in self.phi
-            )
-            if not moves:
-                plan.append(None)
-                continue
-            u = np.stack([np.asarray(self.unitaries[j], dtype=complex) for _, _, j in moves])
-            tgt = None if len(moves) == len(m) else np.array([k for k, _, _ in moves])
-            src = [j for _, j, _ in moves]
-            src = None if src == list(range(len(m))) else np.array(src)
-            plan.append((src, tgt, _conjugation(u)))
+        for d, mem in zip(alg.sizes, alg.members):
+            n = len(mem)
+            gather = np.full(n, n)
+            u = np.zeros((n, d, d), dtype=complex)
+            for j in mem:
+                k = self.phi.get(j)
+                if k is not None:
+                    q = alg.where[k][1]
+                    gather[q] = alg.where[j][1]
+                    u[q] = self.unitaries[j]
+            if d <= _KRON_MAX:
+                u = np.einsum("nik,njl->nijkl", u, u.conj()).reshape(n, d * d, d * d)
+            plan.append((gather, u))
         return tuple(plan)
 
     @property
@@ -446,18 +537,11 @@ class IdealIso:
         return self.source.algebra
 
     def apply(self, x: FdElement) -> FdElement:
+        """The iso on one element, by the plan of :func:`apply_many`."""
         out = []
-        for p, step in zip(x.packs, self._plan):
-            if step is None:
-                out.append(np.zeros(p.shape, dtype=complex))
-                continue
-            src, tgt, conjugate = step
-            moved = conjugate(p if src is None else p.take(src, axis=0))
-            if tgt is not None:
-                full = np.zeros(p.shape, dtype=complex)
-                full[tgt] = moved
-                moved = full
-            out.append(moved)
+        for p, (gather, conj) in zip(x.packs, self._plan):
+            padded = np.concatenate([p, np.zeros((1,) + p.shape[1:], dtype=complex)])
+            out.append(_conjugate(conj, padded[gather]))
         return _packed(self.source.algebra, tuple(out))
 
     def inverse(self) -> "IdealIso":

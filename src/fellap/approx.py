@@ -23,8 +23,16 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import FdElement, PartialAction, op_norm
-from .bundles import FellBundle, fiber_norm
+from .algebra import (
+    FdElement,
+    PartialAction,
+    batch_norms,
+    op_norm,
+    project_batch,
+    split_batch,
+    stack_elements,
+)
+from .bundles import TwistedBundle
 from .groups import Elem, LatticeGroup, UnsupportedGroupError
 
 
@@ -37,20 +45,20 @@ class APWitness:
 
     __slots__ = ("bundle", "data")
 
-    def __init__(self, bundle: FellBundle, data: Mapping[Elem, FdElement]):
+    def __init__(self, bundle: TwistedBundle, data: Mapping[Elem, FdElement]):
         alg = bundle.coeff_algebra
         clean: Dict[Elem, FdElement] = {}
         for r, a in data.items():
             bundle.group.check(r)
             if a.algebra is not alg:
                 raise ValueError("witness value from a foreign algebra")
-            if any(np.abs(m).max(initial=0.0) > 0.0 for m in a.mats):
+            if any(p.any() for p in a.packs):
                 clean[r] = a
         self.bundle = bundle
         self.data = clean
 
     @staticmethod
-    def zero(bundle: FellBundle) -> "APWitness":
+    def zero(bundle: TwistedBundle) -> "APWitness":
         return APWitness(bundle, {})
 
     def value(self, r: Elem) -> FdElement:
@@ -87,27 +95,60 @@ def witness_bound(a: APWitness) -> float:
     return op_norm(witness_gram(a))
 
 
-def defect_sum(a: APWitness, t: Elem, b: FdElement) -> FdElement:
-    """sum_r a(tr)* b a(r), evaluated in the bundle; lies in the fiber over t."""
+def _defect_sums(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) -> Tuple[np.ndarray, ...]:
+    """Batch of sum_r a(tr)* b a(r), one term per target (t, b).
+
+    The summands of all targets are evaluated together, in two
+    ``mul_many`` calls, and added per target in the order of ``a.data``.
+    """
     bundle = a.bundle
     g = bundle.group
     e = g.identity
-    total = bundle.coeff_algebra.zero()
-    for r, ar in a.data.items():
-        left = a.data.get(g.mul(t, r))
-        if left is None:
-            continue
-        mid = bundle.mul(e, left.star(), t, b)
-        total = total + bundle.mul(t, mid, e, ar)
-    return total
+    alg = bundle.coeff_algebra
+    at = {r: i for i, r in enumerate(a.data)}
+    owner, ts, left, right = [], [], [], []
+    for i, (t, _) in enumerate(targets):
+        for r, k in at.items():
+            j = at.get(g.mul(t, r))
+            if j is not None:
+                owner.append(i)
+                ts.append(t)
+                left.append(j)
+                right.append(k)
+    values = stack_elements(alg, list(a.data.values()))
+    bs = stack_elements(alg, [b for _, b in targets])
+    es = [e] * len(ts)
+    mid = bundle.mul_many(
+        es, tuple(p[left].conj().swapaxes(-1, -2) for p in values), ts, tuple(p[owner] for p in bs)
+    )
+    terms = bundle.mul_many(ts, mid, es, tuple(p[right] for p in values))
+    sums = tuple(np.zeros(p.shape, dtype=complex) for p in bs)
+    for total, p in zip(sums, terms):
+        np.add.at(total, owner, p)
+    return sums
+
+
+def defect_sum(a: APWitness, t: Elem, b: FdElement) -> FdElement:
+    """sum_r a(tr)* b a(r), evaluated in the bundle; lies in the fiber over t."""
+    return split_batch(a.bundle.coeff_algebra, _defect_sums(a, [(t, b)]), 1)[0]
+
+
+def ap_defects(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) -> List[float]:
+    """Defects | b - sum_r a(tr)* b a(r) | of the witness at targets (t, b)."""
+    bundle = a.bundle
+    ideals = [bundle.fiber_ideal(t) for t, _ in targets]
+    for ideal, (_, b) in zip(ideals, targets):
+        if not ideal.contains(b, tol=1e-9):
+            raise ValueError("target lies outside the fiber over t")
+    bs = stack_elements(bundle.coeff_algebra, [b for _, b in targets])
+    sums = _defect_sums(a, targets)
+    gaps = project_batch(ideals, tuple(p - q for p, q in zip(bs, sums)))
+    return batch_norms(gaps, len(targets)).tolist()
 
 
 def ap_defect(a: APWitness, t: Elem, b: FdElement) -> float:
     """Defect | b - sum_r a(tr)* b a(r) | of the witness at one target."""
-    bundle = a.bundle
-    if not bundle.fiber_ideal(t).contains(b, tol=1e-9):
-        raise ValueError("target lies outside the fiber over t")
-    return fiber_norm(bundle, t, b - defect_sum(a, t, b))
+    return ap_defects(a, [(t, b)])[0]
 
 
 def ap_defect_partial(
@@ -145,7 +186,7 @@ def _box(group: LatticeGroup, n: int) -> List[Elem]:
     return [group.vector(c) for c in coords]
 
 
-def folner_witness(bundle: FellBundle, n: int = 1) -> APWitness:
+def folner_witness(bundle: TwistedBundle, n: int = 1) -> APWitness:
     """Normalized indicator witness over a Folner-style set.
 
     Finite groups use the whole group; lattices use the box {0..n-1}^d.
@@ -166,7 +207,7 @@ def folner_witness(bundle: FellBundle, n: int = 1) -> APWitness:
     return APWitness(bundle, {r: scale * one for r in window})
 
 
-def uniform_witness(bundle: FellBundle) -> APWitness:
+def uniform_witness(bundle: TwistedBundle) -> APWitness:
     """Whole-group normalized unit witness; finite groups only."""
     if not bundle.group.is_finite:
         raise UnsupportedGroupError("uniform witness needs a finite group")
@@ -180,7 +221,7 @@ class Target:
     label: str
 
 
-def default_targets(bundle: FellBundle, radius: int = 1, max_per_fiber: int = 0) -> List[Target]:
+def default_targets(bundle: TwistedBundle, radius: int = 1, max_per_fiber: int = 0) -> List[Target]:
     """Basis targets of every nonzero fiber over the ball of the given radius."""
     out: List[Target] = []
     g = bundle.group
@@ -267,12 +308,13 @@ def convexify(
     for (a, lam) in witnesses:
         gram_target = gram_target + lam * witness_gram(a)
     gram_res = op_norm(witness_gram(mixed) - gram_target)
-    defect_res = []
-    for tgt in targets:
-        want = bundle.coeff_algebra.zero()
-        for (a, lam) in witnesses:
-            want = want + lam * defect_sum(a, tgt.t, tgt.b)
-        defect_res.append(fiber_norm(bundle, tgt.t, defect_sum(mixed, tgt.t, tgt.b) - want))
+    pairs = [(tgt.t, tgt.b) for tgt in targets]
+    want = stack_elements(bundle.coeff_algebra, [bundle.coeff_algebra.zero()] * len(pairs))
+    for (a, lam) in witnesses:
+        want = tuple(p + complex(lam) * q for p, q in zip(want, _defect_sums(a, pairs)))
+    gaps = tuple(p - q for p, q in zip(_defect_sums(mixed, pairs), want))
+    ideals = [bundle.fiber_ideal(t) for t, _ in pairs]
+    defect_res = batch_norms(project_batch(ideals, gaps), len(pairs)).tolist()
     cert = ConvexCertificate(
         translates=tuple(chosen),
         gram_residual=gram_res,
@@ -304,7 +346,7 @@ class APVerdict:
 
 
 def ap_certify(
-    bundle: FellBundle,
+    bundle: TwistedBundle,
     witness_family: Sequence[APWitness],
     targets: Optional[Sequence[Target]] = None,
     tolerance: float = 1e-8,
@@ -322,17 +364,18 @@ def ap_certify(
     g = bundle.group
     rows: List[APRow] = []
     bounds_ok = True
+    pairs = [(tgt.t, tgt.b) for tgt in targets]
     for i, a in enumerate(witness_family):
         bound = witness_bound(a)
         bounds_ok = bounds_ok and bound <= bound_cap
-        for tgt in targets:
+        for tgt, defect in zip(targets, ap_defects(a, pairs)):
             rows.append(
                 APRow(
                     index=i,
                     t_label=g.format_elem(tgt.t),
                     target_label=tgt.label,
                     bound=bound,
-                    defect=ap_defect(a, tgt.t, tgt.b),
+                    defect=defect,
                 )
             )
     last = len(witness_family) - 1

@@ -18,7 +18,14 @@ cocycle conditions do not grant (the difference is invisible for central
 twists and fatal for matrix-valued ones). Note also that the product uses
 the inverse of the map gamma_s, which for a genuinely twisted family is not
 the map attached to s^-1; conflating the two is the classic sign error this
-module's validator is designed to catch.
+module's validator is designed to catch. The code evaluates the product as
+a gamma_s(b) omega(s, t), the same element (see ``TwistedBundle``).
+
+Products and involutions also come batched (``TwistedBundle.mul_many``,
+``star_many``): many terms, each with its own group elements, in one
+gather and one batched product per block-size class. The validator, the
+kernel algebra and the approximation-property sums evaluate each product
+step that way.
 """
 
 from __future__ import annotations
@@ -35,14 +42,18 @@ from .algebra import (
     Ideal,
     IdealIso,
     PartialAction,
+    apply_many,
+    batch_norms,
     identity_action,
     op_norm,
-    op_norms,
+    outside_mass,
+    project_batch,
+    split_batch,
+    stack_elements,
 )
 from .groups import Elem, Group
 
 __all__ = [
-    "FellBundle",
     "TwistedBundle",
     "Twist",
     "Section",
@@ -66,32 +77,7 @@ __all__ = [
 ]
 
 
-class FellBundle:
-    """Interface shared by all bundle implementations.
-
-    Fibers are ideals of ``coeff_algebra``; a fiber element is an FdElement
-    supported on that ideal, tagged externally by its group coordinate.
-    """
-
-    group: Group
-    coeff_algebra: FdAlgebra
-
-    def fiber_ideal(self, t: Elem) -> Ideal:
-        raise NotImplementedError
-
-    def mul(self, s: Elem, a: FdElement, t: Elem, b: FdElement) -> FdElement:
-        """Coefficient of (a d_s)(b d_t), an element of the fiber at st."""
-        raise NotImplementedError
-
-    def star(self, t: Elem, a: FdElement) -> FdElement:
-        """Coefficient of (a d_t)*, an element of the fiber at t^-1."""
-        raise NotImplementedError
-
-    def fiber_dim(self, t: Elem) -> int:
-        return self.fiber_ideal(t).dim()
-
-
-def fiber_norm(bundle: FellBundle, t: Elem, a: FdElement) -> float:
+def fiber_norm(bundle: TwistedBundle, t: Elem, a: FdElement) -> float:
     """Norm of a d_t in the bundle; equals the coefficient operator norm."""
     return op_norm(bundle.fiber_ideal(t).project(a))
 
@@ -118,22 +104,56 @@ class Twist:
 
 
 def trivial_twist(pa: PartialAction) -> Twist:
-    """The twist whose every value is the unit of the relevant corner."""
+    """The twist whose every value is the unit of the relevant corner.
+
+    Corners with the same blocks share one unit element."""
+    units: dict[frozenset[int], FdElement] = {}
 
     def fn(s: Elem, t: Elem) -> FdElement:
-        g = pa.group
-        corner = pa.domain(s).intersect(pa.domain(g.mul(s, t)))
-        return corner.unit()
+        blocks = pa.domain(s).block_set & pa.domain(pa.group.mul(s, t)).block_set
+        unit = units.get(blocks)
+        if unit is None:
+            unit = units[blocks] = Ideal(pa.algebra, blocks).unit()
+        return unit
 
     return Twist(fn)
 
 
-class TwistedBundle(FellBundle):
+def _distinct(keys) -> tuple[list, np.ndarray]:
+    """The distinct keys in order of first appearance, and the position of
+    each key among them."""
+    seen: dict = {}
+    slot = [seen.setdefault(k, len(seen)) for k in keys]
+    return list(seen), np.array(slot, dtype=int)
+
+
+def _adjoint(p: np.ndarray) -> np.ndarray:
+    return p.conj().swapaxes(-1, -2)
+
+
+class TwistedBundle:
     """Semidirect bundle of a (possibly twisted) family of ideal isos.
 
     With the trivial twist this is the plain semidirect bundle of a partial
     action. The family need not satisfy the untwisted composition law on its
     own; the twist is what repairs it, and validate_twist is the check.
+
+    Fibers are ideals of ``coeff_algebra``; a fiber element is an FdElement
+    supported on that ideal, tagged externally by its group coordinate.
+
+    The product is evaluated as (a d_s)(b d_t) = a gamma_s(b) omega(s, t),
+    one conjugation instead of two. This is the module formula: gamma_s is
+    a *-isomorphism of A_{s^-1} onto A_s, so for b (cut down to A_{s^-1},
+    which gamma_s does anyway) gamma_s(gamma_s^-1(a) b) =
+    gamma_s(gamma_s^-1(a)) gamma_s(b) = 1_s a gamma_s(b), and 1_s may be
+    dropped because gamma_s(b) lies in A_s. Mass of a outside A_s is still
+    killed, by the same factor gamma_s(b). Nothing here uses the
+    composition law, so the identity holds for twisted families too.
+
+    ``mul_many`` and ``star_many`` evaluate many products or involutions at
+    once on batches (see ``fellap.algebra.stack_elements``). A subclass
+    that overrides ``mul`` or ``star`` gets its own method applied term by
+    term there, so a deliberately broken product stays broken in batches.
     """
 
     def __init__(self, family: PartialAction, twist: Twist):
@@ -145,15 +165,55 @@ class TwistedBundle(FellBundle):
     def fiber_ideal(self, t: Elem) -> Ideal:
         return self.family.domain(t)
 
+    def fiber_dim(self, t: Elem) -> int:
+        return self.fiber_ideal(t).dim()
+
     def mul(self, s: Elem, a: FdElement, t: Elem, b: FdElement) -> FdElement:
-        iso_s = self.family.iso(s)
-        pulled = iso_s.inverse().apply(a)
-        return iso_s.apply(pulled * b) * self.twist.omega(s, t)
+        """Coefficient of (a d_s)(b d_t), an element of the fiber at st."""
+        return a * self.family.iso(s).apply(b) * self.twist.omega(s, t)
 
     def star(self, t: Elem, a: FdElement) -> FdElement:
+        """Coefficient of (a d_t)*, an element of the fiber at t^-1."""
         g = self.group
         tinv = g.inv(t)
         return self.twist.omega(tinv, t).star() * self.family.iso(tinv).apply(a.star())
+
+    def mul_many(self, ss, xs, ts, ys) -> tuple[np.ndarray, ...]:
+        """Batch of the products (xs_i d_{ss_i})(ys_i d_{ts_i}); ``xs`` and
+        ``ys`` are batches of len(ss) terms."""
+        if type(self).mul is not TwistedBundle.mul:
+            return self._per_term(self.mul, ss, xs, ts, ys)
+        pairs, slot = _distinct(zip(ss, ts))
+        moved = apply_many([self.family.iso(s) for s, _ in pairs], ys, slot)
+        omegas = self._omegas(pairs, slot)
+        return tuple(x @ y @ w for x, y, w in zip(xs, moved, omegas))
+
+    def star_many(self, ts, xs) -> tuple[np.ndarray, ...]:
+        """Batch of the involutions (xs_i d_{ts_i})*."""
+        if type(self).star is not TwistedBundle.star:
+            return self._per_term(self.star, ts, xs)
+        elems, slot = _distinct(ts)
+        inv = self.group.inv
+        pairs = [(inv(t), t) for t in elems]
+        moved = apply_many(
+            [self.family.iso(u) for u, _ in pairs], tuple(_adjoint(x) for x in xs), slot
+        )
+        omegas = self._omegas(pairs, slot)
+        return tuple(_adjoint(w) @ y for w, y in zip(omegas, moved))
+
+    def _omegas(self, pairs: list, slot: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Batch of omega(pairs[slot[i]])."""
+        omega = self.twist.omega
+        stacked = stack_elements(self.coeff_algebra, [omega(s, t) for s, t in pairs])
+        return tuple(p[slot] for p in stacked)
+
+    def _per_term(self, fn, *args) -> tuple[np.ndarray, ...]:
+        """``fn`` term by term; its arguments alternate between a list of
+        group elements and a batch of elements, as in ``mul`` and ``star``."""
+        alg = self.coeff_algebra
+        m = len(args[0])
+        cols = [a if k % 2 == 0 else split_batch(alg, a, m) for k, a in enumerate(args)]
+        return stack_elements(alg, [fn(*row) for row in zip(*cols)])
 
 
 def make_semidirect(pa: PartialAction) -> TwistedBundle:
@@ -291,41 +351,31 @@ def validate_twist(
     return rep
 
 
-class _NormRows:
-    """Report rows held back until the operator norms they need are known.
+def _take(batch, idx) -> tuple[np.ndarray, ...]:
+    return tuple(p[idx] for p in batch)
 
-    ``add`` takes the arguments of ``ActionReport.add`` and, after them,
-    elements whose norms the row needs; ``residual``, and ``tol`` when it is
-    callable, are then functions of those norms, in that order. ``norm`` is
-    the common row whose residual is the norm of one element. ``flush`` takes
-    every queued norm with one batched SVD per block-size class and adds the
-    rows to the report in the order they came, so the report reads as if
-    each row had been added at once.
-    """
 
-    def __init__(self, rep: ActionReport):
-        self.rep = rep
-        self.rows: list[tuple] = []
+def _concat(*batches) -> tuple[np.ndarray, ...]:
+    return tuple(np.concatenate(packs) for packs in zip(*batches))
 
-    def add(self, axiom: str, context: str, residual, tol, *elements: FdElement) -> None:
-        self.rows.append((axiom, context, residual, tol, elements))
 
-    def norm(self, axiom: str, context: str, x: FdElement, tol: float) -> None:
-        self.add(axiom, context, lambda n: n, tol, x)
+def _minus(x, y) -> tuple[np.ndarray, ...]:
+    return tuple(p - q for p, q in zip(x, y))
 
-    def flush(self) -> None:
-        norms = iter(op_norms([x for *_, elements in self.rows for x in elements]))
-        for axiom, context, residual, tol, elements in self.rows:
-            if elements:
-                n = [next(norms) for _ in elements]
-                residual = residual(*n)
-                tol = tol(*n) if callable(tol) else tol
-            self.rep.add(axiom, context, residual, tol)
-        self.rows = []
+
+def _lowest_eigenvalues(batch, m: int) -> list[float]:
+    """Smallest eigenvalue over all blocks of each term (0.0 for the zero
+    algebra), read from the lower triangles as ``eigvalsh`` does."""
+    if not batch:
+        return [0.0] * m
+    out = np.full(m, np.inf)
+    for p in batch:
+        np.minimum(out, np.linalg.eigvalsh(p).min(axis=(1, 2)), out=out)
+    return out.tolist()
 
 
 def validate_bundle(
-    bundle: FellBundle,
+    bundle: TwistedBundle,
     window: int = 2,
     samples: int = 2,
     seed: int = 0,
@@ -338,74 +388,97 @@ def validate_bundle(
     of the norm, the C* identity on each fiber, and positivity of a* a in
     the unit fiber. Structural failures score inf; numerical ones report
     their residual.
+
+    The checks run in passes, one per s in the ball and a last one for the
+    involution and the C* identity. A pass draws all its samples in one call
+    and evaluates each product step for all of its terms with one
+    ``mul_many`` or ``star_many`` call; the samples are those of the loop
+    over t and samples, drawn in that order, and the report gets its rows in
+    that order.
     """
     g = bundle.group
     rng = np.random.default_rng(seed)
     rep = ActionReport()
-    rows = _NormRows(rep)
     ball = g.ball(window)
     alg = bundle.coeff_algebra
+    fiber = bundle.fiber_ideal
+    inf = float("inf")
+    n = len(ball) * samples
+    if not n:
+        return rep
 
-    def sample(t: Elem) -> FdElement:
-        return bundle.fiber_ideal(t).project(alg.gaussian(rng))
+    def draw(ts: list) -> tuple[np.ndarray, ...]:
+        """One sample from the fiber over each of ``ts``, drawn in order."""
+        return project_batch([fiber(t) for t in ts], alg.gaussian_many(rng, len(ts)))
+
+    def parts(batch, k: int) -> list[tuple[np.ndarray, ...]]:
+        return [_take(batch, slice(i * n, (i + 1) * n)) for i in range(k)]
+
+    # A pass over s draws, per t, `samples` pairs (a, b) and then `samples`
+    # triples (a, b, c); term j = (position of t) * samples + sample.
+    first = 5 * samples * np.repeat(np.arange(len(ball)), samples)
+    k = np.tile(np.arange(samples), len(ball))
+    pair, triple = first + 2 * k, first + 2 * samples + 3 * k
+    ts = [t for t in ball for _ in range(samples)]
+    tinvs = [g.inv(t) for t in ts]
 
     for s in ball:
-        for t in ball:
-            st = g.mul(s, t)
+        ss = [s] * n
+        sts = [g.mul(s, t) for t in ts]
+        x = draw(
+            [
+                v
+                for t in ball
+                for v in [s, t] * samples + [s, t, g.mul(s, t)] * samples
+            ]
+        )
+        a, b = _take(x, pair), _take(x, pair + 1)
+        a3, b3, c3 = _take(x, triple), _take(x, triple + 1), _take(x, triple + 2)
+        ab, ab3, bc3 = parts(
+            bundle.mul_many(ss + ss + ts, _concat(a, a3, b3), ts + ts + sts, _concat(b, b3, c3)), 3
+        )
+        ab_star, b_star, a_star = parts(bundle.star_many(sts + ts + ss, _concat(ab, b, a)), 3)
+        anti, left, right = parts(
+            bundle.mul_many(
+                tinvs + sts + ss,
+                _concat(b_star, ab3, a3),
+                [g.inv(s)] * n + sts + [g.mul(t, st) for t, st in zip(ts, sts)],
+                _concat(a_star, c3, bc3),
+            ),
+            3,
+        )
+        norms = batch_norms(_concat(ab, a, b, _minus(ab_star, anti), _minus(left, right)), 5 * n)
+        n_ab, n_a, n_b, n_anti, n_assoc = (norms[i * n : (i + 1) * n].tolist() for i in range(5))
+        supported = (outside_mass([fiber(st) for st in sts], ab) <= tol).tolist()
+        for i, t in enumerate(ball):
             ctx = f"(s={g.format_elem(s)}, t={g.format_elem(t)})"
-            for _ in range(samples):
-                a, b = sample(s), sample(t)
-                ab = bundle.mul(s, a, t, b)
-                if not bundle.fiber_ideal(st).contains(ab, tol):
-                    rows.add("fiber-support", ctx, float("inf"), tol)
-                rows.add(
-                    "submultiplicative",
-                    ctx,
-                    lambda n_ab, n_a, n_b: max(0.0, n_ab - n_a * n_b),
-                    tol,
-                    ab,
-                    a,
-                    b,
-                )
-                rows.norm(
-                    "involution-antihom",
-                    ctx,
-                    bundle.star(st, ab)
-                    - bundle.mul(g.inv(t), bundle.star(t, b), g.inv(s), bundle.star(s, a)),
-                    tol,
-                )
-            u = g.mul(s, t)
-            for _ in range(samples):
-                a, b, c = sample(s), sample(t), sample(u)
-                left = bundle.mul(g.mul(s, t), bundle.mul(s, a, t, b), u, c)
-                right = bundle.mul(s, a, g.mul(t, u), bundle.mul(t, b, u, c))
-                rows.norm("associativity", ctx, left - right, tol)
-        rows.flush()
+            terms = range(i * samples, (i + 1) * samples)
+            for j in terms:
+                if not supported[j]:
+                    rep.add("fiber-support", ctx, inf, tol)
+                rep.add("submultiplicative", ctx, max(0.0, n_ab[j] - n_a[j] * n_b[j]), tol)
+                rep.add("involution-antihom", ctx, n_anti[j], tol)
+            for j in terms:
+                rep.add("associativity", ctx, n_assoc[j], tol)
 
-    for t in ball:
-        tinv = g.inv(t)
-        for _ in range(samples):
-            a = sample(t)
-            rows.norm(
-                "involutive", g.format_elem(t), bundle.star(tinv, bundle.star(t, a)) - a, tol
+    a = draw(ts)
+    a_star = bundle.star_many(ts, a)
+    back = bundle.star_many(tinvs, a_star)
+    aa = bundle.mul_many(tinvs, a_star, ts, a)
+    norms = batch_norms(_concat(_minus(back, a), aa, a), 3 * n)
+    n_inv, n_aa, n_a = (norms[i * n : (i + 1) * n].tolist() for i in range(3))
+    in_unit = (outside_mass([fiber(g.identity)] * n, aa) <= tol).tolist()
+    lowest = _lowest_eigenvalues(aa, n)
+    for i, t in enumerate(ball):
+        label = g.format_elem(t)
+        for j in range(i * samples, (i + 1) * samples):
+            rep.add("involutive", label, n_inv[j], tol)
+            rep.add(
+                "cstar-identity", label, abs(n_aa[j] - n_a[j] ** 2), max(tol, tol * n_a[j] ** 2)
             )
-            aa = bundle.mul(tinv, bundle.star(t, a), t, a)
-            rows.add(
-                "cstar-identity",
-                g.format_elem(t),
-                lambda n_aa, n_a: abs(n_aa - n_a**2),
-                lambda n_aa, n_a: max(tol, tol * n_a**2),
-                aa,
-                a,
-            )
-            if not bundle.fiber_ideal(g.identity).contains(aa, tol):
-                rows.add("positivity-support", g.format_elem(t), float("inf"), tol)
-            wmin = min(
-                (float(np.linalg.eigvalsh(p).min()) for p in aa.packs),
-                default=0.0,
-            )
-            rows.add("positivity", g.format_elem(t), max(0.0, -wmin), tol)
-    rows.flush()
+            if not in_unit[j]:
+                rep.add("positivity-support", label, inf, tol)
+            rep.add("positivity", label, max(0.0, -lowest[j]), tol)
     return rep
 
 
@@ -418,16 +491,16 @@ class Section:
 
     __slots__ = ("bundle", "data")
 
-    def __init__(self, bundle: FellBundle, data: Mapping[Elem, FdElement]):
+    def __init__(self, bundle: TwistedBundle, data: Mapping[Elem, FdElement]):
         self.bundle = bundle
         self.data = dict(data)
 
     @staticmethod
-    def zero(bundle: FellBundle) -> "Section":
+    def zero(bundle: TwistedBundle) -> "Section":
         return Section(bundle, {})
 
     @staticmethod
-    def delta(bundle: FellBundle, t: Elem, a: FdElement) -> "Section":
+    def delta(bundle: TwistedBundle, t: Elem, a: FdElement) -> "Section":
         return Section(bundle, {t: a})
 
     def value(self, t: Elem) -> FdElement:
@@ -502,7 +575,7 @@ class SubBundle:
     surviving fibers; the standard examples below all qualify.
     """
 
-    bundle: FellBundle
+    bundle: TwistedBundle
     member: Callable[[Elem], bool]
     project: Callable[[Elem, FdElement], FdElement]
 
@@ -512,16 +585,16 @@ class SubBundle:
         return self.project(t, a)
 
 
-def full_sub_bundle(bundle: FellBundle) -> SubBundle:
+def full_sub_bundle(bundle: TwistedBundle) -> SubBundle:
     return SubBundle(bundle, lambda t: True, lambda t, a: a)
 
 
-def subgroup_sub_bundle(bundle: FellBundle, member: Callable[[Elem], bool]) -> SubBundle:
+def subgroup_sub_bundle(bundle: TwistedBundle, member: Callable[[Elem], bool]) -> SubBundle:
     """Fibers over a subgroup survive whole; everything else dies."""
     return SubBundle(bundle, member, lambda t, a: a)
 
 
-def mask_sub_bundle(bundle: FellBundle, masks: list[np.ndarray]) -> SubBundle:
+def mask_sub_bundle(bundle: TwistedBundle, masks: list[np.ndarray]) -> SubBundle:
     """Entrywise mask expectation, e.g. onto block-diagonal subalgebras.
 
     ``masks`` holds one 0/1 matrix per coefficient block; the mask pattern
@@ -535,7 +608,7 @@ def mask_sub_bundle(bundle: FellBundle, masks: list[np.ndarray]) -> SubBundle:
     return SubBundle(bundle, lambda t: True, project)
 
 
-def trace_sub_bundle(bundle: FellBundle, member: Callable[[Elem], bool]) -> SubBundle:
+def trace_sub_bundle(bundle: TwistedBundle, member: Callable[[Elem], bool]) -> SubBundle:
     """Normalized-trace expectation onto scalars in each surviving fiber."""
 
     def project(t: Elem, a: FdElement) -> FdElement:
@@ -553,7 +626,7 @@ def trace_sub_bundle(bundle: FellBundle, member: Callable[[Elem], bool]) -> SubB
 # ---------------------------------------------------------------------------
 
 
-def _generated_ideal_blocks(bundle: FellBundle, t: Elem) -> frozenset[int]:
+def _generated_ideal_blocks(bundle: TwistedBundle, t: Elem) -> frozenset[int]:
     """Blocks of the ideal spanned by B_t B_t* inside the unit fiber."""
     g = bundle.group
     tinv = g.inv(t)
@@ -568,7 +641,7 @@ def _generated_ideal_blocks(bundle: FellBundle, t: Elem) -> frozenset[int]:
 
 
 def central_partial_action(
-    bundle: FellBundle, window: int = 2, tol: float = 1e-9
+    bundle: TwistedBundle, window: int = 2, tol: float = 1e-9
 ) -> PartialAction:
     """Partial action on the center of the unit fiber induced by the bundle.
 
@@ -639,7 +712,7 @@ class SpectralAction:
         return dict(self.action.iso(t).phi)
 
 
-def spectral_partial_action(bundle: FellBundle, window: int = 2) -> SpectralAction:
+def spectral_partial_action(bundle: TwistedBundle, window: int = 2) -> SpectralAction:
     """Point-level partial action on the spectrum of a commutative B_e.
 
     Each block of the coefficient algebra must be one-dimensional; the

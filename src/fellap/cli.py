@@ -39,7 +39,6 @@ from .algebra import (
 )
 from .approx import Target, ap_certify, default_targets, folner_witness, uniform_witness
 from .bundles import (
-    FellBundle,
     Twist,
     TwistedBundle,
     group_bundle,
@@ -500,7 +499,7 @@ def _write_envelope_config(store: ConfigStore, action: str, spec: dict, glob, pa
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _parse_targets(bundle: FellBundle, text: Optional[str]) -> List[Target]:
+def _parse_targets(bundle: TwistedBundle, text: Optional[str]) -> List[Target]:
     if text is None:
         return default_targets(bundle, radius=1)
     g = bundle.group

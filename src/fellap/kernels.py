@@ -28,8 +28,16 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, FdElement
-from .bundles import FellBundle, Section, SubBundle, fiber_norm
+from .algebra import (
+    DEFAULT_TOL,
+    FdElement,
+    batch_norms,
+    outside_mass,
+    project_batch,
+    split_batch,
+    stack_elements,
+)
+from .bundles import TwistedBundle, Section, SubBundle, fiber_norm
 from .groups import Elem, Group
 
 
@@ -94,38 +102,47 @@ class Kernel:
 
     def __init__(
         self,
-        bundle: FellBundle,
+        bundle: TwistedBundle,
         entries: Mapping[Tuple[Elem, Elem], FdElement],
         project: bool = False,
     ):
         g = bundle.group
-        data: Dict[Tuple[Elem, Elem], FdElement] = {}
-        for (s, t), a in entries.items():
+        alg = bundle.coeff_algebra
+        keys = list(entries)
+        for s, t in keys:
             g.check(s)
             g.check(t)
-            fib = bundle.fiber_ideal(g.mul(s, g.inv(t)))
-            if project:
-                a = fib.project(a)
-            elif not fib.contains(a, tol=1e-9):
-                raise ValueError(
-                    f"entry at ({g.format_elem(s)}, {g.format_elem(t)}) "
-                    "lies outside its fiber"
-                )
-            if any(np.abs(m).max(initial=0.0) > 0.0 for m in a.mats):
-                data[(s, t)] = a
+        fibers = [bundle.fiber_ideal(g.mul(s, g.inv(t))) for s, t in keys]
+        values = list(entries.values())
+        batch = stack_elements(alg, values)
+        if project:
+            batch = project_batch(fibers, batch)
+            values = split_batch(alg, batch, len(keys))
+        else:
+            for (s, t), mass in zip(keys, outside_mass(fibers, batch)):
+                if not mass <= 1e-9:
+                    raise ValueError(
+                        f"entry at ({g.format_elem(s)}, {g.format_elem(t)}) "
+                        "lies outside its fiber"
+                    )
+        nonzero = np.zeros(len(keys), dtype=bool)
+        for p in batch:
+            nonzero |= p.any(axis=(1, 2, 3))
         self.bundle = bundle
-        self.data = data
+        self.data: Dict[Tuple[Elem, Elem], FdElement] = {
+            key: a for key, a, keep in zip(keys, values, nonzero.tolist()) if keep
+        }
 
     @staticmethod
-    def zero(bundle: FellBundle) -> "Kernel":
+    def zero(bundle: TwistedBundle) -> "Kernel":
         return Kernel(bundle, {})
 
     @staticmethod
-    def single(bundle: FellBundle, s: Elem, t: Elem, a: FdElement) -> "Kernel":
+    def single(bundle: TwistedBundle, s: Elem, t: Elem, a: FdElement) -> "Kernel":
         return Kernel(bundle, {(s, t): a})
 
     @staticmethod
-    def diagonal_unit(bundle: FellBundle, window: Window) -> "Kernel":
+    def diagonal_unit(bundle: TwistedBundle, window: Window) -> "Kernel":
         one = bundle.coeff_algebra.one()
         return Kernel(bundle, {(t, t): one for t in window})
 
@@ -166,7 +183,8 @@ def k_mul(h: Kernel, k: Kernel) -> Kernel:
     by_row: Dict[Elem, List[Tuple[Elem, FdElement]]] = {}
     for (t, s), b in h.data.items():
         by_row.setdefault(t, []).append((s, b))
-    acc: Dict[Tuple[Elem, Elem], FdElement] = {}
+    keys: Dict[Tuple[Elem, Elem], int] = {}
+    slot, ss, xs, ts, ys = [], [], [], [], []
     for t, lefts in by_col.items():
         rights = by_row.get(t)
         if rights is None:
@@ -175,10 +193,17 @@ def k_mul(h: Kernel, k: Kernel) -> Kernel:
         for r, a in lefts:
             rt = g.mul(r, tinv)
             for s, b in rights:
-                term = bundle.mul(rt, a, g.mul(t, g.inv(s)), b)
-                key = (r, s)
-                acc[key] = acc[key] + term if key in acc else term
-    return Kernel(bundle, acc)
+                slot.append(keys.setdefault((r, s), len(keys)))
+                ss.append(rt)
+                xs.append(a)
+                ts.append(g.mul(t, g.inv(s)))
+                ys.append(b)
+    alg = bundle.coeff_algebra
+    terms = bundle.mul_many(ss, stack_elements(alg, xs), ts, stack_elements(alg, ys))
+    sums = tuple(np.zeros((len(keys),) + p.shape[1:], dtype=complex) for p in terms)
+    for total, p in zip(sums, terms):
+        np.add.at(total, slot, p)
+    return Kernel(bundle, dict(zip(keys, split_batch(alg, sums, len(keys)))))
 
 
 def k_star(k: Kernel) -> Kernel:
@@ -193,9 +218,11 @@ def k_star(k: Kernel) -> Kernel:
 def norm2(k: Kernel) -> float:
     """Hilbert-Schmidt style norm: square root of the sum of squared fiber norms."""
     g = k.bundle.group
+    fibers = [k.bundle.fiber_ideal(g.mul(s, g.inv(t))) for s, t in k.data]
+    batch = project_batch(fibers, stack_elements(k.bundle.coeff_algebra, list(k.data.values())))
     total = 0.0
-    for (s, t), a in k.data.items():
-        total += fiber_norm(k.bundle, g.mul(s, g.inv(t)), a) ** 2
+    for n in batch_norms(batch, len(fibers)).tolist():
+        total += n**2
     return float(np.sqrt(total))
 
 
@@ -218,11 +245,17 @@ def rank_one(xi: Section, eta: Section) -> Kernel:
         raise ValueError("rank one kernel needs sections of one bundle")
     bundle = xi.bundle
     g = bundle.group
-    entries: Dict[Tuple[Elem, Elem], FdElement] = {}
-    for s, a in xi.data.items():
-        for t, b in eta.data.items():
-            entries[(s, t)] = bundle.mul(s, a, g.inv(t), bundle.star(t, b))
-    return Kernel(bundle, entries)
+    alg = bundle.coeff_algebra
+    cols = list(eta.data)
+    stars = bundle.star_many(cols, stack_elements(alg, list(eta.data.values())))
+    keys = [(s, t) for s in xi.data for t in cols]
+    terms = bundle.mul_many(
+        [s for s, _ in keys],
+        stack_elements(alg, [a for a in xi.data.values() for _ in cols]),
+        [g.inv(t) for _, t in keys],
+        tuple(np.tile(p, (len(xi.data),) + (1,) * (p.ndim - 1)) for p in stars),
+    )
+    return Kernel(bundle, dict(zip(keys, split_batch(alg, terms, len(keys)))))
 
 
 def to_mf(k: Kernel, window: Window) -> List[List[FdElement]]:
@@ -240,7 +273,7 @@ def to_mf(k: Kernel, window: Window) -> List[List[FdElement]]:
     return [[k.value(s, t) for t in window] for s in window]
 
 
-def mf_dim(bundle: FellBundle, window: Window) -> int:
+def mf_dim(bundle: TwistedBundle, window: Window) -> int:
     """Linear dimension of the windowed matrix algebra M_F(B)."""
     g = bundle.group
     return sum(
@@ -270,7 +303,7 @@ class _WindowRep:
     M_F(B) up to rounding.
     """
 
-    def __init__(self, bundle: FellBundle, window: Window):
+    def __init__(self, bundle: TwistedBundle, window: Window):
         self.bundle = bundle
         self.window = window
         g = bundle.group
@@ -292,7 +325,10 @@ class _WindowRep:
 
     def inner(self, t: Elem, x: FdElement) -> np.ndarray:
         """Block representation of <u_t, x> for x in the fiber over t."""
-        y = self.bundle.mul(self.bundle.group.inv(t), self.unit_stars[t], t, x)
+        return self._dense(self.bundle.mul(self.bundle.group.inv(t), self.unit_stars[t], t, x))
+
+    def _dense(self, y: FdElement) -> np.ndarray:
+        """The block-diagonal matrix of y acting on C^V."""
         out = np.zeros((self.vdim, self.vdim), dtype=complex)
         for lo, hi, m in zip(self.starts, self.starts[1:], y.mats):
             out[lo:hi, lo:hi] = m
@@ -300,18 +336,31 @@ class _WindowRep:
 
     def matrix(self, k: Kernel) -> np.ndarray:
         g = self.bundle.group
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (s, t), a in k.data.items():
+        alg = self.bundle.coeff_algebra
+        keys = []
+        for s, t in k.data:
             if s not in self.window or t not in self.window:
                 raise ValueError("kernel support leaves the window")
+            if len(self.coords[s]) and len(self.coords[t]):
+                keys.append((s, t))
+        # <u_s, k(s, t) u_t> for every entry, in two batched product steps
+        moved = self.bundle.mul_many(
+            [g.mul(s, g.inv(t)) for s, t in keys],
+            stack_elements(alg, [k.data[key] for key in keys]),
+            [t for _, t in keys],
+            stack_elements(alg, [self.units[t] for _, t in keys]),
+        )
+        inner = self.bundle.mul_many(
+            [g.inv(s) for s, _ in keys],
+            stack_elements(alg, [self.unit_stars[s] for s, _ in keys]),
+            [s for s, _ in keys],
+            moved,
+        )
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for (s, t), y in zip(keys, split_batch(alg, inner, len(keys))):
             rows, cols = self.coords[s], self.coords[t]
-            if not len(rows) or not len(cols):
-                continue
-            moved = self.bundle.mul(g.mul(s, g.inv(t)), a, t, self.units[t])
             r0, c0 = self.offsets[s], self.offsets[t]
-            out[r0 : r0 + len(rows), c0 : c0 + len(cols)] += self.inner(s, moved)[
-                np.ix_(rows, cols)
-            ]
+            out[r0 : r0 + len(rows), c0 : c0 + len(cols)] += self._dense(y)[np.ix_(rows, cols)]
         return out
 
     def norm(self, k: Kernel) -> float:
@@ -320,7 +369,7 @@ class _WindowRep:
         return float(np.linalg.norm(self.matrix(k), ord=2))
 
 
-def window_rep(bundle: FellBundle, window: Window) -> _WindowRep:
+def window_rep(bundle: TwistedBundle, window: Window) -> _WindowRep:
     """Cached representation of M_F(B) for the given bundle and window.
 
     The cache lives on the bundle itself, so it goes when the bundle does.

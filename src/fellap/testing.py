@@ -203,15 +203,22 @@ def scalar_coboundary_twist(pa: PartialAction, salt: int = 0) -> Twist:
     these fixtures are exactly valid by construction.
     """
     g = pa.group
+    phases: dict[Elem, complex] = {g.identity: 1.0 + 0.0j}
+    units: dict[frozenset[int], FdElement] = {}
 
     def b(t: Elem) -> complex:
-        if t == g.identity:
-            return 1.0 + 0.0j
-        return _hash_phase(salt, f"{g.label}|{g.format_elem(t)}")
+        got = phases.get(t)
+        if got is None:
+            got = phases[t] = _hash_phase(salt, f"{g.label}|{g.format_elem(t)}")
+        return got
 
     def fn(s: Elem, t: Elem) -> FdElement:
-        corner = pa.domain(s).intersect(pa.domain(g.mul(s, t)))
-        return (b(s) * b(t) * np.conj(b(g.mul(s, t)))) * corner.unit()
+        st = g.mul(s, t)
+        blocks = pa.domain(s).block_set & pa.domain(st).block_set
+        unit = units.get(blocks)
+        if unit is None:
+            unit = units[blocks] = Ideal(pa.algebra, blocks).unit()
+        return (b(s) * b(t) * np.conj(b(st))) * unit
 
     return Twist(fn)
 
