@@ -280,7 +280,7 @@ def stack_elements(algebra: FdAlgebra, xs: Sequence[FdElement]) -> tuple[np.ndar
             np.zeros((0, len(m), d, d), dtype=complex)
             for d, m in zip(algebra.sizes, algebra.members)
         )
-    return tuple(np.stack(packs) for packs in zip(*(x.packs for x in xs)))
+    return tuple(np.array(packs) for packs in zip(*(x.packs for x in xs)))
 
 
 def split_batch(algebra: FdAlgebra, batch: Sequence[np.ndarray], m: int) -> list[FdElement]:
@@ -460,16 +460,23 @@ def apply_many(
     m = len(slot)
     out = []
     for c, x in enumerate(batch):
-        _, n, d, _ = x.shape
-        padded = np.zeros((m, n + 1, d, d), dtype=complex)
-        padded[:, :n] = x
-        if not m:
-            out.append(padded[:, :n])
+        steps = [plan[c] for plan in plans]
+        if not steps:
+            out.append(np.zeros(x.shape, dtype=complex))
             continue
-        gather = np.stack([plan[c][0] for plan in plans])[slot]
-        gather += (n + 1) * np.arange(m)[:, None]
-        conj = np.stack([plan[c][1] for plan in plans])[slot]
-        out.append(_conjugate(conj, padded.reshape(m * (n + 1), d, d)[gather]))
+        if any(pad for _, _, pad in steps):
+            padded = np.zeros((m, x.shape[1] + 1) + x.shape[2:], dtype=complex)
+            padded[:, :-1] = x
+            x = padded
+        if len(steps) == 1:
+            gather, conj, _ = steps[0]
+            out.append(_conjugate(conj, x[:, gather]))
+            continue
+        k = x.shape[1]
+        gather = np.array([gather for gather, _, _ in steps])[slot]
+        gather += k * np.arange(m)[:, None]
+        conj = np.array([conj for _, conj, _ in steps])[slot]
+        out.append(_conjugate(conj, x.reshape((m * k,) + x.shape[2:])[gather]))
     return tuple(out)
 
 
@@ -507,14 +514,16 @@ class IdealIso:
                 raise ValueError("unitary shape mismatch")
 
     @cached_property
-    def _plan(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def _plan(self) -> tuple[tuple[np.ndarray, np.ndarray, bool], ...]:
         """Per size class of n blocks of size d, what ``apply`` does there:
-        (gather, conjugation). ``gather[q]`` is the class position of the
-        source block sent to target position q, or n (a zero pad) when q is
-        outside the target. The conjugation stack holds, per target
-        position, the d^2 x d^2 matrix of x -> U x U* for d up to
-        ``_KRON_MAX`` and U itself above it, with U the unitary of the block
-        sent there (zero outside the target). Made on first use and kept."""
+        (gather, conjugation, pad). ``gather[q]`` is the class position of
+        the source block sent to target position q, or n when q is outside
+        the target; ``pad`` says whether that happens, in which case the
+        class array gets a zero block appended at position n before the
+        gather. The conjugation stack holds, per target position, the
+        d^2 x d^2 matrix of x -> U x U* for d up to ``_KRON_MAX`` and U
+        itself above it, with U the unitary of the block sent there (zero
+        outside the target). Made on first use and kept."""
         alg = self.algebra
         plan = []
         for d, mem in zip(alg.sizes, alg.members):
@@ -529,7 +538,7 @@ class IdealIso:
                     u[q] = self.unitaries[j]
             if d <= _KRON_MAX:
                 u = np.einsum("nik,njl->nijkl", u, u.conj()).reshape(n, d * d, d * d)
-            plan.append((gather, u))
+            plan.append((gather, u, bool((gather == n).any())))
         return tuple(plan)
 
     @property
@@ -539,9 +548,10 @@ class IdealIso:
     def apply(self, x: FdElement) -> FdElement:
         """The iso on one element, by the plan of :func:`apply_many`."""
         out = []
-        for p, (gather, conj) in zip(x.packs, self._plan):
-            padded = np.concatenate([p, np.zeros((1,) + p.shape[1:], dtype=complex)])
-            out.append(_conjugate(conj, padded[gather]))
+        for p, (gather, conj, pad) in zip(x.packs, self._plan):
+            if pad:
+                p = np.concatenate([p, np.zeros((1,) + p.shape[1:], dtype=complex)])
+            out.append(_conjugate(conj, p[gather]))
         return _packed(self.source.algebra, tuple(out))
 
     def inverse(self) -> "IdealIso":

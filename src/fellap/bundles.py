@@ -202,8 +202,11 @@ class TwistedBundle:
         return tuple(_adjoint(w) @ y for w, y in zip(omegas, moved))
 
     def _omegas(self, pairs: list, slot: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Batch of omega(pairs[slot[i]])."""
+        """omega(pairs[slot[i]]) for every term, as a batch, or as the class
+        arrays of the one value when there is one pair (they broadcast)."""
         omega = self.twist.omega
+        if len(pairs) == 1:
+            return omega(*pairs[0]).packs
         stacked = stack_elements(self.coeff_algebra, [omega(s, t) for s, t in pairs])
         return tuple(p[slot] for p in stacked)
 

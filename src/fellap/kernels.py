@@ -37,7 +37,7 @@ from .algebra import (
     split_batch,
     stack_elements,
 )
-from .bundles import TwistedBundle, Section, SubBundle, fiber_norm
+from .bundles import Section, SubBundle, TwistedBundle
 from .groups import Elem, Group
 
 
@@ -209,10 +209,12 @@ def k_mul(h: Kernel, k: Kernel) -> Kernel:
 def k_star(k: Kernel) -> Kernel:
     """Involution k*(r, s) = k(s, r)* taken in the bundle."""
     g = k.bundle.group
-    out: Dict[Tuple[Elem, Elem], FdElement] = {}
-    for (s, r), a in k.data.items():
-        out[(r, s)] = k.bundle.star(g.mul(s, g.inv(r)), a)
-    return Kernel(k.bundle, out)
+    alg = k.bundle.coeff_algebra
+    stars = k.bundle.star_many(
+        [g.mul(s, g.inv(r)) for s, r in k.data], stack_elements(alg, list(k.data.values()))
+    )
+    keys = [(r, s) for s, r in k.data]
+    return Kernel(k.bundle, dict(zip(keys, split_batch(alg, stars, len(keys)))))
 
 
 def norm2(k: Kernel) -> float:
@@ -453,27 +455,47 @@ def validate_sub_expectation(
             x.mats[j] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         return x
 
+    drawn = []
     for _ in range(samples):
         gg = elems[rng.integers(len(elems))]
         hh = elems[rng.integers(len(elems))]
         b = rand_fiber(gg)
-        pb = sub.expect(gg, b)
-        worst = max(worst, fiber_norm(bundle, gg, sub.expect(gg, pb) - pb))
-        worst = max(
-            worst,
-            fiber_norm(
-                bundle, g.inv(gg), sub.expect(g.inv(gg), bundle.star(gg, b)) - bundle.star(gg, pb)
-            ),
-        )
-        a = sub.expect(hh, rand_fiber(hh))
-        gh = g.mul(gg, hh)
-        lhs = sub.expect(gh, bundle.mul(gg, b, hh, a))
-        rhs = bundle.mul(gg, pb, hh, a)
-        worst = max(worst, fiber_norm(bundle, gh, lhs - rhs))
-        hg = g.mul(hh, gg)
-        lhs = sub.expect(hg, bundle.mul(hh, a, gg, b))
-        rhs = bundle.mul(hh, a, gg, pb)
-        worst = max(worst, fiber_norm(bundle, hg, lhs - rhs))
+        drawn.append((gg, hh, b, rand_fiber(hh)))
+    gs = [gg for gg, _, _, _ in drawn]
+    hs = [hh for _, hh, _, _ in drawn]
+    alg = bundle.coeff_algebra
+    n = len(drawn)
+    b = [b for _, _, b, _ in drawn]
+    pb = [sub.expect(gg, x) for gg, x in zip(gs, b)]
+    a = [sub.expect(hh, raw) for _, hh, _, raw in drawn]
+    stars = split_batch(alg, bundle.star_many(gs + gs, stack_elements(alg, b + pb)), 2 * n)
+    prods = split_batch(
+        alg,
+        bundle.mul_many(
+            gs + gs + hs + hs,
+            stack_elements(alg, b + pb + a + a),
+            hs + hs + gs + gs,
+            stack_elements(alg, a + a + b + pb),
+        ),
+        4 * n,
+    )
+    # per sample: idempotence, star compatibility, the two module laws
+    fibers, lhs, rhs = [], [], []
+    for i, (gg, hh) in enumerate(zip(gs, hs)):
+        ginv, gh, hg = g.inv(gg), g.mul(gg, hh), g.mul(hh, gg)
+        fibers += [gg, ginv, gh, hg]
+        lhs += [
+            sub.expect(gg, pb[i]),
+            sub.expect(ginv, stars[i]),
+            sub.expect(gh, prods[i]),
+            sub.expect(hg, prods[2 * n + i]),
+        ]
+        rhs += [pb[i], stars[n + i], prods[n + i], prods[3 * n + i]]
+    gaps = tuple(p - q for p, q in zip(stack_elements(alg, lhs), stack_elements(alg, rhs)))
+    ideals = [bundle.fiber_ideal(t) for t in fibers]
+    worst = 0.0
+    for v in batch_norms(project_batch(ideals, gaps), len(ideals)).tolist():
+        worst = max(worst, v)
     return worst
 
 
