@@ -29,11 +29,14 @@ from fellap.algebra import (
     Ideal,
     IdealIso,
     PartialAction,
+    apply_many,
     center_basis,
     globalize_finite,
     op_norm,
     op_norms,
     restrict_action,
+    split_batch,
+    stack_elements,
     translation_action,
     trivial_partial_action,
     unit_identity_residual,
@@ -202,6 +205,46 @@ class TestPackedArithmetic:
         want = [random_unitary(b, d) for d in MIXED.blocks]
         assert all(np.array_equal(g, w) for g, w in zip(u.mats, want))
         assert a.normal() == b.normal()
+
+    @pytest.mark.parametrize("blocks", [MIXED.blocks, ()])
+    def test_gaussian_many_draws_what_successive_calls_draw(self, blocks):
+        alg = FdAlgebra(blocks)
+        a, b = rng_for(64), rng_for(64)
+        got = split_batch(alg, alg.gaussian_many(a, 7), 7)
+        want = [alg.gaussian(b) for _ in range(7)]
+        for g, w in zip(got, want):
+            assert all(np.array_equal(p, q) for p, q in zip(g.packs, w.packs))
+        assert a.normal() == b.normal()
+
+    def test_batches_round_trip(self):
+        rng = rng_for(65)
+        xs = [random_element(rng, MIXED) for _ in range(4)]
+        batch = stack_elements(MIXED, xs)
+        assert [p.shape for p in batch] == [(4, 2, 1, 1), (4, 2, 2, 2), (4, 1, 3, 3), (4, 1, 5, 5)]
+        for x, y in zip(xs, split_batch(MIXED, batch, 4)):
+            assert all(np.array_equal(p, q) for p, q in zip(x.packs, y.packs))
+        assert [p.shape[0] for p in stack_elements(MIXED, [])] == [0, 0, 0, 0]
+        assert split_batch(FdAlgebra([]), stack_elements(FdAlgebra([]), []), 2)[1].packs == ()
+
+    def test_apply_many_matches_apply_term_by_term(self):
+        rng = rng_for(66)
+        maps = ({0: 3, 2: 2, 4: 1}, {0: 3, 3: 0, 1: 4, 4: 1, 2: 2, 5: 5}, {}, {5: 5})
+        isos = []
+        for phi in maps:
+            unis = {j: random_unitary(rng, MIXED.blocks[j]) for j in phi}
+            isos.append(IdealIso(Ideal(MIXED, phi), Ideal(MIXED, phi.values()), phi, unis))
+        xs = [random_element(rng, MIXED) for _ in range(9)]
+        slot = [1, 0, 3, 2, 0, 0, 1, 3, 2]
+        batch = stack_elements(MIXED, xs)
+        for got in (
+            apply_many(isos, batch, slot),
+            apply_many([isos[k] for k in slot], batch),
+        ):
+            for k, x, y in zip(slot, xs, split_batch(MIXED, got, len(xs))):
+                assert op_norm(y - isos[k].apply(x)) <= 1e-13
+        for iso in isos:
+            one = split_batch(MIXED, apply_many([iso], batch, [0] * len(xs)), len(xs))
+            assert max(op_norm(y - iso.apply(x)) for x, y in zip(xs, one)) <= 1e-13
 
 
 class TestValidation:

@@ -126,6 +126,17 @@ class TestBoundsAndBasics:
         with pytest.raises(ValueError):
             APWitness(bundle, {bundle.group.identity: other.one()})
 
+    def test_nan_value_is_kept(self):
+        """A value is dropped only when it is exactly zero; a NaN value is
+        not zero and must stay visible."""
+        bundle = group_bundle(cyclic_group(3), FdAlgebra([1, 2]))
+        e = bundle.group.identity
+        x = bundle.coeff_algebra.zero()
+        x.mats[0][0, 0] = np.nan
+        a = APWitness(bundle, {e: x, bundle.group.elem(1): bundle.coeff_algebra.zero()})
+        assert a.support() == [e]
+        assert np.isnan(witness_gram(a).mats[0][0, 0])
+
 
 class TestFolner:
     def test_line_frozen_value(self):

@@ -29,6 +29,8 @@ from fellap.algebra import (
     identity_action,
     op_norm,
     restrict_action,
+    split_batch,
+    stack_elements,
     translation_action,
     unit_identity_residual,
 )
@@ -364,6 +366,107 @@ class TestInducedActions:
         central = central_partial_action(make_semidirect(pa))
         ball = LatticeGroup(2).ball(1)
         assert unit_identity_residual(central, elements=ball) <= 1e-12
+
+
+def _fiber_samples(rng, bundle, elems):
+    return [bundle.fiber_ideal(t).project(random_element(rng, bundle.coeff_algebra)) for t in elems]
+
+
+def _many_gap(bundle, rng, elems) -> float:
+    """Largest gap between mul_many/star_many and per-term mul/star over all
+    pairs of ``elems``, each term with its own (s, t) and samples."""
+    alg = bundle.coeff_algebra
+    ss = [s for s in elems for _ in elems]
+    ts = [t for _ in elems for t in elems]
+    xs, ys = _fiber_samples(rng, bundle, ss), _fiber_samples(rng, bundle, ts)
+    m = len(ss)
+    prods = split_batch(
+        alg, bundle.mul_many(ss, stack_elements(alg, xs), ts, stack_elements(alg, ys)), m
+    )
+    stars = split_batch(alg, bundle.star_many(ts, stack_elements(alg, ys)), m)
+    gap = 0.0
+    for s, x, t, y, p, q in zip(ss, xs, ts, ys, prods, stars):
+        gap = max(gap, op_norm(p - bundle.mul(s, x, t, y)), op_norm(q - bundle.star(t, y)))
+    return gap
+
+
+class _CountingMul:
+    """``TwistedBundle.mul`` replaced on the class by a counting wrapper."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        inner = TwistedBundle.mul
+
+        def counted(bundle, *args):
+            self.calls += 1
+            return inner(bundle, *args)
+
+        monkeypatch.setattr(TwistedBundle, "mul", counted)
+
+
+class TestBatchedProducts:
+    @pytest.mark.parametrize("flavor", ["semidirect", "scalar-twist", "matrix-twist"])
+    def test_many_match_per_term(self, flavor):
+        worst = 0.0
+        for seed in range(100):
+            rng = rng_for(seed)
+            bundle, _ = random_fell_bundle(rng, flavor=flavor)
+            worst = max(worst, _many_gap(bundle, rng, bundle.group.ball(1)))
+        assert worst <= 1e-13
+
+    def test_product_is_the_module_formula(self):
+        """a gamma_s(b) omega(s, t) equals gamma_s(gamma_s^-1(a) b) omega(s, t)."""
+        worst = 0.0
+        for seed in range(30):
+            rng = rng_for(seed)
+            bundle, _ = random_fell_bundle(rng, flavor=_CHAR_FLAVORS[seed % 3])
+            elems = bundle.group.ball(1)
+            for s in elems:
+                iso = bundle.family.iso(s)
+                for t in elems:
+                    a, b = _fiber_samples(rng, bundle, [s, t])
+                    a = a + random_element(rng, bundle.coeff_algebra)  # mass outside A_s too
+                    want = iso.apply(iso.inverse().apply(a) * b) * bundle.twist.omega(s, t)
+                    worst = max(worst, op_norm(bundle.mul(s, a, t, b) - want))
+        assert worst <= 1e-13
+
+    def test_empty_fibers_and_zero_algebra(self):
+        z4 = cyclic_group(4)
+        twisted, _ = random_fell_bundle(rng_for(70), z4, "scalar-twist")
+        for base in (twisted, group_bundle(z4, FdAlgebra([2]))):
+            sub = restrict_to_subgroup(base, lambda t: t.data % 2 == 0)
+            assert sub.fiber_ideal(z4.elem(1)).block_set == frozenset()
+            assert _many_gap(sub, rng_for(71), z4.elements()) <= 1e-13
+        zero = group_bundle(z4, FdAlgebra([]))
+        assert zero.mul_many([z4.elem(1)] * 3, (), [z4.elem(2)] * 3, ()) == ()
+        assert zero.star_many([z4.elem(1)] * 3, ()) == ()
+        assert _many_gap(zero, rng_for(72), z4.elements()) == 0.0
+        assert validate_bundle(zero, window=2, samples=2).passed
+
+    def test_overriding_subclasses_stay_broken(self):
+        glob = random_global_action(rng_for(11), cyclic_group(3), [2])
+        family, twist = matrix_twist(glob, salt=11)
+        pa = random_partial_action(rng_for(12), cyclic_group(3))
+        wrong = _WrongInverseBundle(family, twist)
+        for bad in (wrong, _ScaledBundle(pa, make_semidirect(pa).twist)):
+            elems = bad.group.elements()
+            assert _many_gap(bad, rng_for(73), elems) <= 1e-13
+            good = TwistedBundle(bad.family, bad.twist)
+            assert _many_gap(good, rng_for(73), elems) <= 1e-13
+            rep = validate_bundle(bad, window=2, seed=3)
+            assert not rep.passed and rep.max_residual > 1e-6
+            assert validate_bundle(good, window=2, seed=3).passed
+
+    def test_class_level_wrapper_keeps_the_batched_path(self, monkeypatch):
+        bundle, _ = random_fell_bundle(rng_for(74), symmetric_group(3), "matrix-twist")
+        want = validate_bundle(bundle, window=2, samples=2, seed=5)
+        counter = _CountingMul(monkeypatch)
+        got = validate_bundle(bundle, window=2, samples=2, seed=5)
+        assert counter.calls == 0
+        assert (got.checked, got.rows) == (want.checked, want.rows)
+        pa = random_partial_action(rng_for(12), cyclic_group(3))
+        assert not validate_bundle(_ScaledBundle(pa, make_semidirect(pa).twist), seed=2).passed
+        assert counter.calls > 0
 
 
 # ---------------------------------------------------------------------------

@@ -569,6 +569,18 @@ class TestMatrixWindow:
                     Kernel.single(bundle, t, g.identity, alg.one())
                 return
 
+    def test_nan_entry_is_kept(self):
+        """An entry is dropped only when it is exactly zero; a NaN entry
+        is not zero and must stay visible."""
+        bundle = group_bundle(cyclic_group(3), FdAlgebra([1, 2]))
+        e = bundle.group.identity
+        x = bundle.coeff_algebra.zero()
+        x.mats[1][0, 1] = np.nan
+        k = Kernel.single(bundle, e, e, x)
+        assert k.support() == {(e, e)}
+        assert np.isnan(k.value(e, e).mats[1][0, 1])
+        assert Kernel.single(bundle, e, e, bundle.coeff_algebra.zero()).support() == set()
+
 
 class TestCondExpectation:
     def test_identity_expectation(self):
