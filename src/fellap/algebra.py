@@ -34,7 +34,6 @@ __all__ = [
     "ActionReport",
     "GlobalizationResult",
     "op_norm",
-    "op_norms",
     "batch_norms",
     "stack_elements",
     "split_batch",

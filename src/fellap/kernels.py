@@ -251,11 +251,12 @@ def rank_one(xi: Section, eta: Section) -> Kernel:
     cols = list(eta.data)
     stars = bundle.star_many(cols, stack_elements(alg, list(eta.data.values())))
     keys = [(s, t) for s in xi.data for t in cols]
+    col = np.tile(np.arange(len(cols)), len(xi.data))
     terms = bundle.mul_many(
         [s for s, _ in keys],
         stack_elements(alg, [a for a in xi.data.values() for _ in cols]),
         [g.inv(t) for _, t in keys],
-        tuple(np.tile(p, (len(xi.data),) + (1,) * (p.ndim - 1)) for p in stars),
+        tuple(p[col] for p in stars),
     )
     return Kernel(bundle, dict(zip(keys, split_batch(alg, terms, len(keys)))))
 
@@ -465,17 +466,17 @@ def validate_sub_expectation(
     hs = [hh for _, hh, _, _ in drawn]
     alg = bundle.coeff_algebra
     n = len(drawn)
-    b = [b for _, _, b, _ in drawn]
-    pb = [sub.expect(gg, x) for gg, x in zip(gs, b)]
-    a = [sub.expect(hh, raw) for _, hh, _, raw in drawn]
-    stars = split_batch(alg, bundle.star_many(gs + gs, stack_elements(alg, b + pb)), 2 * n)
+    bs = [b for _, _, b, _ in drawn]
+    pbs = [sub.expect(gg, b) for gg, b in zip(gs, bs)]
+    As = [sub.expect(hh, raw) for _, hh, _, raw in drawn]
+    stars = split_batch(alg, bundle.star_many(gs + gs, stack_elements(alg, bs + pbs)), 2 * n)
     prods = split_batch(
         alg,
         bundle.mul_many(
             gs + gs + hs + hs,
-            stack_elements(alg, b + pb + a + a),
+            stack_elements(alg, bs + pbs + As + As),
             hs + hs + gs + gs,
-            stack_elements(alg, a + a + b + pb),
+            stack_elements(alg, As + As + bs + pbs),
         ),
         4 * n,
     )
@@ -485,12 +486,12 @@ def validate_sub_expectation(
         ginv, gh, hg = g.inv(gg), g.mul(gg, hh), g.mul(hh, gg)
         fibers += [gg, ginv, gh, hg]
         lhs += [
-            sub.expect(gg, pb[i]),
+            sub.expect(gg, pbs[i]),
             sub.expect(ginv, stars[i]),
             sub.expect(gh, prods[i]),
             sub.expect(hg, prods[2 * n + i]),
         ]
-        rhs += [pb[i], stars[n + i], prods[n + i], prods[3 * n + i]]
+        rhs += [pbs[i], stars[n + i], prods[n + i], prods[3 * n + i]]
     gaps = tuple(p - q for p, q in zip(stack_elements(alg, lhs), stack_elements(alg, rhs)))
     ideals = [bundle.fiber_ideal(t) for t in fibers]
     worst = 0.0
