@@ -469,13 +469,13 @@ def apply_many(
             x = padded
         if len(steps) == 1:
             gather, conj, _ = steps[0]
-            out.append(_conjugate(conj, x[:, gather]))
+            out.append(_conjugate(conj, x.take(gather, axis=1)))
             continue
         k = x.shape[1]
         gather = np.array([gather for gather, _, _ in steps])[slot]
         gather += k * np.arange(m)[:, None]
         conj = np.array([conj for _, conj, _ in steps])[slot]
-        out.append(_conjugate(conj, x.reshape((m * k,) + x.shape[2:])[gather]))
+        out.append(_conjugate(conj, x.reshape((m * k,) + x.shape[2:]).take(gather, axis=0)))
     return tuple(out)
 
 
@@ -550,7 +550,7 @@ class IdealIso:
         for p, (gather, conj, pad) in zip(x.packs, self._plan):
             if pad:
                 p = np.concatenate([p, np.zeros((1,) + p.shape[1:], dtype=complex)])
-            out.append(_conjugate(conj, p[gather]))
+            out.append(_conjugate(conj, p.take(gather, axis=0)))
         return _packed(self.source.algebra, tuple(out))
 
     def inverse(self) -> "IdealIso":
