@@ -460,23 +460,31 @@ def apply_many(
     out = []
     for c, x in enumerate(batch):
         steps = [plan[c] for plan in plans]
-        if not steps:
+        if all(step is None for step in steps):
             out.append(np.zeros(x.shape, dtype=complex))
             continue
+        n, d = x.shape[1], x.shape[-1]
+        steps = [_nothing_lands(n, d) if step is None else step for step in steps]
         if any(pad for _, _, pad in steps):
-            padded = np.zeros((m, x.shape[1] + 1) + x.shape[2:], dtype=complex)
-            padded[:, :-1] = x
+            padded = np.zeros((m, n + 1, d, d), dtype=complex)
+            padded[:, :n] = x
             x = padded
         if len(steps) == 1:
             gather, conj, _ = steps[0]
             out.append(_conjugate(conj, x.take(gather, axis=1)))
             continue
-        k = x.shape[1]
         gather = np.array([gather for gather, _, _ in steps])[slot]
-        gather += k * np.arange(m)[:, None]
+        gather += x.shape[1] * np.arange(m)[:, None]
         conj = np.array([conj for _, conj, _ in steps])[slot]
-        out.append(_conjugate(conj, x.reshape((m * k,) + x.shape[2:]).take(gather, axis=0)))
+        out.append(_conjugate(conj, x.reshape(-1, d, d).take(gather, axis=0)))
     return tuple(out)
+
+
+def _nothing_lands(n: int, d: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The plan step of a class that receives no block: every target
+    position gathers the zero pad and is conjugated by zero."""
+    k = d * d if d <= _KRON_MAX else d
+    return np.full(n, n), np.zeros((n, k, k), dtype=complex), True
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,31 +521,33 @@ class IdealIso:
                 raise ValueError("unitary shape mismatch")
 
     @cached_property
-    def _plan(self) -> tuple[tuple[np.ndarray, np.ndarray, bool], ...]:
+    def _plan(self) -> tuple:
         """Per size class of n blocks of size d, what ``apply`` does there:
-        (gather, conjugation, pad). ``gather[q]`` is the class position of
-        the source block sent to target position q, or n when q is outside
-        the target; ``pad`` says whether that happens, in which case the
-        class array gets a zero block appended at position n before the
-        gather. The conjugation stack holds, per target position, the
-        d^2 x d^2 matrix of x -> U x U* for d up to ``_KRON_MAX`` and U
-        itself above it, with U the unitary of the block sent there (zero
-        outside the target). Made on first use and kept."""
+        None when no source block lies in the class, else (gather,
+        conjugation, pad). ``gather[q]`` is the class position of the
+        source block sent to target position q, or n when q is outside the
+        target; ``pad`` says whether that happens, in which case the class
+        array gets a zero block appended at position n before the gather.
+        The conjugation stack holds, per target position, the d^2 x d^2
+        matrix of x -> U x U* for d up to ``_KRON_MAX`` and U itself above
+        it, with U the unitary of the block sent there (zero outside the
+        target). Made on first use and kept."""
         alg = self.algebra
         plan = []
         for d, mem in zip(alg.sizes, alg.members):
+            moves = [(alg.where[self.phi[j]][1], p, j) for p, j in enumerate(mem) if j in self.phi]
+            if not moves:
+                plan.append(None)
+                continue
             n = len(mem)
             gather = np.full(n, n)
             u = np.zeros((n, d, d), dtype=complex)
-            for j in mem:
-                k = self.phi.get(j)
-                if k is not None:
-                    q = alg.where[k][1]
-                    gather[q] = alg.where[j][1]
-                    u[q] = self.unitaries[j]
+            for q, p, j in moves:
+                gather[q] = p
+                u[q] = self.unitaries[j]
             if d <= _KRON_MAX:
                 u = np.einsum("nik,njl->nijkl", u, u.conj()).reshape(n, d * d, d * d)
-            plan.append((gather, u, bool((gather == n).any())))
+            plan.append((gather, u, len(moves) < n))
         return tuple(plan)
 
     @property
@@ -547,7 +557,11 @@ class IdealIso:
     def apply(self, x: FdElement) -> FdElement:
         """The iso on one element, by the plan of :func:`apply_many`."""
         out = []
-        for p, (gather, conj, pad) in zip(x.packs, self._plan):
+        for p, step in zip(x.packs, self._plan):
+            if step is None:
+                out.append(np.zeros(p.shape, dtype=complex))
+                continue
+            gather, conj, pad = step
             if pad:
                 p = np.concatenate([p, np.zeros((1,) + p.shape[1:], dtype=complex)])
             out.append(_conjugate(conj, p.take(gather, axis=0)))

@@ -40,6 +40,7 @@ from fellap.bundles import (
     fiber_norm,
     full_sub_bundle,
     group_bundle,
+    make_semidirect,
     mask_sub_bundle,
     subgroup_sub_bundle,
     trace_sub_bundle,
@@ -62,10 +63,14 @@ from fellap.kernels import (
     window_rep,
 )
 from fellap.testing import (
+    matrix_twist,
     random_fell_bundle,
+    random_global_action,
     random_kernel,
     random_section,
 )
+
+from test_bundles import _ScaledBundle, _WrongInverseBundle
 
 TOL = 1e-10
 # bundles per window radius compared with the dense route
@@ -262,6 +267,20 @@ class TestStarProductLaw:
         lhs = k_star(k_mul(h, k))
         wrong = k_mul(k_star(h), k_star(k))
         assert kdist(lhs, wrong) > 1e-3
+
+    def test_broken_products_break_the_laws(self):
+        """Bundles whose ``mul`` is deliberately wrong keep it in batched
+        kernel products, so the kernel laws fail for them."""
+        glob = random_global_action(np.random.default_rng(11), cyclic_group(3), [2])
+        family, twist = matrix_twist(glob, salt=11)
+        pa = random_global_action(np.random.default_rng(12), cyclic_group(3))
+        wrong = _WrongInverseBundle(family, twist)
+        for bad in (wrong, _ScaledBundle(pa, make_semidirect(pa).twist)):
+            rng = np.random.default_rng(5)
+            w = Window.ball(bad.group, 1)
+            a, b, c = (random_kernel(rng, bad, w, max_entries=6) for _ in range(3))
+            assert kdist(k_mul(k_mul(a, b), c), k_mul(a, k_mul(b, c))) > 1e-3
+            assert kdist(k_star(k_mul(a, b)), k_mul(k_star(b), k_star(a))) > 1e-3
 
     def test_star_involutive_and_antilinear(self):
         rng, bundle, w = bundle_with_window(11)
