@@ -428,13 +428,7 @@ def validate_bundle(
     for s in ball:
         ss = [s] * n
         sts = [g.mul(s, t) for t in ts]
-        x = draw(
-            [
-                v
-                for t in ball
-                for v in [s, t] * samples + [s, t, g.mul(s, t)] * samples
-            ]
-        )
+        x = draw([v for t in ball for v in [s, t] * samples + [s, t, g.mul(s, t)] * samples])
         a, b = _take(x, pair), _take(x, pair + 1)
         a3, b3, c3 = _take(x, triple), _take(x, triple + 1), _take(x, triple + 2)
         ab, ab3, bc3 = parts(
