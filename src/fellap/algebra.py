@@ -371,14 +371,24 @@ class Ideal:
         return True
 
     def basis(self) -> list[FdElement]:
-        out = []
+        """The matrix units of the ideal's blocks, block by block in index
+        order, entries row by row (the terms of ``basis_batch``)."""
+        return split_batch(self.algebra, self.basis_batch(), self.dim())
+
+    def basis_batch(self) -> tuple[np.ndarray, ...]:
+        """The basis as a batch (see :func:`stack_elements`), a fresh one
+        on every call."""
+        alg = self.algebra
+        out = tuple(
+            np.zeros((self.dim(), len(m), d, d), dtype=complex)
+            for d, m in zip(alg.sizes, alg.members)
+        )
+        at = 0
         for j in sorted(self.block_set):
-            d = self.algebra.blocks[j]
-            for p in range(d):
-                for q in range(d):
-                    x = self.algebra.zero()
-                    x.mats[j][p, q] = 1.0
-                    out.append(x)
+            (c, p), d = alg.where[j], alg.blocks[j]
+            k = np.arange(d * d)
+            out[c][at + k, p, k // d, k % d] = 1.0
+            at += d * d
         return out
 
     def dim(self) -> int:
@@ -667,15 +677,25 @@ class PartialAction:
 
 @dataclass
 class ActionReport:
-    """Validation outcome: every violated axiom instance, with residuals."""
+    """Validation outcome: every violated axiom instance, with residuals.
+
+    ``worst`` is the (axiom, context, residual) of the largest residual
+    over every check, passing ones included (a NaN counts as largest), so a
+    passing report still says how close it came to its tolerance; None
+    before the first check.
+    """
 
     rows: list[tuple[str, str, float]] = field(default_factory=list)
     checked: int = 0
+    worst: tuple[str, str, float] | None = None
 
     def add(self, axiom: str, context: str, residual: float, tol: float) -> None:
         self.checked += 1
         if residual > tol or residual != residual:
             self.rows.append((axiom, context, residual))
+        w = self.worst
+        if w is None or residual > w[2] or (residual != residual and w[2] == w[2]):
+            self.worst = (axiom, context, residual)
 
     @property
     def passed(self) -> bool:

@@ -14,7 +14,7 @@ a ball is byte-reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -38,18 +38,16 @@ class UnsupportedGroupError(ValueError):
     """The requested operation is not defined for this kind of group."""
 
 
-@dataclass(frozen=True, slots=True)
-class Elem:
+class Elem(namedtuple("Elem", ["group", "data"])):
     """Opaque group element: an index (finite), a reduced word (free),
-    or an integer vector (lattice), always paired with its group."""
+    or an integer vector (lattice), always paired with its group.
 
-    group: "Group"
-    data: int | tuple[int, ...]
+    A named pair, so hashing and equality are the tuple's, in C: equal
+    elements have equal groups and equal data. Groups keep their hash, so
+    hashing an element costs one cached lookup on its group.
+    """
 
-    def __hash__(self) -> int:
-        # Equal elements have equal data; leaving the group out of the hash
-        # spares a call into the group's own __hash__ on every lookup.
-        return hash(self.data)
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"Elem({self.group.label}:{self.group.format_elem(self)})"
@@ -219,12 +217,13 @@ class FreeGroup(Group):
             raise ValueError("rank must be >= 1")
         self.rank = rank
         self.label = f"F{rank}"
+        self._hash = hash(("free", rank))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FreeGroup) and other.rank == self.rank
+        return other is self or (isinstance(other, FreeGroup) and other.rank == self.rank)
 
     def __hash__(self) -> int:
-        return hash(("free", self.rank))
+        return self._hash
 
     @property
     def identity(self) -> Elem:
@@ -306,12 +305,13 @@ class LatticeGroup(Group):
             raise ValueError("dim must be >= 1")
         self.dim = dim
         self.label = f"Z^{dim}"
+        self._hash = hash(("lattice", dim))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LatticeGroup) and other.dim == self.dim
+        return other is self or (isinstance(other, LatticeGroup) and other.dim == self.dim)
 
     def __hash__(self) -> int:
-        return hash(("lattice", self.dim))
+        return self._hash
 
     @property
     def identity(self) -> Elem:

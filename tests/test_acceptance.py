@@ -100,7 +100,7 @@ def test_criterion_01_fell_axiom_suite():
     rng = np.random.default_rng(2026)
     start = time.perf_counter()
     failures = 0
-    worst = 0.0
+    worst = ("", "", 0.0)
     count = 0
     for pos, (_, g) in enumerate(families):
         bundle, _ = random_fell_bundle(rng, group=g, flavor=flavors[pos % 3])
@@ -108,14 +108,15 @@ def test_criterion_01_fell_axiom_suite():
         count += 1
         if not rep.passed:
             failures += 1
-            worst = max(worst, rep.max_residual)
+        if rep.worst[2] > worst[2]:
+            worst = rep.worst
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed <= 60.0
     record_acceptance(
         1,
         ok,
         f"{count} bundles, {failures} axiom failures, "
-        f"worst violation {worst:.1e}, {elapsed:.1f} s",
+        f"worst residual {worst[2]:.1e} ({worst[0]}), {elapsed:.1f} s",
     )
     assert count == 1000
     assert failures == 0

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fellap.algebra import (
+    ActionReport,
     FdAlgebra,
     Ideal,
     IdealIso,
@@ -292,6 +293,27 @@ class TestValidation:
         rep = validate_partial_action(pa)
         assert not rep.passed
         assert "unitarity" in {a for a, _, _ in rep.rows}
+
+    def test_report_keeps_its_worst_check(self):
+        rep = ActionReport()
+        assert rep.worst is None
+        rep.add("a", "x", 1e-14, 1e-10)
+        rep.add("b", "y", 3e-12, 1e-10)
+        rep.add("c", "z", 2e-12, 1e-10)
+        assert rep.passed and rep.max_residual == 0.0
+        assert rep.worst == ("b", "y", 3e-12)
+        assert rep.render() == "pass (3 checks)"
+        rep.add("d", "w", 0.5, 1e-10)
+        assert rep.worst == ("d", "w", 0.5) and rep.max_residual == 0.5
+        rep.add("e", "v", float("nan"), 1e-10)
+        rep.add("f", "u", 7.0, 1e-10)
+        assert rep.worst[:2] == ("e", "v") and rep.checked == 6
+
+    def test_passing_validation_reports_its_margin(self):
+        rep = validate_partial_action(random_partial_action(rng_for(3)))
+        axiom, context, residual = rep.worst
+        assert rep.passed and 0.0 < residual <= TOL
+        assert (axiom, context) != ("", "")
 
     def test_infinite_group_pullbacks_validate(self):
         f2 = FreeGroup(2)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fellap.groups import (
     ContextMismatchError,
+    Elem,
     FreeGroup,
     LatticeGroup,
     cyclic_group,
@@ -155,3 +156,32 @@ def test_elem_parsing_round_trip():
         (S3, S3.elem(4)),
     ]:
         assert g.parse_elem(g.format_elem(e)) == e
+
+
+class TestElementKeys:
+    def test_equal_groups_give_one_key(self):
+        for make, data in [(lambda: FreeGroup(2), (1, -2)), (lambda: cyclic_group(3), 2)]:
+            g, h = make(), make()
+            assert g is not h
+            a, b = Elem(g, data), Elem(h, data)
+            assert a == b and hash(a) == hash(b)
+            keys = {a: "first"}
+            keys[b] = "second"
+            assert keys == {a: "second"}
+
+    def test_equal_data_in_other_groups_differ(self):
+        assert LatticeGroup(1).vector([1]) != FreeGroup(1).word([1])
+        assert len({LatticeGroup(1).vector([1]), FreeGroup(1).word([1])}) == 2
+        assert cyclic_group(3).elem(1) != cyclic_group(4).elem(1)
+        assert len({cyclic_group(3).elem(1), cyclic_group(4).elem(1)}) == 2
+
+    def test_check_and_repr(self):
+        with pytest.raises(ContextMismatchError):
+            FreeGroup(2).check(LatticeGroup(1).identity)
+        with pytest.raises(ContextMismatchError):
+            cyclic_group(3).check(cyclic_group(4).elem(0))
+        FreeGroup(2).check(F2.word([1]))
+        assert repr(F2.word([1, -2])) == "Elem(F2:1 -2)"
+        assert repr(Z2.vector([3, -4])) == "Elem(Z^2:3,-4)"
+        assert repr(S3.elem(4)) == "Elem(S3:4)"
+        assert repr(F2.identity) == "Elem(F2:e)"
