@@ -561,10 +561,12 @@ def validate_bundle(
         """A list over the ball, each entry repeated once per sample."""
         return [v for v in values for _ in range(samples)]
 
-    known: dict[Elem, Elem] = {}
+    # One object per product element: the twist and iso caches keep their
+    # key objects, so equal products made apart would each stay alive.
+    seen: dict[Elem, Elem] = {}
 
-    def one(t: Elem) -> Elem:
-        return known.setdefault(t, t)
+    def canonical(t: Elem) -> Elem:
+        return seen.setdefault(t, t)
 
     label = [g.format_elem(t) for t in ball]
     fibers = [fiber(t) for t in ball]
@@ -578,9 +580,11 @@ def validate_bundle(
 
     for lo, hi in _chunks([n] * len(ball)):
         ss = [ball[si] for si in range(lo, hi) for _ in range(n)]
-        rows = [[one(g.mul(ball[si], t)) for t in ball] for si in range(lo, hi)]
+        rows = [[canonical(g.mul(ball[si], t)) for t in ball] for si in range(lo, hi)]
         sts = [st for row in rows for st in per_term(row)]
-        tsts = [one(g.mul(t, st)) for row in rows for t, st in zip(ball, row) for _ in range(samples)]
+        tsts = [
+            canonical(g.mul(t, st)) for row in rows for t, st in zip(ball, row) for _ in range(samples)
+        ]
         m = len(ss)
         x = draw(
             [

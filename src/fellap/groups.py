@@ -273,13 +273,9 @@ class FreeGroup(Group):
         out = [self.identity]
         frontier: list[tuple[int, ...]] = [()]
         for _ in range(radius):
-            nxt: list[tuple[int, ...]] = []
-            for w in frontier:
-                for l in letters:
-                    if w and w[-1] == -l:
-                        continue
-                    nxt.append(w + (l,))
-            nxt.sort(key=lambda w: tuple(_letter_sort_key(l) for l in w))
+            # Extending a sorted layer by the sorted letters gives the next
+            # layer sorted: words of one length compare letter by letter.
+            nxt = [w + (l,) for w in frontier for l in letters if not (w and w[-1] == -l)]
             out.extend(Elem(self, w) for w in nxt)
             frontier = nxt
         return out

@@ -93,6 +93,13 @@ class TestFreeGroup:
         # fixed letter order at radius 1: e, a, a^-1, b, b^-1
         assert [w.data for w in F2.ball(1)] == [(), (1,), (-1,), (2,), (-2,)]
 
+    def test_ball_is_sorted_by_length_then_letters(self):
+        # letter order: generator index first, positive before inverse
+        for n in (1, 2, 3):
+            words = [w.data for w in FreeGroup(n).ball(5)]
+            assert len(set(words)) == len(words) == free_ball_size(n, 5)
+            assert words == sorted(words, key=lambda w: (len(w), [(abs(l), l < 0) for l in w]))
+
     def test_positive_words(self):
         assert F2.is_positive(F2.word([1, 2]))
         assert not F2.is_positive(F2.word([1, -2]))
