@@ -463,14 +463,12 @@ def validate_twist(
         ks = [span(dom) for *_, dom in law]
         x = basis([dom for *_, dom in law])
         rr = [ball[ri] for ri, *_ in law]
-        lhs = _mul(
-            moved(rr, ks, _mul(x, values(omega, [(ball[si], ball[ti]) for _, si, ti, *_ in law], ks))),
-            values(omega, [(ball[ri], st) for ri, _, _, st, *_ in law], ks),
-        )
-        rhs = _mul(
-            _mul(moved(rr, ks, x), values(omega, [(ball[ri], ball[si]) for ri, si, *_ in law], ks)),
-            values(omega, [(rs, ball[ti]) for _, _, ti, _, rs, _ in law], ks),
-        )
+        w_st = values(omega, [(ball[si], ball[ti]) for _, si, ti, *_ in law], ks)
+        w_r_st = values(omega, [(ball[ri], st) for ri, _, _, st, *_ in law], ks)
+        w_rs = values(omega, [(ball[ri], ball[si]) for ri, si, *_ in law], ks)
+        w_rs_t = values(omega, [(rs, ball[ti]) for _, _, ti, _, rs, _ in law], ks)
+        lhs = _mul(moved(rr, ks, _mul(x, w_st)), w_r_st)
+        rhs = _mul(_mul(moved(rr, ks, x), w_rs), w_rs_t)
         first = checks.norms(_minus(lhs, rhs), sum(ks))
         for (ri, si, ti, *_), k in zip(law, ks):
             ctx = f"(r={label[ri]}, s={label[si]}, t={label[ti]})"
@@ -582,9 +580,7 @@ def validate_bundle(
         ss = [ball[si] for si in range(lo, hi) for _ in range(n)]
         rows = [[canonical(g.mul(ball[si], t)) for t in ball] for si in range(lo, hi)]
         sts = [st for row in rows for st in per_term(row)]
-        tsts = [
-            canonical(g.mul(t, st)) for row in rows for t, st in zip(ball, row) for _ in range(samples)
-        ]
+        tsts = per_term([canonical(g.mul(t, st)) for row in rows for t, st in zip(ball, row)])
         m = len(ss)
         x = draw(
             [
