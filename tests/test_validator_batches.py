@@ -295,18 +295,14 @@ class TestValidatorStructure:
     @pytest.mark.parametrize("flavor", _FLAVORS)
     def test_twist_takes_one_norm_call_per_chunk(self, monkeypatch, flavor):
         counts = _counting(monkeypatch)
+        single = []
+        monkeypatch.setattr(bundles, "op_norm", lambda x: single.append(x) or op_norm(x))
         for group in (cyclic_group(2), cyclic_group(3), FreeGroup(2)):
             bundle = _bundle(group, flavor)
             counts["batch_norms"] = 0
             validate_twist(bundle.family, bundle.twist, window=1)
-            assert counts["batch_norms"] == 2
-
-    def test_twist_takes_no_single_norms(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(bundles, "op_norm", lambda x: calls.append(x) or op_norm(x))
-        bundle = _bundle(symmetric_group(3))
-        validate_twist(bundle.family, bundle.twist, window=1)
-        assert calls == []
+            assert counts["batch_norms"] == 2  # one chunk over s, one over r
+        assert single == []
 
     @pytest.mark.parametrize("budget", [1, 7, 40])
     def test_chunks_report_what_one_chunk_reports(self, monkeypatch, budget):
@@ -319,7 +315,10 @@ class TestValidatorStructure:
         ]
         runs.append(lambda: validate_twist(*_broken_domains(), window=1))
         for run in runs:
-            whole, whole_calls = _trace(monkeypatch, run)
+            with monkeypatch.context() as m:
+                counts = _counting(m)
+                whole, whole_calls = _trace(monkeypatch, run)
+            assert counts["batch_norms"] == 2
             with monkeypatch.context() as m:
                 m.setattr(bundles, "_TERM_BUDGET", budget)
                 counts = _counting(m)
