@@ -50,6 +50,7 @@ __all__ = [
     "restrict_action",
     "globalize_finite",
     "unit_identity_residual",
+    "unitarity_residuals",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -295,6 +296,39 @@ def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
         s = np.linalg.svd(p, compute_uv=False)
         np.maximum(out, s.max(axis=(1, 2)), out=out)
     return out
+
+
+def _adjoint(p: np.ndarray) -> np.ndarray:
+    return p.conj().swapaxes(-1, -2)
+
+
+def _distinct(keys) -> tuple[list, np.ndarray]:
+    """The distinct keys in order of first appearance, and the position of
+    each key among them."""
+    seen: dict = {}
+    slot = [seen.setdefault(k, len(seen)) for k in keys]
+    return list(seen), np.array(slot, dtype=int)
+
+
+# The batched checks (the unit law of ``unit_identity_residual`` here, the
+# validators of ``fellap.bundles``) run in chunks of consecutive rows holding
+# at most a budget of terms each, which bounds their batches and memory with
+# them. This is the budget of the unit law, whose terms are its (t, s) pairs.
+_TERM_BUDGET = 512
+
+
+def _chunks(sizes: Sequence[int], budget: int):
+    """Consecutive ranges (lo, hi) of rows, ``sizes`` giving the terms of
+    each, whose totals stay within ``budget``; a row larger than the budget
+    is a chunk alone."""
+    lo = total = 0
+    for i, k in enumerate(sizes):
+        if total and total + k > budget:
+            yield lo, i
+            lo, total = i, 0
+        total += k
+    if lo < len(sizes):
+        yield lo, len(sizes)
 
 
 def op_norm(x: FdElement) -> float:
@@ -617,17 +651,42 @@ class IdealIso:
         )
 
     def unitarity_residual(self) -> float:
-        res = 0.0
-        for j, u in self.unitaries.items():
-            d = u.shape[0]
-            res = max(res, float(np.linalg.norm(u.conj().T @ u - np.eye(d), ord=2)))
-        return res
+        """The largest ||U*U - 1|| over the block unitaries (0.0 for none)."""
+        return unitarity_residuals([self])[0]
 
     @staticmethod
     def identity_on(ideal: Ideal) -> "IdealIso":
         phi = {j: j for j in ideal.block_set}
         unis = {j: np.eye(ideal.algebra.blocks[j], dtype=complex) for j in ideal.block_set}
         return IdealIso(ideal, ideal, phi, unis)
+
+
+def unitarity_residuals(isos: Sequence[IdealIso]) -> list[float]:
+    """``unitarity_residual`` of each iso: the largest ||U*U - 1|| over its
+    block unitaries, 0.0 for an iso without any.
+
+    Each distinct unitary (by identity: the isos of an envelope share those
+    of the input action) is checked once, in one batched SVD per block size
+    and dtype; every value is the one ``np.linalg.norm(U*U - 1, ord=2)``
+    gives for that block alone.
+    """
+    # (size, dtype) -> (unitaries, their position by id, owner iso and
+    # position of every block unitary)
+    groups: dict = {}
+    for i, iso in enumerate(isos):
+        for u in iso.unitaries.values():
+            mats, at, owners, where = groups.setdefault((u.shape[0], u.dtype), ([], {}, [], []))
+            p = at.setdefault(id(u), len(mats))
+            if p == len(mats):
+                mats.append(u)
+            owners.append(i)
+            where.append(p)
+    out = np.zeros(len(isos))
+    for (d, _), (mats, _, owners, where) in groups.items():
+        u = np.array(mats)
+        res = np.linalg.svd(_adjoint(u) @ u - np.eye(d), compute_uv=False).max(axis=1)
+        np.maximum.at(out, owners, res[where])
+    return out.tolist()
 
 
 class PartialAction:
@@ -723,8 +782,9 @@ def validate_partial_action(
     identity on the whole algebra; alpha_{t^-1} inverts alpha_t; and the
     composition law: whenever a source block of alpha_t lands in the source
     of alpha_s, that block belongs to the source of alpha_{st} and the maps
-    agree there. Unitarity of every stored block unitary is also checked.
-    Violations are data in the report, not exceptions.
+    agree there. Unitarity of every stored block unitary is also checked,
+    for the whole ball in one ``unitarity_residuals`` call. Violations are
+    data in the report, not exceptions.
     """
     g = pa.group
     rep = ActionReport()
@@ -737,9 +797,9 @@ def validate_partial_action(
         rep.add("identity-domain", "e", float("inf"), tol)
     rep.add("identity-map", "e", iso_e.map_distance(IdealIso.identity_on(full)), tol)
 
-    for t in ball:
-        iso_t = pa.iso(t)
-        rep.add("unitarity", g.format_elem(t), iso_t.unitarity_residual(), tol)
+    isos = [pa.iso(t) for t in ball]
+    for t, iso_t, unitarity in zip(ball, isos, unitarity_residuals(isos)):
+        rep.add("unitarity", g.format_elem(t), unitarity, tol)
         iso_tinv = pa.iso(g.inv(t))
         rep.add(
             "inverse-map",
@@ -872,19 +932,47 @@ def restrict_action(pa: PartialAction, J: Ideal) -> PartialAction:
 
 def unit_identity_residual(pa: PartialAction, elements: Sequence[Elem] | None = None) -> float:
     """Max residual of alpha_t(1_{t^-1} 1_s) = 1_t 1_{ts} over the given
-    elements (the whole group when omitted and finite)."""
+    elements (the whole group when omitted and finite).
+
+    The pairs (t, s) run as batches, in chunks of consecutive t holding at
+    most ``_TERM_BUDGET`` pairs (a row of more pairs is a chunk alone). Per
+    chunk, the unit of each distinct element's domain is made once with
+    ``project_batch``, both products are batched matmuls, every alpha_t runs
+    in one ``apply_many`` call with a slot per pair, and the norms come from
+    one ``batch_norms`` call. Each pair's norm is the one ``op_norm`` gives
+    on that pair alone, and the maximum is taken in pair order as
+    ``max(res, norm)`` takes it.
+    """
     g = pa.group
     if elements is None:
         if not g.is_finite:
             raise UnsupportedGroupError("provide a window for infinite groups")
         elements = g.ball(0)
+    elements = list(elements)
+    n = len(elements)
+    one = tuple(p[None] for p in pa.algebra.one().packs)  # a batch of one term
     res = 0.0
-    for t in elements:
-        u_tinv = pa.unit(g.inv(t))
-        for s in elements:
-            lhs = pa.apply(t, u_tinv * pa.unit(s))
-            rhs = pa.unit(t) * pa.unit(g.mul(t, s))
-            res = max(res, op_norm(lhs - rhs))
+    for lo, hi in _chunks([n] * n, _TERM_BUDGET):
+        rows = elements[lo:hi]
+        h = hi - lo
+        # the factors 1_{t^-1}, 1_s, 1_t and 1_{ts} of the pairs, as slots
+        # into the units of the distinct elements
+        keys = [g.inv(t) for t in rows] + elements + rows
+        keys += [g.mul(t, s) for t in rows for s in elements]
+        distinct, slot = _distinct(keys)
+        units = project_batch([pa.domain(u) for u in distinct], one)
+        at_tinv = np.repeat(slot[:h], n)
+        at_s = np.tile(slot[h : h + n], h)
+        at_t = np.repeat(slot[h + n : 2 * h + n], n)
+        at_ts = slot[2 * h + n :]
+        lhs = apply_many(
+            [pa.iso(t) for t in rows],
+            tuple(p[at_tinv] @ p[at_s] for p in units),
+            np.repeat(np.arange(h), n),
+        )
+        rhs = tuple(p[at_t] @ p[at_ts] for p in units)
+        norms = batch_norms(tuple(x - y for x, y in zip(lhs, rhs)), h * n)
+        res = max([res, *norms.tolist()])
     return res
 
 
@@ -937,6 +1025,12 @@ def globalize_finite(pa: PartialAction) -> GlobalizationResult:
     unitary on j. The embedding puts input block j into the class of (e, j)
     unchanged. Envelope blocks are ordered by size, then by the smallest
     ambient position (pos(t), k) in the class, descending.
+
+    ``embed`` copies each size-class array of its argument into precomputed
+    positions of the envelope's class array, and refuses elements of any
+    other algebra. ``structure_residual`` is the largest unitarity residual
+    over the envelope isos, from one ``unitarity_residuals`` call, which
+    checks each stored input unitary they share once.
     """
     g = pa.group
     if not isinstance(g, FiniteGroup):
@@ -989,12 +1083,21 @@ def globalize_finite(pa: PartialAction) -> GlobalizationResult:
     global_action = PartialAction(g, n_alg, iso_table)
 
     block_of = {j: index[class_of[(pos[e], j)]] for j in range(nb)}
+    # Envelope blocks have the sizes of their input blocks, so size class c
+    # of A and of the envelope hold blocks of one size; dest[c] gives the
+    # envelope position of each input block of the class.
+    dest = [np.array([n_alg.where[block_of[j]][1] for j in mem]) for mem in A.members]
+    shapes = [(len(mem), d, d) for d, mem in zip(n_alg.sizes, n_alg.members)]
 
     def embed(x: FdElement) -> FdElement:
-        mats = [np.zeros((d, d), dtype=complex) for d in n_alg.blocks]
-        for j, m in enumerate(x.mats):
-            mats[block_of[j]] = m
-        return FdElement(n_alg, mats)
+        if x.algebra is not A and x.algebra != A:
+            raise ValueError("embed takes elements of the input algebra")
+        packs = []
+        for shape, at, p in zip(shapes, dest, x.packs):
+            out = np.zeros(shape, dtype=complex)
+            out[at] = p
+            packs.append(out)
+        return _packed(n_alg, tuple(packs))
 
     image_blocks = frozenset(block_of.values())
     reached = {iso.phi[i] for iso in iso_table.values() for i in image_blocks}
@@ -1006,5 +1109,5 @@ def globalize_finite(pa: PartialAction) -> GlobalizationResult:
         block_of_input_block=block_of,
         orbit_rank=sum(n_alg.blocks[i] ** 2 for i in reached),
         algebra_rank=n_alg.dim,
-        structure_residual=max(iso.unitarity_residual() for iso in iso_table.values()),
+        structure_residual=max(unitarity_residuals(list(iso_table.values()))),
     )

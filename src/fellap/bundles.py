@@ -42,6 +42,9 @@ from .algebra import (
     Ideal,
     IdealIso,
     PartialAction,
+    _adjoint,
+    _chunks,
+    _distinct,
     apply_many,
     batch_norms,
     identity_action,
@@ -50,6 +53,7 @@ from .algebra import (
     project_batch,
     split_batch,
     stack_elements,
+    unitarity_residuals,
 )
 from .groups import Elem, Group
 
@@ -117,18 +121,6 @@ def trivial_twist(pa: PartialAction) -> Twist:
         return unit
 
     return Twist(fn)
-
-
-def _distinct(keys) -> tuple[list, np.ndarray]:
-    """The distinct keys in order of first appearance, and the position of
-    each key among them."""
-    seen: dict = {}
-    slot = [seen.setdefault(k, len(seen)) for k in keys]
-    return list(seen), np.array(slot, dtype=int)
-
-
-def _adjoint(p: np.ndarray) -> np.ndarray:
-    return p.conj().swapaxes(-1, -2)
 
 
 class TwistedBundle:
@@ -258,21 +250,8 @@ def restrict_to_subgroup(bundle: TwistedBundle, member: Callable[[Elem], bool]) 
 # or one basis element of validate_twist. The balls of the benchmark and of
 # the acceptance criteria fit one chunk (F2's ball of radius 2 at one sample
 # has 289 terms); on larger balls the budget bounds the batches, and memory
-# with them.
+# with them. The chunks are cut by ``fellap.algebra._chunks``.
 _TERM_BUDGET = 512
-
-
-def _chunks(sizes: list[int]):
-    """Consecutive ranges (lo, hi) of passes, ``sizes`` giving the terms of
-    each, whose totals stay within ``_TERM_BUDGET``."""
-    lo = total = 0
-    for i, k in enumerate(sizes):
-        if total and total + k > _TERM_BUDGET:
-            yield lo, i
-            lo, total = i, 0
-        total += k
-    if lo < len(sizes):
-        yield lo, len(sizes)
 
 
 class _Checks:
@@ -332,7 +311,8 @@ def validate_twist(
     iso step as one ``apply_many`` call with a slot per term and takes one
     ``batch_norms`` call. The report then gets one ``add`` per check, in the
     order of the loops over t, over (s, t) and over (r, s, t), each running
-    over its basis.
+    over its basis. The unitarity rows of the family's isos, one per s, come
+    from one ``unitarity_residuals`` call over the ball.
     """
     g = family.group
     alg = family.algebra
@@ -406,8 +386,9 @@ def validate_twist(
             row.append((si, ti, st, corner, comp))
         pairs.append(row)
 
+    unitarity = unitarity_residuals([iso(s) for s in ball])
     sizes = [sum(3 + span(comp or ()) for *_, comp in row) for row in pairs]
-    for lo, hi in _chunks(sizes):
+    for lo, hi in _chunks(sizes, _TERM_BUDGET):
         terms = [p for row in pairs[lo:hi] for p in row]
         m = len(terms)
         om = values(omega, [(ball[si], ball[ti]) for si, ti, *_ in terms])
@@ -431,7 +412,7 @@ def validate_twist(
         rhs = _mul(_mul(w, moved([st for _, _, st, *_ in law], ks, x)), _adjoints(w))
         first = checks.norms(_minus(lhs, rhs), sum(ks))
         for si in range(lo, hi):
-            checks.add("unitarity", label[si], iso(ball[si]).unitarity_residual())
+            checks.add("unitarity", label[si], unitarity[si])
             for _, ti, _, _, comp in pairs[si]:
                 ctx = f"(s={label[si]}, t={label[ti]})"
                 checks.add("twist-unitary", ctx, at=(at, at + m, at + 2 * m))
@@ -448,7 +429,7 @@ def validate_twist(
         sum(span(inv_inside[ri] & corner) for row in pairs for *_, corner, _ in row)
         for ri in range(len(ball))
     ]
-    for lo, hi in _chunks(sizes):
+    for lo, hi in _chunks(sizes, _TERM_BUDGET):
         # (r, s, t, st, rs, A_{r^-1} n A_s n A_st) where that domain is not
         # empty, with r, s and t as positions in the ball
         law = []
@@ -576,7 +557,7 @@ def validate_bundle(
     k = np.tile(np.arange(samples), len(ball))
     pair, triple = first + 2 * k, first + 2 * samples + 3 * k
 
-    for lo, hi in _chunks([n] * len(ball)):
+    for lo, hi in _chunks([n] * len(ball), _TERM_BUDGET):
         ss = [ball[si] for si in range(lo, hi) for _ in range(n)]
         rows = [[canonical(g.mul(ball[si], t)) for t in ball] for si in range(lo, hi)]
         sts = [st for row in rows for st in per_term(row)]

@@ -14,6 +14,7 @@ complex scalars are [re, im] pairs, matrices are nested lists of those.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import hashlib
 import json
@@ -86,12 +87,16 @@ def _fval(x: float) -> str:
 
 def _as_complex(v) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, str):
-        return complex(float(v))
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ConfigError(f"cannot read {v!r} as a complex value")
+        z = complex(v)
+    elif isinstance(v, str):
+        z = complex(float(v))
+    elif isinstance(v, (list, tuple)) and len(v) == 2:
+        z = complex(float(v[0]), float(v[1]))
+    else:
+        raise ConfigError(f"cannot read {v!r} as a complex value")
+    if not cmath.isfinite(z):
+        raise ConfigError(f"{v!r} is not a finite complex value")
+    return z
 
 
 def _as_matrix(rows) -> np.ndarray:
@@ -193,11 +198,17 @@ class ConfigStore:
         table: Dict[Elem, IdealIso] = {}
         for text, data in isos.items():
             t = g.parse_elem(text)
-            phi = {int(j): int(k) for j, k in data["phi"].items()}
-            unis = {int(j): _as_matrix(m) for j, m in data["unitaries"].items()}
-            table[t] = IdealIso(
-                Ideal(alg, phi.keys()), Ideal(alg, phi.values()), phi, unis
-            )
+            where = f"actions.{name}.isos.{text}"
+            try:
+                phi = {int(j): int(k) for j, k in data["phi"].items()}
+                unis = {int(j): _as_matrix(m) for j, m in data["unitaries"].items()}
+                table[t] = IdealIso(
+                    Ideal(alg, phi.keys()), Ideal(alg, phi.values()), phi, unis
+                )
+            except KeyError as exc:
+                raise ConfigError(f"{where}: no entry {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
         missing = [t for t in g.elements() if t not in table]
         if missing:
             raise ConfigError(

@@ -115,6 +115,49 @@ class TestConfigErrors:
         assert r.exit_code == 2
         assert "dihedral" in r.stderr
 
+    @staticmethod
+    def explicit_z2(one: dict) -> dict:
+        """An explicit action of Z2 on C + C: the identity at 0, and at 1 the
+        swap of the two blocks with ``one`` merged into its table."""
+        unit = [[[1, 0]]]
+        return {
+            "groups": {"z2": {"kind": "cyclic", "order": 2}},
+            "algebras": {"cc": {"blocks": [1, 1]}},
+            "actions": {
+                "x": {
+                    "kind": "explicit",
+                    "group": "z2",
+                    "algebra": "cc",
+                    "isos": {
+                        "0": {"phi": {"0": 0, "1": 1}, "unitaries": {"0": unit, "1": unit}},
+                        "1": {"phi": {"0": 1, "1": 0}, "unitaries": {"0": unit, "1": unit}, **one},
+                    },
+                }
+            },
+        }
+
+    @pytest.mark.parametrize(
+        "one, says",
+        [
+            ({"unitaries": {"0": [[[float("nan"), 0]]], "1": [[[1, 0]]]}}, "not a finite"),
+            ({"unitaries": {"0": [["1e400"]], "1": [[[1, 0]]]}}, "not a finite"),
+            ({"unitaries": {"0": [[[1, 0], [0, 0]]], "1": [[[1, 0]]]}}, "unitary shape"),
+            ({"phi": {"0": 1, "1": 2}}, "block index out of range"),
+            ({"unitaries": {"0": [[[1, 0]]]}}, "no entry 1"),
+        ],
+        ids=["nan", "1e400", "shape", "phi-range", "missing-unitary"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "globalize"])
+    def test_malformed_explicit_action(self, tmp_path, one, says, command):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(self.explicit_z2(one)))
+        r = run("--config", str(p), command, "x")
+        assert r.exit_code == 2
+        lines = r.stderr.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("config error: actions.x.isos.1: ")
+        assert says in lines[0]
+        assert isinstance(r.exception, SystemExit)  # no uncaught error behind the exit
+
 
 class TestValidate:
     def test_bundle_passes(self, conf, tmp_path):
