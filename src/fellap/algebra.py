@@ -290,11 +290,17 @@ def split_batch(algebra: FdAlgebra, batch: Sequence[np.ndarray], m: int) -> list
 
 
 def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
-    """``op_norm`` of every term of a batch: one batched SVD per class."""
+    """``op_norm`` of every term of a batch: one batched SVD per class, over
+    the blocks that are not exactly zero, since a zero block has norm 0."""
     out = np.zeros(m)
     for p in batch:
-        s = np.linalg.svd(p, compute_uv=False)
-        np.maximum(out, s.max(axis=(1, 2)), out=out)
+        live = p.any(axis=(-2, -1))
+        if live.all():
+            s = np.linalg.svd(p, compute_uv=False)
+            np.maximum(out, s.max(axis=(1, 2)), out=out)
+        elif live.any():
+            s = np.linalg.svd(p[live], compute_uv=False)
+            np.maximum.at(out, np.nonzero(live)[0], s.max(axis=1))
     return out
 
 
@@ -936,12 +942,14 @@ def unit_identity_residual(pa: PartialAction, elements: Sequence[Elem] | None = 
 
     The pairs (t, s) run as batches, in chunks of consecutive t holding at
     most ``_TERM_BUDGET`` pairs (a row of more pairs is a chunk alone). Per
-    chunk, the unit of each distinct element's domain is made once with
-    ``project_batch``, both products are batched matmuls, every alpha_t runs
-    in one ``apply_many`` call with a slot per pair, and the norms come from
-    one ``batch_norms`` call. Each pair's norm is the one ``op_norm`` gives
-    on that pair alone, and the maximum is taken in pair order as
-    ``max(res, norm)`` takes it.
+    chunk, the block masks of each distinct element's domain are read once;
+    a product of two unit projections is exactly the unit of the
+    intersection of their blocks, so both products are made from the
+    intersected masks, entry for entry what the matrix products give. Every
+    alpha_t runs in one ``apply_many`` call with a slot per pair, and the
+    norms come from one ``batch_norms`` call. Each pair's norm is the one
+    ``op_norm`` gives on that pair alone, and the maximum is taken in pair
+    order as ``max(res, norm)`` takes it.
     """
     g = pa.group
     if elements is None:
@@ -950,27 +958,29 @@ def unit_identity_residual(pa: PartialAction, elements: Sequence[Elem] | None = 
         elements = g.ball(0)
     elements = list(elements)
     n = len(elements)
-    one = tuple(p[None] for p in pa.algebra.one().packs)  # a batch of one term
+    alg = pa.algebra
+    eyes = [np.eye(d, dtype=complex) for d in alg.sizes]
     res = 0.0
     for lo, hi in _chunks([n] * n, _TERM_BUDGET):
         rows = elements[lo:hi]
         h = hi - lo
         # the factors 1_{t^-1}, 1_s, 1_t and 1_{ts} of the pairs, as slots
-        # into the units of the distinct elements
+        # into the domains of the distinct elements
         keys = [g.inv(t) for t in rows] + elements + rows
         keys += [g.mul(t, s) for t in rows for s in elements]
         distinct, slot = _distinct(keys)
-        units = project_batch([pa.domain(u) for u in distinct], one)
+        domains = [pa.domain(u) for u in distinct]
+        masks = [_inside_masks(domains, c, len(mem)) for c, mem in enumerate(alg.members)]
         at_tinv = np.repeat(slot[:h], n)
         at_s = np.tile(slot[h : h + n], h)
         at_t = np.repeat(slot[h + n : 2 * h + n], n)
         at_ts = slot[2 * h + n :]
         lhs = apply_many(
             [pa.iso(t) for t in rows],
-            tuple(p[at_tinv] @ p[at_s] for p in units),
+            tuple(np.where(m[at_tinv] & m[at_s], eye, 0) for m, eye in zip(masks, eyes)),
             np.repeat(np.arange(h), n),
         )
-        rhs = tuple(p[at_t] @ p[at_ts] for p in units)
+        rhs = tuple(np.where(m[at_t] & m[at_ts], eye, 0) for m, eye in zip(masks, eyes))
         norms = batch_norms(tuple(x - y for x, y in zip(lhs, rhs)), h * n)
         res = max([res, *norms.tolist()])
     return res

@@ -25,12 +25,14 @@ from fellap import algebra, bundles
 from fellap.algebra import (
     ActionReport,
     FdAlgebra,
+    batch_norms,
     FdElement,
     IdealIso,
     PartialAction,
     globalize_finite,
     op_norm,
     restrict_action,
+    stack_elements,
     translation_action,
     trivial_partial_action,
     unit_identity_residual,
@@ -39,7 +41,12 @@ from fellap.algebra import (
 )
 from fellap.bundles import TwistedBundle, validate_bundle, validate_twist
 from fellap.groups import FreeGroup, LatticeGroup, UnsupportedGroupError, cyclic_group
-from fellap.testing import random_fell_bundle, random_infinite_partial_action, random_partial_action
+from fellap.testing import (
+    random_element,
+    random_fell_bundle,
+    random_infinite_partial_action,
+    random_partial_action,
+)
 
 
 def pair_unit_identity_residual(pa: PartialAction, elements=None) -> float:
@@ -165,8 +172,8 @@ class TestReferenceRoutes:
             bundle, _ = random_fell_bundle(np.random.default_rng(seed), group, "matrix-twist")
             family = bundle.family
             rows = unitarity_rows(monkeypatch, lambda: validate_twist(family, bundle.twist, 1))
-            want = [(group.format_elem(s), block_unitarity_residual(family.iso(s))) for s in group.ball(1)]
-            assert rows == want
+            want = [block_unitarity_residual(family.iso(s)) for s in group.ball(1)]
+            assert rows == list(zip(map(group.format_elem, group.ball(1)), want))
 
     def test_embed_refuses_other_algebras(self):
         pa = random_partial_action(np.random.default_rng(3))
@@ -176,6 +183,27 @@ class TestReferenceRoutes:
             glob.embed(other.one())
         # an equal algebra made apart is the same algebra
         assert_same_embedding(glob, FdAlgebra(pa.algebra.blocks).one())
+
+
+class TestBatchNorms:
+    def test_zero_blocks_read_as_zero_without_an_svd(self, monkeypatch):
+        """``batch_norms`` skips exactly-zero blocks; every norm is still the
+        largest ``np.linalg.norm(block, 2)``, and 0.0 for a zero term."""
+        rng = np.random.default_rng(8)
+        alg = FdAlgebra([1, 2, 2, 3, 1, 3])
+        xs = []
+        for k in range(12):
+            x = random_element(rng, alg)
+            for j in range(alg.nblocks):
+                if (k + j) % 3 == 0 or k % 4 == 0:
+                    x.mats[j] = np.zeros_like(x.mats[j])
+            xs.append(x)
+        want = [max(float(np.linalg.norm(m, 2)) for m in x.mats) for x in xs]
+        assert 0.0 in want
+        assert batch_norms(stack_elements(alg, xs), len(xs)).tolist() == want
+        svd = counting(monkeypatch, np.linalg, "svd")
+        zeros = stack_elements(alg, [alg.zero()] * 3)
+        assert batch_norms(zeros, 3).tolist() == [0.0] * 3 and not svd
 
 
 def counting(monkeypatch, module, name) -> list:
