@@ -699,8 +699,15 @@ class PartialAction:
     """A partial action of a group on a block algebra.
 
     ``iso(t)`` returns the isomorphism alpha_t from the ideal A_{t^-1} onto
-    A_t. The map may be given as an explicit dict (finite groups) or as a
-    callable (lazy, for infinite groups); results are cached either way.
+    A_t, and ``isos(ts)`` the isos of a list of elements. The map may be
+    given as an explicit dict (finite groups), as a callable on one element
+    (lazy, for infinite groups), or, through ``PartialAction.batched``, as a
+    callable on a list of elements. Results are cached per element either
+    way. The elements a call finds missing from the cache go to the batch
+    function together, in one call (a dict or a one-element callable is run
+    in a loop as the batch function); each of them is checked to belong to
+    the group, and each iso returned to be over the algebra, before any is
+    cached.
     """
 
     def __init__(
@@ -713,20 +720,48 @@ class PartialAction:
         self.algebra = algebra
         if isinstance(iso_fn, Mapping):
             table = dict(iso_fn)
-            self._fn = lambda t: table[t]
+            self._many = lambda ts: [table[t] for t in ts]
         else:
-            self._fn = iso_fn
+            self._many = lambda ts: [iso_fn(t) for t in ts]
         self._cache: dict[Elem, IdealIso] = {}
 
+    @classmethod
+    def batched(
+        cls, group: Group, algebra: FdAlgebra, isos_fn: Callable[[list[Elem]], list[IdealIso]]
+    ) -> "PartialAction":
+        """The partial action whose isos ``isos_fn`` makes for a list of
+        distinct elements at a time."""
+        pa = cls(group, algebra, {})
+        pa._many = isos_fn
+        return pa
+
     def iso(self, t: Elem) -> IdealIso:
-        self.group.check(t)
         got = self._cache.get(t)
         if got is None:
-            got = self._fn(t)
-            if got.algebra != self.algebra:
-                raise ValueError("iso_fn returned an iso over the wrong algebra")
-            self._cache[t] = got
+            self._fill([t])
+            got = self._cache[t]
         return got
+
+    def isos(self, ts: Sequence[Elem]) -> list[IdealIso]:
+        """``iso(t)`` for every t of ``ts``, filling the cache in one batch."""
+        cache = self._cache
+        missing = [t for t in ts if t not in cache]
+        if missing:
+            self._fill(list(dict.fromkeys(missing)) if len(missing) > 1 else missing)
+        return [cache[t] for t in ts]
+
+    def _fill(self, missing: list[Elem]) -> None:
+        """Make and cache the isos of distinct elements missing from the cache."""
+        check, alg = self.group.check, self.algebra
+        for t in missing:
+            check(t)
+        got = self._many(missing)
+        if len(got) != len(missing):
+            raise ValueError("iso_fn returned the wrong number of isos")
+        for iso in got:
+            if iso.algebra is not alg and iso.algebra != alg:
+                raise ValueError("iso_fn returned an iso over the wrong algebra")
+        self._cache.update(zip(missing, got))
 
     def domain(self, t: Elem) -> Ideal:
         """The ideal A_t, the range of alpha_t."""
@@ -803,10 +838,10 @@ def validate_partial_action(
         rep.add("identity-domain", "e", float("inf"), tol)
     rep.add("identity-map", "e", iso_e.map_distance(IdealIso.identity_on(full)), tol)
 
-    isos = [pa.iso(t) for t in ball]
-    for t, iso_t, unitarity in zip(ball, isos, unitarity_residuals(isos)):
+    isos = pa.isos(ball)
+    inverses = pa.isos([g.inv(t) for t in ball])
+    for t, iso_t, iso_tinv, unitarity in zip(ball, isos, inverses, unitarity_residuals(isos)):
         rep.add("unitarity", g.format_elem(t), unitarity, tol)
-        iso_tinv = pa.iso(g.inv(t))
         rep.add(
             "inverse-map",
             g.format_elem(t),
@@ -893,22 +928,22 @@ def pullback_action(
     ``hom`` must send ``group`` into ``pa.group`` multiplicatively; the
     pulled-back action is alpha'_t = alpha_{hom(t)} on the same algebra.
     """
-    return PartialAction(group, pa.algebra, lambda t: pa.iso(hom(t)))
+    return PartialAction.batched(group, pa.algebra, lambda ts: pa.isos([hom(t) for t in ts]))
 
 
 def conjugate_action(pa: PartialAction, w: FdElement) -> PartialAction:
     """Conjugate every alpha_t by a fixed unitary w of the algebra."""
 
-    def fn(t: Elem) -> IdealIso:
-        iso = pa.iso(t)
-        phi = dict(iso.phi)
+    def conjugated(iso: IdealIso) -> IdealIso:
         unis = {
             j: w.mats[iso.phi[j]] @ iso.unitaries[j] @ w.mats[j].conj().T
             for j in iso.phi
         }
-        return IdealIso(iso.source, iso.target, phi, unis)
+        return IdealIso(iso.source, iso.target, dict(iso.phi), unis)
 
-    return PartialAction(pa.group, pa.algebra, fn)
+    return PartialAction.batched(
+        pa.group, pa.algebra, lambda ts: [conjugated(iso) for iso in pa.isos(ts)]
+    )
 
 
 def restrict_action(pa: PartialAction, J: Ideal) -> PartialAction:
@@ -924,8 +959,7 @@ def restrict_action(pa: PartialAction, J: Ideal) -> PartialAction:
     new_index = {j: i for i, j in enumerate(old_blocks)}
     sub = FdAlgebra([pa.algebra.blocks[j] for j in old_blocks])
 
-    def fn(t: Elem) -> IdealIso:
-        iso = pa.iso(t)
+    def restricted(iso: IdealIso) -> IdealIso:
         kept = [j for j in iso.phi if j in J.block_set and iso.phi[j] in J.block_set]
         phi = {new_index[j]: new_index[iso.phi[j]] for j in kept}
         unis = {new_index[j]: iso.unitaries[j] for j in kept}
@@ -933,7 +967,9 @@ def restrict_action(pa: PartialAction, J: Ideal) -> PartialAction:
             Ideal(sub, phi.keys()), Ideal(sub, phi.values()), phi, unis
         )
 
-    return PartialAction(pa.group, sub, fn)
+    return PartialAction.batched(
+        pa.group, sub, lambda ts: [restricted(iso) for iso in pa.isos(ts)]
+    )
 
 
 def unit_identity_residual(pa: PartialAction, elements: Sequence[Elem] | None = None) -> float:
@@ -969,14 +1005,14 @@ def unit_identity_residual(pa: PartialAction, elements: Sequence[Elem] | None = 
         keys = [g.inv(t) for t in rows] + elements + rows
         keys += [g.mul(t, s) for t in rows for s in elements]
         distinct, slot = _distinct(keys)
-        domains = [pa.domain(u) for u in distinct]
+        domains = [iso.target for iso in pa.isos(distinct)]
         masks = [_inside_masks(domains, c, len(mem)) for c, mem in enumerate(alg.members)]
         at_tinv = np.repeat(slot[:h], n)
         at_s = np.tile(slot[h : h + n], h)
         at_t = np.repeat(slot[h + n : 2 * h + n], n)
         at_ts = slot[2 * h + n :]
         lhs = apply_many(
-            [pa.iso(t) for t in rows],
+            pa.isos(rows),
             tuple(np.where(m[at_tinv] & m[at_s], eye, 0) for m, eye in zip(masks, eyes)),
             np.repeat(np.arange(h), n),
         )
@@ -1055,9 +1091,9 @@ def globalize_finite(pa: PartialAction) -> GlobalizationResult:
 
     # K[j]: the pairs (t^-1, alpha_t(j)) as (position, block)
     K = [[] for _ in range(nb)]
-    for t in els:
+    for t, iso in zip(els, pa.isos(els)):
         t_inv = pos[g.inv(t)]
-        for j, k in pa.iso(t).phi.items():
+        for j, k in iso.phi.items():
             K[j].append((t_inv, k))
 
     class_of: dict[tuple[int, int], int] = {}

@@ -258,6 +258,9 @@ def convexify(
     The combined support set F and its translates by the target inverses
     form F'; the greedy scan walks the deterministic ball order and keeps
     the first translates r_k making the sets F' r_k pairwise disjoint.
+    Two translates F' r and F' c meet exactly when c r^{-1} lies in the
+    clash set F'^{-1} F', so the set is built once and each candidate c is
+    tested against the chosen r_k only.
     The returned witness is s -> sum_k sqrt(lambda_k) a_k(s r_k^{-1}).
 
     Raises TranslateSearchError when the ball is exhausted; retry with a
@@ -284,14 +287,14 @@ def convexify(
         tinv = g.inv(tgt.t)
         fprime.update(g.mul(tinv, s) for s in support)
 
+    clash = {g.mul(y_inv, x) for y_inv in map(g.inv, fprime) for x in fprime}
     chosen: List[Elem] = []
-    occupied: set = set()
-    for r in g.ball(search_radius):
-        moved = {g.mul(s, r) for s in fprime}
-        if moved & occupied:
+    chosen_inv: List[Elem] = []
+    for c in g.ball(search_radius):
+        if any(g.mul(c, r_inv) in clash for r_inv in chosen_inv):
             continue
-        chosen.append(r)
-        occupied |= moved
+        chosen.append(c)
+        chosen_inv.append(g.inv(c))
         if len(chosen) == len(witnesses):
             break
     if len(chosen) < len(witnesses):

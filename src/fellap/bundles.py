@@ -92,35 +92,73 @@ class Twist:
     omega(s, t) must be a unitary of the corner ideal A_s n A_st of the
     underlying family; validate_twist checks that together with the cocycle
     laws.
+
+    ``omega(s, t)`` returns one value and ``omegas(pairs)`` the values of a
+    list of pairs. Values are cached per pair; the pairs a call finds
+    missing go to the twist's batch function together, in one call. A twist
+    is built from a function of one pair, ``Twist(fn)``, which is run in a
+    loop as the batch function, or from a function of a list of distinct
+    pairs, ``Twist.batched(fn_many)``.
     """
 
     def __init__(self, fn: Callable[[Elem, Elem], FdElement]):
-        self._fn = fn
+        self._many = lambda pairs: [fn(s, t) for s, t in pairs]
         self._cache: dict[tuple[Elem, Elem], FdElement] = {}
+
+    @classmethod
+    def batched(cls, fn_many: Callable[[list], list[FdElement]]) -> "Twist":
+        """The twist whose values ``fn_many`` makes for a list of distinct
+        pairs (s, t) at a time."""
+        tw = cls.__new__(cls)
+        tw._many, tw._cache = fn_many, {}
+        return tw
 
     def omega(self, s: Elem, t: Elem) -> FdElement:
         key = (s, t)
         got = self._cache.get(key)
         if got is None:
-            got = self._fn(s, t)
-            self._cache[key] = got
+            self._fill([key])
+            got = self._cache[key]
         return got
+
+    def omegas(self, pairs) -> list[FdElement]:
+        """``omega(s, t)`` for every pair (s, t), filling the cache in one
+        batch."""
+        cache = self._cache
+        missing = [key for key in pairs if key not in cache]
+        if missing:
+            self._fill(list(dict.fromkeys(missing)) if len(missing) > 1 else missing)
+        return [cache[key] for key in pairs]
+
+    def _fill(self, missing: list) -> None:
+        """Make and cache the values of distinct pairs missing from the cache."""
+        got = self._many(missing)
+        if len(got) != len(missing):
+            raise ValueError("the twist returned the wrong number of values")
+        self._cache.update(zip(missing, got))
 
 
 def trivial_twist(pa: PartialAction) -> Twist:
     """The twist whose every value is the unit of the relevant corner.
 
-    Corners with the same blocks share one unit element."""
+    Corners with the same blocks share one unit element; the corners are
+    read from the ``isos`` lists of the pairs' first elements and products."""
     units: dict[frozenset[int], FdElement] = {}
+    mul = pa.group.mul
 
-    def fn(s: Elem, t: Elem) -> FdElement:
-        blocks = pa.domain(s).block_set & pa.domain(pa.group.mul(s, t)).block_set
-        unit = units.get(blocks)
-        if unit is None:
-            unit = units[blocks] = Ideal(pa.algebra, blocks).unit()
-        return unit
+    def fn_many(pairs: list) -> list[FdElement]:
+        out = []
+        left = pa.isos([s for s, _ in pairs])
+        right = pa.isos([mul(s, t) for s, t in pairs])
+        for a, b in zip(left, right):
+            blocks = a.target.block_set & b.target.block_set
+            unit = units.get(blocks)
+            if unit is None:
+                unit = units[blocks] = Ideal(pa.algebra, blocks).unit()
+            out.append(unit)
+        return out
 
-    return Twist(fn)
+    return Twist.batched(fn_many)
 
 
 class TwistedBundle:
@@ -176,7 +214,7 @@ class TwistedBundle:
         if type(self).mul is not TwistedBundle.mul:
             return self._per_term(self.mul, ss, xs, ts, ys)
         pairs, slot = _distinct(zip(ss, ts))
-        moved = apply_many([self.family.iso(s) for s, _ in pairs], ys, slot)
+        moved = apply_many(self.family.isos([s for s, _ in pairs]), ys, slot)
         omegas = self._omegas(pairs, slot)
         return tuple(x @ y @ w for x, y, w in zip(xs, moved, omegas))
 
@@ -188,7 +226,7 @@ class TwistedBundle:
         inv = self.group.inv
         pairs = [(inv(t), t) for t in elems]
         moved = apply_many(
-            [self.family.iso(u) for u, _ in pairs], tuple(_adjoint(x) for x in xs), slot
+            self.family.isos([u for u, _ in pairs]), tuple(_adjoint(x) for x in xs), slot
         )
         omegas = self._omegas(pairs, slot)
         return tuple(_adjoint(w) @ y for w, y in zip(omegas, moved))
@@ -196,10 +234,10 @@ class TwistedBundle:
     def _omegas(self, pairs: list, slot: np.ndarray) -> tuple[np.ndarray, ...]:
         """omega(pairs[slot[i]]) for every term, as a batch, or as the class
         arrays of the one value when there is one pair (they broadcast)."""
-        omega = self.twist.omega
+        values = self.twist.omegas(pairs)
         if len(pairs) == 1:
-            return omega(*pairs[0]).packs
-        stacked = stack_elements(self.coeff_algebra, [omega(s, t) for s, t in pairs])
+            return values[0].packs
+        stacked = stack_elements(self.coeff_algebra, values)
         return tuple(p[slot] for p in stacked)
 
     def _per_term(self, fn, *args) -> tuple[np.ndarray, ...]:
@@ -236,10 +274,12 @@ def restrict_to_subgroup(bundle: TwistedBundle, member: Callable[[Elem], bool]) 
     zero = alg.zero_ideal()
     zero_iso = IdealIso(zero, zero, {}, {})
 
-    def fn(t: Elem) -> IdealIso:
-        return family.iso(t) if member(t) else zero_iso
+    def isos(ts: list) -> list[IdealIso]:
+        inside = [member(t) for t in ts]
+        kept = iter(family.isos([t for t, i in zip(ts, inside) if i]))
+        return [next(kept) if i else zero_iso for i in inside]
 
-    return TwistedBundle(PartialAction(family.group, alg, fn), bundle.twist)
+    return TwistedBundle(PartialAction.batched(family.group, alg, isos), bundle.twist)
 
 
 # The validators evaluate their passes (validate_bundle: one per s in the
@@ -319,17 +359,22 @@ def validate_twist(
     rep = ActionReport()
     ball = g.ball(window)
     e = g.identity
-    iso, domain, omega, mul = family.iso, family.domain, twist.omega, g.mul
+    mul = g.mul
 
-    iso_e = iso(e)
+    iso_e = family.iso(e)
     full = alg.full_ideal()
     if iso_e.source.block_set != full.block_set:
         rep.add("identity-domain", "e", float("inf"), tol)
     rep.add("identity-map", "e", iso_e.map_distance(IdealIso.identity_on(full)), tol)
 
+    def domains_of(elems: list) -> list[frozenset]:
+        """The blocks of the domains A_u of the elements u, in order."""
+        return [iso.target.block_set for iso in family.isos(elems)]
+
     label = [g.format_elem(t) for t in ball]
-    inside = [domain(t).block_set for t in ball]  # A_t
-    inv_inside = [domain(g.inv(t)).block_set for t in ball]  # A_{t^-1}
+    isos = family.isos(ball)
+    inside = [iso.target.block_set for iso in isos]  # A_t
+    inv_inside = domains_of([g.inv(t) for t in ball])  # A_{t^-1}
     one = tuple(p[None] for p in alg.one().packs)  # a batch of one term
     ideals: dict[frozenset, Ideal] = {}
     bases: dict[frozenset, tuple] = {}
@@ -350,22 +395,25 @@ def validate_twist(
                 bases[blocks] = ideal(blocks).basis_batch()
         return _concat(*(bases[blocks] for blocks in domains))
 
-    def values(fn, keys: list, repeat=None) -> tuple[np.ndarray, ...]:
-        """fn(*key) for every key, ``repeat[i]`` times for key i, as a batch."""
+    def values(keys: list, repeat=None) -> tuple[np.ndarray, ...]:
+        """omega(*key) for every key, ``repeat[i]`` times for key i, as a batch."""
         distinct, slot = _distinct(keys)
         if repeat is not None:
             slot = np.repeat(slot, repeat)
-        return _take(stack_elements(alg, [fn(*k) for k in distinct]), slot)
+        return _take(stack_elements(alg, twist.omegas(distinct)), slot)
 
     def moved(elems: list, repeat, batch) -> tuple[np.ndarray, ...]:
         """The iso of ``elems[i]`` on the next ``repeat[i]`` terms of the batch."""
         distinct, slot = _distinct(elems)
-        return apply_many([iso(u) for u in distinct], batch, np.repeat(slot, repeat))
+        return apply_many(family.isos(distinct), batch, np.repeat(slot, repeat))
 
     checks = _Checks(rep, tol)
     ends = [key for t in ball for key in ((e, t), (t, e))]
-    corners = [ideal(domain(s).block_set & domain(mul(s, t)).block_set) for s, t in ends]
-    at = checks.norms(_minus(values(omega, ends), project_batch(corners, one)), len(ends))
+    corners = [
+        ideal(a & b)
+        for a, b in zip(domains_of([s for s, _ in ends]), domains_of([mul(s, t) for s, t in ends]))
+    ]
+    at = checks.norms(_minus(values(ends), project_batch(corners, one)), len(ends))
     for i, text in enumerate(label):
         checks.add("twist-unit-left", text, at=at + 2 * i)
         checks.add("twist-unit-right", text, at=at + 2 * i + 1)
@@ -373,25 +421,29 @@ def validate_twist(
     # Per s, per t: (s, t, st, the corner A_s n A_st, and the domain
     # A_{t^-1} n A_{(st)^-1} of the composition law, None when the domains
     # are not compatible), with s and t as positions in the ball.
+    n = len(ball)
+    sts = [mul(s, t) for s in ball for t in ball]  # pair k is (ball[k // n], ball[k % n])
+    corner_of = [inside[k // n] & a for k, a in enumerate(domains_of(sts))]
+    compatible = [
+        {isos[k // n].phi[j] for j in inv_inside[k // n] & inside[k % n]} == corner
+        for k, corner in enumerate(corner_of)
+    ]
+    back = iter(domains_of([g.inv(st) for st, ok in zip(sts, compatible) if ok]))
     pairs = []
-    for si, s in enumerate(ball):
-        phi = iso(s).phi
+    for si in range(n):
         row = []
-        for ti, t in enumerate(ball):
-            st = mul(s, t)
-            corner = inside[si] & domain(st).block_set
-            comp = None
-            if {phi[j] for j in inv_inside[si] & inside[ti]} == corner:
-                comp = inv_inside[ti] & domain(g.inv(st)).block_set
-            row.append((si, ti, st, corner, comp))
+        for ti in range(n):
+            k = si * n + ti
+            comp = inv_inside[ti] & next(back) if compatible[k] else None
+            row.append((si, ti, sts[k], corner_of[k], comp))
         pairs.append(row)
 
-    unitarity = unitarity_residuals([iso(s) for s in ball])
+    unitarity = unitarity_residuals(isos)
     sizes = [sum(3 + span(comp or ()) for *_, comp in row) for row in pairs]
     for lo, hi in _chunks(sizes, _TERM_BUDGET):
         terms = [p for row in pairs[lo:hi] for p in row]
         m = len(terms)
-        om = values(omega, [(ball[si], ball[ti]) for si, ti, *_ in terms])
+        om = values([(ball[si], ball[ti]) for si, ti, *_ in terms])
         corners = [ideal(corner) for *_, corner, _ in terms]
         units = project_batch(corners, one)
         at = checks.norms(
@@ -408,7 +460,7 @@ def validate_twist(
         lhs = moved(
             [ball[si] for si, *_ in law], ks, moved([ball[ti] for _, ti, *_ in law], ks, x)
         )
-        w = values(omega, [(ball[si], ball[ti]) for si, ti, *_ in law], ks)
+        w = values([(ball[si], ball[ti]) for si, ti, *_ in law], ks)
         rhs = _mul(_mul(w, moved([st for _, _, st, *_ in law], ks, x)), _adjoints(w))
         first = checks.norms(_minus(lhs, rhs), sum(ks))
         for si in range(lo, hi):
@@ -444,10 +496,10 @@ def validate_twist(
         ks = [span(dom) for *_, dom in law]
         x = basis([dom for *_, dom in law])
         rr = [ball[ri] for ri, *_ in law]
-        w_st = values(omega, [(ball[si], ball[ti]) for _, si, ti, *_ in law], ks)
-        w_r_st = values(omega, [(ball[ri], st) for ri, _, _, st, *_ in law], ks)
-        w_rs = values(omega, [(ball[ri], ball[si]) for ri, si, *_ in law], ks)
-        w_rs_t = values(omega, [(rs, ball[ti]) for _, _, ti, _, rs, _ in law], ks)
+        w_st = values([(ball[si], ball[ti]) for _, si, ti, *_ in law], ks)
+        w_r_st = values([(ball[ri], st) for ri, _, _, st, *_ in law], ks)
+        w_rs = values([(ball[ri], ball[si]) for ri, si, *_ in law], ks)
+        w_rs_t = values([(rs, ball[ti]) for _, _, ti, _, rs, _ in law], ks)
         lhs = _mul(moved(rr, ks, _mul(x, w_st)), w_r_st)
         rhs = _mul(_mul(moved(rr, ks, x), w_rs), w_rs_t)
         first = checks.norms(_minus(lhs, rhs), sum(ks))
@@ -526,7 +578,6 @@ def validate_bundle(
     rep = ActionReport()
     ball = g.ball(window)
     alg = bundle.coeff_algebra
-    fiber = bundle.fiber_ideal
     inf = float("inf")
     n = len(ball) * samples
     if not n:
@@ -535,6 +586,10 @@ def validate_bundle(
     def draw(ideals: list) -> tuple[np.ndarray, ...]:
         """One sample from each of ``ideals``, drawn in order."""
         return project_batch(ideals, alg.gaussian_many(rng, len(ideals)))
+
+    def fibers_of(elems: list) -> list[Ideal]:
+        """The fiber ideals over the elements, from one ``isos`` call."""
+        return [iso.target for iso in bundle.family.isos(elems)]
 
     def per_term(values: list) -> list:
         """A list over the ball, each entry repeated once per sample."""
@@ -548,7 +603,7 @@ def validate_bundle(
         return seen.setdefault(t, t)
 
     label = [g.format_elem(t) for t in ball]
-    fibers = [fiber(t) for t in ball]
+    fibers = fibers_of(ball)
     inverses = [g.inv(t) for t in ball]
     ts, tinvs = per_term(ball), per_term(inverses)
     # A pass over s draws, per t, `samples` pairs (a, b) and then `samples`
@@ -563,12 +618,14 @@ def validate_bundle(
         sts = [st for row in rows for st in per_term(row)]
         tsts = per_term([canonical(g.mul(t, st)) for row in rows for t, st in zip(ball, row)])
         m = len(ss)
+        flat = fibers_of([st for row in rows for st in row])
+        row_fibers = [flat[i : i + len(ball)] for i in range(0, len(flat), len(ball))]
         x = draw(
             [
                 f
-                for si, row in zip(range(lo, hi), rows)
-                for ft, st in zip(fibers, row)
-                for f in [fibers[si], ft] * samples + [fibers[si], ft, fiber(st)] * samples
+                for si, row in zip(range(lo, hi), row_fibers)
+                for ft, fst in zip(fibers, row)
+                for f in [fibers[si], ft] * samples + [fibers[si], ft, fst] * samples
             ]
         )
         start = 5 * n * np.arange(hi - lo)[:, None]
@@ -594,7 +651,9 @@ def validate_bundle(
         )
         norms = batch_norms(_concat(ab, a, b, _minus(ab_star, anti), _minus(left, right)), 5 * m)
         n_ab, n_a, n_b, n_anti, n_assoc = (norms[i * m : (i + 1) * m].tolist() for i in range(5))
-        supported = (outside_mass([fiber(st) for st in sts], ab) <= tol).tolist()
+        supported = (
+            outside_mass([f for row in row_fibers for f in per_term(row)], ab) <= tol
+        ).tolist()
         j = 0
         for si in range(lo, hi):
             for ti in range(len(ball)):
@@ -615,7 +674,7 @@ def validate_bundle(
     aa = bundle.mul_many(tinvs, a_star, ts, a)
     norms = batch_norms(_concat(_minus(back, a), aa, a), 3 * n)
     n_inv, n_aa, n_a = (norms[i * n : (i + 1) * n].tolist() for i in range(3))
-    in_unit = (outside_mass([fiber(g.identity)] * n, aa) <= tol).tolist()
+    in_unit = (outside_mass(fibers_of([g.identity]) * n, aa) <= tol).tolist()
     lowest = _lowest_eigenvalues(aa, n)
     for i, text in enumerate(label):
         for j in range(i * samples, (i + 1) * samples):

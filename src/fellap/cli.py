@@ -236,11 +236,13 @@ class ConfigStore:
             phase = complex(np.exp(1j * float(perturb.get("scale", 1e-3))))
             base = tw
 
-            def fn(s: Elem, t: Elem):
-                w = base.omega(s, t)
-                return phase * w if (s, t) == (s0, t0) else w
+            def fn_many(pairs: list) -> list:
+                return [
+                    phase * w if key == (s0, t0) else w
+                    for key, w in zip(pairs, base.omegas(pairs))
+                ]
 
-            tw = Twist(fn)
+            tw = Twist.batched(fn_many)
         self.twists[name] = (pa, tw)
         return pa, tw
 

@@ -242,9 +242,15 @@ class FreeGroup(Group):
         return Elem(self, (i,))
 
     def mul(self, a: Elem, b: Elem) -> Elem:
+        """Both words are reduced, so letters cancel only where they meet:
+        strip the cancelling pairs at the junction and join the rest."""
         self.check(a)
         self.check(b)
-        return Elem(self, _reduce_word(a.data + b.data))
+        x, y = a.data, b.data
+        k, n = 0, min(len(x), len(y))
+        while k < n and x[-1 - k] == -y[k]:
+            k += 1
+        return Elem(self, x[: len(x) - k] + y[k:])
 
     def inv(self, a: Elem) -> Elem:
         self.check(a)

@@ -20,9 +20,14 @@ from .algebra import (
     Ideal,
     IdealIso,
     PartialAction,
+    _adjoint,
+    _distinct,
+    apply_many,
     conjugate_action,
     pullback_action,
     restrict_action,
+    split_batch,
+    stack_elements,
     translation_action,
 )
 from .bundles import Section, Twist, TwistedBundle, make_semidirect, make_twisted
@@ -200,9 +205,13 @@ def scalar_coboundary_twist(pa: PartialAction, salt: int = 0) -> Twist:
     deterministic pseudo-random phase function b with b(e) = 1.
 
     Coboundaries satisfy the cocycle laws for any valid partial action, so
-    these fixtures are exactly valid by construction.
+    these fixtures are exactly valid by construction. A batch of values is
+    the vector of phases times the stacked corner units, which are read
+    from the ``isos`` lists of s and st and shared between corners with the
+    same blocks.
     """
     g = pa.group
+    alg = pa.algebra
     phases: dict[Elem, complex] = {g.identity: 1.0 + 0.0j}
     units: dict[frozenset[int], FdElement] = {}
 
@@ -212,15 +221,20 @@ def scalar_coboundary_twist(pa: PartialAction, salt: int = 0) -> Twist:
             got = phases[t] = _hash_phase(salt, f"{g.label}|{g.format_elem(t)}")
         return got
 
-    def fn(s: Elem, t: Elem) -> FdElement:
-        st = g.mul(s, t)
-        blocks = pa.domain(s).block_set & pa.domain(st).block_set
-        unit = units.get(blocks)
-        if unit is None:
-            unit = units[blocks] = Ideal(pa.algebra, blocks).unit()
-        return (b(s) * b(t) * np.conj(b(st))) * unit
+    def fn_many(pairs: list) -> list[FdElement]:
+        sts = [g.mul(s, t) for s, t in pairs]
+        corners = []
+        for a, c in zip(pa.isos([s for s, _ in pairs]), pa.isos(sts)):
+            blocks = a.target.block_set & c.target.block_set
+            unit = units.get(blocks)
+            if unit is None:
+                unit = units[blocks] = Ideal(alg, blocks).unit()
+            corners.append(unit)
+        phase = np.array([b(s) * b(t) * np.conj(b(st)) for (s, t), st in zip(pairs, sts)])
+        scaled = (phase[:, None, None, None] * p for p in stack_elements(alg, corners))
+        return split_batch(alg, tuple(scaled), len(pairs))
 
-    return Twist(fn)
+    return Twist.batched(fn_many)
 
 
 def matrix_twist(glob: PartialAction, salt: int = 0) -> tuple[PartialAction, Twist]:
@@ -231,33 +245,52 @@ def matrix_twist(glob: PartialAction, salt: int = 0) -> tuple[PartialAction, Twi
     v_st*. The family alone fails the untwisted composition law whenever the
     v's do not form a cocycle, which makes these fixtures the sharp test of
     the twisted product and involution conventions.
+
+    Both are filled in batches. Each missing v_t is drawn from its own
+    generator, seeded by the salt, the group and t, and the draws of a
+    batch are orthonormalized with one QR per block-size class (the values
+    ``random_block_unitary`` gives one element at a time); the v's are kept.
+    A batch of twist values is two batched products, with every alpha_s in
+    one ``apply_many`` call.
     """
     g = glob.group
     alg = glob.algebra
-    cache: dict[Elem, FdElement] = {}
+    cache: dict[Elem, FdElement] = {g.identity: alg.one()}
 
-    def v(t: Elem) -> FdElement:
-        got = cache.get(t)
-        if got is not None:
-            return got
-        if t == g.identity:
-            out = alg.one()
-        else:
-            seed = zlib.crc32(f"{salt}|{g.label}|{g.format_elem(t)}".encode())
-            out = random_block_unitary(np.random.default_rng(seed), alg)
-        cache[t] = out
+    def v(ts: list) -> list[FdElement]:
+        missing = list(dict.fromkeys(t for t in ts if t not in cache))
+        if missing:
+            draws = [
+                alg.gaussian_many(
+                    np.random.default_rng(
+                        zlib.crc32(f"{salt}|{g.label}|{g.format_elem(t)}".encode())
+                    ),
+                    1,
+                )
+                for t in missing
+            ]
+            packs = tuple(_haar(np.concatenate(z)) for z in zip(*draws))
+            cache.update(zip(missing, split_batch(alg, packs, len(missing))))
+        return [cache[t] for t in ts]
+
+    def fam_many(ts: list) -> list[IdealIso]:
+        out = []
+        for iso, vt in zip(glob.isos(ts), v(ts)):
+            unis = {j: vt.mats[iso.phi[j]] @ iso.unitaries[j] for j in iso.phi}
+            out.append(IdealIso(iso.source, iso.target, dict(iso.phi), unis))
         return out
 
-    def fam_fn(t: Elem) -> IdealIso:
-        iso = glob.iso(t)
-        vt = v(t)
-        unis = {j: vt.mats[iso.phi[j]] @ iso.unitaries[j] for j in iso.phi}
-        return IdealIso(iso.source, iso.target, dict(iso.phi), unis)
+    def tw_many(pairs: list) -> list[FdElement]:
+        m = len(pairs)
+        ss = [s for s, _ in pairs]
+        vs = v(ss + [t for _, t in pairs] + [g.mul(s, t) for s, t in pairs])
+        v_s, v_t, v_st = (stack_elements(alg, vs[i * m : (i + 1) * m]) for i in range(3))
+        elems, slot = _distinct(ss)
+        moved = apply_many(glob.isos(elems), v_t, slot)
+        packs = tuple(a @ b @ _adjoint(c) for a, b, c in zip(v_s, moved, v_st))
+        return split_batch(alg, packs, m)
 
-    def tw_fn(s: Elem, t: Elem) -> FdElement:
-        return v(s) * glob.apply(s, v(t)) * v(g.mul(s, t)).star()
-
-    return PartialAction(g, alg, fam_fn), Twist(tw_fn)
+    return PartialAction.batched(g, alg, fam_many), Twist.batched(tw_many)
 
 
 def random_group(rng: np.random.Generator, kinds: Sequence[str] = ("finite", "free", "lattice")) -> Group:

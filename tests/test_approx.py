@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fellap.algebra import FdAlgebra, op_norm
+from fellap.algebra import FdAlgebra, Ideal, op_norm, pullback_action, restrict_action
 from fellap.approx import (
     APWitness,
     Target,
@@ -47,14 +47,18 @@ from fellap.approx import (
     witness_bound,
     witness_gram,
 )
-from fellap.bundles import fiber_norm, group_bundle, make_semidirect
+from fellap.bundles import fiber_norm, group_bundle, make_semidirect, make_twisted
 from fellap.groups import FreeGroup, LatticeGroup, UnsupportedGroupError, cyclic_group
 from fellap.testing import (
+    matrix_twist,
     random_element,
     random_fell_bundle,
     random_finite_group,
+    random_global_action,
+    random_hom_to_finite,
     random_infinite_partial_action,
     random_partial_action,
+    scalar_coboundary_twist,
 )
 
 TOL = 1e-10
@@ -313,6 +317,111 @@ class TestConvexify:
         _, _, _, pair, targets = self.free_fixture(seed=11)
         with pytest.raises(TranslateSearchError):
             convexify([(pair[0], 0.5), (pair[1], 0.5)], targets, search_radius=0)
+
+
+def reference_translates(g, witnesses, targets, search_radius):
+    """The greedy translate scan ``convexify`` used to run: walk the ball
+    and keep each r whose translate F' r misses every translate kept so
+    far, comparing the translated sets themselves."""
+    support: set = set()
+    for a, _ in witnesses:
+        support.update(a.data.keys())
+    fprime = set(support)
+    for tgt in targets:
+        tinv = g.inv(tgt.t)
+        fprime.update(g.mul(tinv, s) for s in support)
+
+    chosen = []
+    occupied: set = set()
+    for r in g.ball(search_radius):
+        moved = {g.mul(s, r) for s in fprime}
+        if moved & occupied:
+            continue
+        chosen.append(r)
+        occupied |= moved
+        if len(chosen) == len(witnesses):
+            break
+    if len(chosen) < len(witnesses):
+        raise TranslateSearchError(
+            f"found {len(chosen)} of {len(witnesses)} disjoint translates "
+            f"within radius {search_radius}"
+        )
+    return tuple(chosen)
+
+
+def sweep_free_fixture(seed, flavor):
+    """A bundle over F2 pulled back from Z3 on one-dimensional blocks (two
+    of them kept unless matrix-twisted), with 2 or 3 random witnesses on
+    the ball of radius 1 and up to two targets per fiber of that ball."""
+    rng = np.random.default_rng(seed)
+    g, image = FreeGroup(2), cyclic_group(3)
+    act = random_global_action(rng, image, (1,))
+    if flavor != "matrix-twist":
+        kept = rng.choice(image.order, size=2, replace=False)
+        act = restrict_action(act, Ideal(act.algebra, (int(j) for j in kept)))
+    act = pullback_action(act, random_hom_to_finite(np.random.default_rng(3), g, image), g)
+    salt = int(rng.integers(2**31))
+    if flavor == "semidirect":
+        bundle = make_semidirect(act)
+    elif flavor == "scalar-twist":
+        bundle = make_twisted(act, scalar_coboundary_twist(act, salt))
+    else:
+        bundle = make_twisted(*matrix_twist(act, salt))
+    raw = rng.uniform(0.2, 1.0, size=2 + seed % 2)
+    mk = lambda: APWitness(
+        bundle, {r: random_element(rng, bundle.coeff_algebra, 0.5) for r in g.ball(1)}
+    )
+    witnesses = [(mk(), float(lam)) for lam in raw / raw.sum()]
+    return g, witnesses, default_targets(bundle, radius=1, max_per_fiber=2)
+
+
+def criterion_7_fixture(seed):
+    """The fixture of acceptance criterion 7 at one seed."""
+    g = FreeGroup(2)
+    rng = np.random.default_rng(700 + seed)
+    if seed % 2:
+        bundle = group_bundle(g, FdAlgebra([2]))
+    else:
+        bundle = make_semidirect(random_infinite_partial_action(rng, g))
+    mk = lambda: APWitness(
+        bundle, {r: random_element(rng, bundle.coeff_algebra, 0.5) for r in g.ball(1)}
+    )
+    raw = rng.uniform(0.2, 1.0, size=2 + seed % 2)
+    witnesses = [(mk(), float(lam)) for lam in raw / raw.sum()]
+    return g, witnesses, default_targets(bundle, radius=1, max_per_fiber=2)
+
+
+class TestTranslateSearch:
+    """``convexify`` picks its translates from the clash set F'^-1 F'; the
+    greedy scan over translated sets is the reference route."""
+
+    def test_criterion_7_fixtures(self):
+        for seed in range(100):
+            g, witnesses, targets = criterion_7_fixture(seed)
+            _, cert = convexify(witnesses, targets, search_radius=6)
+            assert cert.translates == reference_translates(g, witnesses, targets, 6)
+
+    @pytest.mark.parametrize("flavor", ["semidirect", "scalar-twist", "matrix-twist"])
+    def test_sweep_free_shapes(self, flavor):
+        for seed in range(8):
+            g, witnesses, targets = sweep_free_fixture(seed, flavor)
+            _, cert = convexify(witnesses, targets, search_radius=6)
+            assert cert.translates == reference_translates(g, witnesses, targets, 6)
+
+    def test_small_radius_refused_on_both_routes(self):
+        for seed in (0, 1):
+            g, witnesses, targets = sweep_free_fixture(seed, "semidirect")
+            refused = 0
+            for radius in range(3, 7):
+                try:
+                    want = reference_translates(g, witnesses, targets, radius)
+                except TranslateSearchError as exc:
+                    with pytest.raises(TranslateSearchError, match=str(exc)):
+                        convexify(witnesses, targets, search_radius=radius)
+                    refused += 1
+                    continue
+                assert convexify(witnesses, targets, search_radius=radius)[1].translates == want
+            assert 0 < refused < 4
 
 
 class TestCertify:

@@ -11,6 +11,7 @@ from fellap.groups import (
     Elem,
     FreeGroup,
     LatticeGroup,
+    _reduce_word,
     cyclic_group,
     symmetric_group,
 )
@@ -108,6 +109,16 @@ class TestFreeGroup:
     def test_word_length(self):
         assert F2.word_length(F2.identity) == 0
         assert F2.word_length(F2.word([1, -2, 1])) == 3
+
+    @pytest.mark.parametrize("rank, radius", [(2, 3), (3, 2)])
+    def test_mul_cancels_at_the_junction(self, rank, radius):
+        """The product of reduced words, made by cancelling only where they
+        meet, is the full reduction of their concatenation."""
+        g = FreeGroup(rank)
+        ball = g.ball(radius)
+        for a in ball:
+            for b in ball:
+                assert g.mul(a, b) == Elem(g, _reduce_word(a.data + b.data))
 
     @given(words, words, words)
     @settings(max_examples=150)

@@ -1,0 +1,309 @@
+"""Batched fills of lazy bundle data against the per-pair routes they replace.
+
+``Twist.omegas`` and ``PartialAction.isos`` fill every missing value of a
+list in one call of a batch function, and the fixtures of
+``fellap.testing`` compute their twist values and family isos that way.
+The per-pair functions below are the fixtures' former formulas, kept
+verbatim as reference routes: every value of the batched fixtures must be
+``np.array_equal`` to theirs. The file also checks that a batch fill still
+refuses isos over the wrong algebra and elements of another group, and
+that per-pair twists (``Twist(fn)``, the CLI's perturbed twist) give the
+same values through ``omegas`` as through ``omega``.
+"""
+
+import zlib
+
+import numpy as np
+import pytest
+
+from fellap.algebra import (
+    FdAlgebra,
+    FdElement,
+    Ideal,
+    IdealIso,
+    PartialAction,
+    identity_action,
+    pullback_action,
+)
+from fellap.bundles import (
+    Twist,
+    TwistedBundle,
+    restrict_to_subgroup,
+    trivial_twist,
+    validate_bundle,
+)
+from fellap.cli import ConfigStore
+from fellap.groups import (
+    ContextMismatchError,
+    Elem,
+    FreeGroup,
+    LatticeGroup,
+    cyclic_group,
+    symmetric_group,
+)
+from fellap.testing import (
+    _hash_phase,
+    matrix_twist,
+    random_block_unitary,
+    random_global_action,
+    random_hom_to_finite,
+    random_infinite_partial_action,
+    random_partial_action,
+    scalar_coboundary_twist,
+)
+from test_cli import BASE_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# Reference routes: the fixtures' per-pair formulas.
+# ---------------------------------------------------------------------------
+
+
+def reference_trivial_twist(pa: PartialAction) -> Twist:
+    units: dict[frozenset[int], FdElement] = {}
+
+    def fn(s: Elem, t: Elem) -> FdElement:
+        blocks = pa.domain(s).block_set & pa.domain(pa.group.mul(s, t)).block_set
+        unit = units.get(blocks)
+        if unit is None:
+            unit = units[blocks] = Ideal(pa.algebra, blocks).unit()
+        return unit
+
+    return Twist(fn)
+
+
+def reference_scalar_twist(pa: PartialAction, salt: int = 0) -> Twist:
+    g = pa.group
+    phases: dict[Elem, complex] = {g.identity: 1.0 + 0.0j}
+    units: dict[frozenset[int], FdElement] = {}
+
+    def b(t: Elem) -> complex:
+        got = phases.get(t)
+        if got is None:
+            got = phases[t] = _hash_phase(salt, f"{g.label}|{g.format_elem(t)}")
+        return got
+
+    def fn(s: Elem, t: Elem) -> FdElement:
+        st = g.mul(s, t)
+        blocks = pa.domain(s).block_set & pa.domain(st).block_set
+        unit = units.get(blocks)
+        if unit is None:
+            unit = units[blocks] = Ideal(pa.algebra, blocks).unit()
+        return (b(s) * b(t) * np.conj(b(st))) * unit
+
+    return Twist(fn)
+
+
+def reference_matrix_twist(glob: PartialAction, salt: int = 0) -> tuple[PartialAction, Twist]:
+    g = glob.group
+    alg = glob.algebra
+    cache: dict[Elem, FdElement] = {}
+
+    def v(t: Elem) -> FdElement:
+        got = cache.get(t)
+        if got is not None:
+            return got
+        if t == g.identity:
+            out = alg.one()
+        else:
+            seed = zlib.crc32(f"{salt}|{g.label}|{g.format_elem(t)}".encode())
+            out = random_block_unitary(np.random.default_rng(seed), alg)
+        cache[t] = out
+        return out
+
+    def fam_fn(t: Elem) -> IdealIso:
+        iso = glob.iso(t)
+        vt = v(t)
+        unis = {j: vt.mats[iso.phi[j]] @ iso.unitaries[j] for j in iso.phi}
+        return IdealIso(iso.source, iso.target, dict(iso.phi), unis)
+
+    def tw_fn(s: Elem, t: Elem) -> FdElement:
+        return v(s) * glob.apply(s, v(t)) * v(g.mul(s, t)).star()
+
+    return PartialAction(g, alg, fam_fn), Twist(tw_fn)
+
+
+# ---------------------------------------------------------------------------
+# Fixtures, built twice from one seed: once batched, once per pair.
+# ---------------------------------------------------------------------------
+
+GROUPS = {
+    "Z3": cyclic_group(3),
+    "S3": symmetric_group(3),
+    "F2": FreeGroup(2),
+    "Z": LatticeGroup(1),
+    "Z2": LatticeGroup(2),
+}
+FLAVORS = ("semidirect", "scalar-twist", "matrix-twist")
+
+
+def build(group, flavor, seed, reference):
+    """(family, twist) of one flavor, as ``random_fell_bundle`` draws it;
+    infinite groups get pullbacks of actions of small finite groups."""
+    rng = np.random.default_rng(seed)
+    salt = int(rng.integers(2**31))
+    finite = group.is_finite
+    if flavor == "matrix-twist":
+        glob = (
+            random_global_action(rng, group)
+            if finite
+            else random_infinite_partial_action(rng, group, force_global=True)
+        )
+        return (reference_matrix_twist if reference else matrix_twist)(glob, salt)
+    pa = random_partial_action(rng, group) if finite else random_infinite_partial_action(rng, group)
+    if flavor == "semidirect":
+        return pa, (reference_trivial_twist if reference else trivial_twist)(pa)
+    return pa, (reference_scalar_twist if reference else scalar_coboundary_twist)(pa, salt)
+
+
+def same_element(x: FdElement, y: FdElement) -> bool:
+    return len(x.packs) == len(y.packs) and all(
+        np.array_equal(p, q) for p, q in zip(x.packs, y.packs)
+    )
+
+
+def same_iso(a: IdealIso, b: IdealIso) -> bool:
+    return (
+        a.source.block_set == b.source.block_set
+        and a.target.block_set == b.target.block_set
+        and dict(a.phi) == dict(b.phi)
+        and all(np.array_equal(a.unitaries[j], b.unitaries[j]) for j in a.phi)
+    )
+
+
+def scrambled(items: list, seed: int) -> list:
+    return [items[i] for i in np.random.default_rng(seed).permutation(len(items))]
+
+
+class TestAgainstReferenceRoutes:
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_values_and_isos_bit_identical(self, name, flavor):
+        g = GROUPS[name]
+        ball = g.ball(2)
+        pairs = [(s, t) for s in ball for t in ball]
+        for seed in range(4):
+            family, twist = build(g, flavor, seed, reference=False)
+            ref_family, ref_twist = build(g, flavor, seed, reference=True)
+            # one batch for the whole list, in an order unlike the ball's
+            order = scrambled(pairs, seed)
+            got = twist.omegas(order)
+            assert all(same_element(w, ref_twist.omega(s, t)) for (s, t), w in zip(order, got))
+            elems = scrambled(g.ball(3), seed)
+            assert all(same_iso(a, ref_family.iso(t)) for t, a in zip(elems, family.isos(elems)))
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_one_pair_at_a_time(self, flavor):
+        """Batches of one, as ``omega`` and ``iso`` make them on a miss."""
+        g = GROUPS["F2"]
+        family, twist = build(g, flavor, 11, reference=False)
+        ref_family, ref_twist = build(g, flavor, 11, reference=True)
+        for s in g.ball(1):
+            for t in g.ball(2):
+                assert same_element(twist.omega(s, t), ref_twist.omega(s, t))
+            assert same_iso(family.iso(s), ref_family.iso(s))
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("name", ["Z3", "F2", "Z2"])
+    def test_restrict_to_subgroup(self, name, flavor):
+        g = GROUPS[name]
+        member = (
+            (lambda t: t == g.identity) if g.is_finite else (lambda t: g.word_length(t) % 2 == 0)
+        )
+        family, twist = build(g, flavor, 5, reference=False)
+        ref_family, _ = build(g, flavor, 5, reference=True)
+        sub = restrict_to_subgroup(TwistedBundle(family, twist), member)
+        elems = scrambled(g.ball(2), 5)
+        zero = family.algebra.zero_ideal()
+        for t, iso in zip(elems, sub.family.isos(elems)):
+            want = ref_family.iso(t) if member(t) else IdealIso(zero, zero, {}, {})
+            assert same_iso(iso, want)
+
+    @pytest.mark.parametrize("name", ["F2", "Z2"])
+    def test_pullback(self, name):
+        g = GROUPS[name]
+        rng = np.random.default_rng(8)
+        finite = cyclic_group(4)
+        base = random_partial_action(rng, finite)
+        hom = random_hom_to_finite(rng, g, finite)
+        batched = pullback_action(base, hom, g)
+        ref = PartialAction(g, base.algebra, lambda t: base.iso(hom(t)))
+        elems = scrambled(g.ball(2), 8)
+        assert all(a is ref.iso(t) for t, a in zip(elems, batched.isos(elems)))
+
+    def test_validator_verdicts_unchanged(self):
+        for flavor in FLAVORS:
+            family, twist = build(GROUPS["F2"], flavor, 3, reference=False)
+            ref_family, ref_twist = build(GROUPS["F2"], flavor, 3, reference=True)
+            got = validate_bundle(TwistedBundle(family, twist), window=1, samples=1, seed=4)
+            want = validate_bundle(
+                TwistedBundle(ref_family, ref_twist), window=1, samples=1, seed=4
+            )
+            assert (got.rows, got.checked, got.worst) == (want.rows, want.checked, want.worst)
+
+
+class TestBatchFillChecks:
+    def test_wrong_algebra_refused(self):
+        g = FreeGroup(2)
+        alg, other = FdAlgebra([2]), FdAlgebra([1, 1])
+        good = IdealIso.identity_on(alg.full_ideal())
+        bad = IdealIso.identity_on(other.full_ideal())
+        t0 = g.generator(1)
+        pa = PartialAction.batched(g, alg, lambda ts: [bad if t == t0 else good for t in ts])
+        with pytest.raises(ValueError, match="wrong algebra"):
+            pa.isos(g.ball(1))
+        assert pa.isos([g.identity])[0] is good  # nothing of the failed batch stayed
+        with pytest.raises(ValueError, match="wrong algebra"):
+            pa.iso(t0)
+
+    def test_element_of_another_group_refused(self):
+        g = FreeGroup(2)
+        family, _ = build(g, "matrix-twist", 2, reference=False)
+        stranger = FreeGroup(3).generator(3)
+        with pytest.raises(ContextMismatchError):
+            family.isos([g.generator(1), stranger])
+        with pytest.raises(ContextMismatchError):
+            family.iso(stranger)
+        other = cyclic_group(3).elem(1)
+        with pytest.raises(ContextMismatchError):
+            identity_action(g, FdAlgebra([1])).isos([other])
+
+    def test_wrong_count_refused(self):
+        g = cyclic_group(3)
+        alg = FdAlgebra([1])
+        pa = PartialAction.batched(g, alg, lambda ts: [])
+        with pytest.raises(ValueError, match="wrong number"):
+            pa.isos(g.elements())
+        tw = Twist.batched(lambda pairs: [])
+        with pytest.raises(ValueError, match="wrong number"):
+            tw.omegas([(g.identity, g.identity)])
+
+
+class TestPerPairTwists:
+    def test_twist_fn_same_through_omegas(self):
+        g = symmetric_group(3)
+        pa = random_partial_action(np.random.default_rng(4), g)
+        base = scalar_coboundary_twist(pa, 9)
+        calls = []
+
+        def fn(s, t):
+            calls.append((s, t))
+            return 2.0 * base.omega(s, t)
+
+        pairs = [(s, t) for s in g.elements() for t in g.elements()]
+        one, many = Twist(fn), Twist(fn)
+        got = many.omegas(pairs + pairs)
+        assert len(calls) == len(pairs)  # each missing pair filled once
+        assert all(same_element(w, one.omega(s, t)) for (s, t), w in zip(pairs, got))
+        assert many.omegas(pairs)[0] is got[0]
+
+    def test_cli_perturbed_twist_same_through_omegas(self):
+        _, one = ConfigStore(raw=BASE_CONFIG, sha="-").twist("bad")
+        pa, many = ConfigStore(raw=BASE_CONFIG, sha="-").twist("bad")
+        g = pa.group
+        pairs = [(s, t) for s in g.elements() for t in g.elements()]
+        got = many.omegas(pairs)
+        assert all(same_element(w, one.omega(s, t)) for (s, t), w in zip(pairs, got))
+        s0, t0 = g.parse_elem("1"), g.parse_elem("2")
+        plain = scalar_coboundary_twist(pa, 7).omega(s0, t0)
+        assert not same_element(many.omega(s0, t0), plain)
