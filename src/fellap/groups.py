@@ -244,10 +244,13 @@ class FreeGroup(Group):
     def mul(self, a: Elem, b: Elem) -> Elem:
         """Both words are reduced, so letters cancel only where they meet:
         strip the cancelling pairs at the junction and join the rest."""
-        self.check(a)
-        self.check(b)
+        if a.group is not self or b.group is not self:
+            self.check(a)
+            self.check(b)
         x, y = a.data, b.data
-        k, n = 0, min(len(x), len(y))
+        if not x or not y or x[-1] != -y[0]:
+            return Elem(self, x + y)
+        k, n = 1, min(len(x), len(y))
         while k < n and x[-1 - k] == -y[k]:
             k += 1
         return Elem(self, x[: len(x) - k] + y[k:])

@@ -312,8 +312,11 @@ class _WindowRep:
         g = bundle.group
         self.starts = np.cumsum((0,) + bundle.coeff_algebra.blocks)
         self.vdim = int(self.starts[-1])
+        alg = bundle.coeff_algebra
         self.units = {t: bundle.fiber_ideal(t).unit() for t in window}
-        self.unit_stars = {t: bundle.star(t, u) for t, u in self.units.items()}
+        slots = list(self.units)
+        stars = bundle.star_many(slots, stack_elements(alg, list(self.units.values())))
+        self.unit_stars = dict(zip(slots, split_batch(alg, stars, len(slots))))
         self.coords: Dict[Elem, np.ndarray] = {}
         self.offsets: Dict[Elem, int] = {}
         at = 0

@@ -258,8 +258,9 @@ def matrix_twist(glob: PartialAction, salt: int = 0) -> tuple[PartialAction, Twi
     cache: dict[Elem, FdElement] = {g.identity: alg.one()}
 
     def v(ts: list) -> list[FdElement]:
-        missing = list(dict.fromkeys(t for t in ts if t not in cache))
+        missing = [t for t in ts if t not in cache]
         if missing:
+            missing = list(dict.fromkeys(missing))
             draws = [
                 alg.gaussian_many(
                     np.random.default_rng(
@@ -281,13 +282,13 @@ def matrix_twist(glob: PartialAction, salt: int = 0) -> tuple[PartialAction, Twi
         return out
 
     def tw_many(pairs: list) -> list[FdElement]:
+        # one batch of the v_s, then the v_t, then the v_st
         m = len(pairs)
         ss = [s for s, _ in pairs]
-        vs = v(ss + [t for _, t in pairs] + [g.mul(s, t) for s, t in pairs])
-        v_s, v_t, v_st = (stack_elements(alg, vs[i * m : (i + 1) * m]) for i in range(3))
+        vs = stack_elements(alg, v(ss + [t for _, t in pairs] + [g.mul(s, t) for s, t in pairs]))
         elems, slot = _distinct(ss)
-        moved = apply_many(glob.isos(elems), v_t, slot)
-        packs = tuple(a @ b @ _adjoint(c) for a, b, c in zip(v_s, moved, v_st))
+        moved = apply_many(glob.isos(elems), tuple(p[m : 2 * m] for p in vs), slot)
+        packs = tuple(p[:m] @ q @ _adjoint(p[2 * m :]) for p, q in zip(vs, moved))
         return split_batch(alg, packs, m)
 
     return PartialAction.batched(g, alg, fam_many), Twist.batched(tw_many)
