@@ -109,8 +109,8 @@ class Twist:
     def batched(cls, fn_many: Callable[[list], list[FdElement]]) -> "Twist":
         """The twist whose values ``fn_many`` makes for a list of distinct
         pairs (s, t) at a time."""
-        tw = cls.__new__(cls)
-        tw._many, tw._cache = fn_many, {}
+        tw = cls(None)
+        tw._many = fn_many
         return tw
 
     def omega(self, s: Elem, t: Elem) -> FdElement:

@@ -30,7 +30,7 @@ from .algebra import (
     stack_elements,
     translation_action,
 )
-from .bundles import Section, Twist, TwistedBundle, make_semidirect, make_twisted
+from .bundles import Section, Twist, TwistedBundle, make_semidirect, make_twisted, trivial_twist
 from .kernels import Kernel, Window
 from .groups import (
     Elem,
@@ -206,14 +206,13 @@ def scalar_coboundary_twist(pa: PartialAction, salt: int = 0) -> Twist:
 
     Coboundaries satisfy the cocycle laws for any valid partial action, so
     these fixtures are exactly valid by construction. A batch of values is
-    the vector of phases times the stacked corner units, which are read
-    from the ``isos`` lists of s and st and shared between corners with the
-    same blocks.
+    the vector of phases times the stacked corner units, which are the
+    values of ``trivial_twist(pa)``.
     """
     g = pa.group
     alg = pa.algebra
     phases: dict[Elem, complex] = {g.identity: 1.0 + 0.0j}
-    units: dict[frozenset[int], FdElement] = {}
+    corners = trivial_twist(pa)
 
     def b(t: Elem) -> complex:
         got = phases.get(t)
@@ -222,17 +221,9 @@ def scalar_coboundary_twist(pa: PartialAction, salt: int = 0) -> Twist:
         return got
 
     def fn_many(pairs: list) -> list[FdElement]:
-        sts = [g.mul(s, t) for s, t in pairs]
-        corners = []
-        for a, c in zip(pa.isos([s for s, _ in pairs]), pa.isos(sts)):
-            blocks = a.target.block_set & c.target.block_set
-            unit = units.get(blocks)
-            if unit is None:
-                unit = units[blocks] = Ideal(alg, blocks).unit()
-            corners.append(unit)
-        phase = np.array([b(s) * b(t) * np.conj(b(st)) for (s, t), st in zip(pairs, sts)])
-        scaled = (phase[:, None, None, None] * p for p in stack_elements(alg, corners))
-        return split_batch(alg, tuple(scaled), len(pairs))
+        phase = np.array([b(s) * b(t) * np.conj(b(g.mul(s, t))) for s, t in pairs])
+        units = stack_elements(alg, corners.omegas(pairs))
+        return split_batch(alg, tuple(phase[:, None, None, None] * p for p in units), len(pairs))
 
     return Twist.batched(fn_many)
 
