@@ -290,10 +290,14 @@ def split_batch(algebra: FdAlgebra, batch: Sequence[np.ndarray], m: int) -> list
 
 
 def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
-    """``op_norm`` of every term of a batch: one batched SVD per class, over
-    the blocks that are not exactly zero, since a zero block has norm 0."""
+    """``op_norm`` of every term of a batch: the largest modulus for a class
+    of 1 x 1 blocks, otherwise one batched SVD per class, over the blocks
+    that are not exactly zero, since a zero block has norm 0."""
     out = np.zeros(m)
     for p in batch:
+        if p.shape[-1] == 1:
+            np.maximum(out, np.abs(p).max(axis=(1, 2, 3), initial=0.0), out=out)
+            continue
         live = p.any(axis=(-2, -1))
         if live.all():
             s = np.linalg.svd(p, compute_uv=False)

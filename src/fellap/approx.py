@@ -136,7 +136,7 @@ def defect_sum(a: APWitness, t: Elem, b: FdElement) -> FdElement:
 def ap_defects(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) -> List[float]:
     """Defects | b - sum_r a(tr)* b a(r) | of the witness at targets (t, b)."""
     bundle = a.bundle
-    ideals = [bundle.fiber_ideal(t) for t, _ in targets]
+    ideals = bundle.fiber_ideals([t for t, _ in targets])
     for ideal, (_, b) in zip(ideals, targets):
         if not ideal.contains(b, tol=1e-9):
             raise ValueError("target lies outside the fiber over t")
@@ -316,7 +316,7 @@ def convexify(
     for (a, lam) in witnesses:
         want = tuple(p + complex(lam) * q for p, q in zip(want, _defect_sums(a, pairs)))
     gaps = tuple(p - q for p, q in zip(_defect_sums(mixed, pairs), want))
-    ideals = [bundle.fiber_ideal(t) for t, _ in pairs]
+    ideals = bundle.fiber_ideals([t for t, _ in pairs])
     defect_res = batch_norms(project_batch(ideals, gaps), len(pairs)).tolist()
     cert = ConvexCertificate(
         translates=tuple(chosen),

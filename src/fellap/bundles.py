@@ -62,7 +62,6 @@ __all__ = [
     "Twist",
     "Section",
     "SubBundle",
-    "SpectralAction",
     "make_semidirect",
     "make_twisted",
     "group_bundle",
@@ -72,7 +71,6 @@ __all__ = [
     "fiber_norm",
     "canonical_expectation",
     "central_partial_action",
-    "spectral_partial_action",
     "restrict_to_subgroup",
     "full_sub_bundle",
     "subgroup_sub_bundle",
@@ -193,7 +191,12 @@ class TwistedBundle:
         self.coeff_algebra = family.algebra
 
     def fiber_ideal(self, t: Elem) -> Ideal:
-        return self.family.domain(t)
+        return self.fiber_ideals([t])[0]
+
+    def fiber_ideals(self, ts) -> list[Ideal]:
+        """The fiber ideals over the elements of ``ts``, from one ``isos``
+        call of the family."""
+        return [iso.target for iso in self.family.isos(ts)]
 
     def fiber_dim(self, t: Elem) -> int:
         return self.fiber_ideal(t).dim()
@@ -587,10 +590,6 @@ def validate_bundle(
         """One sample from each of ``ideals``, drawn in order."""
         return project_batch(ideals, alg.gaussian_many(rng, len(ideals)))
 
-    def fibers_of(elems: list) -> list[Ideal]:
-        """The fiber ideals over the elements, from one ``isos`` call."""
-        return [iso.target for iso in bundle.family.isos(elems)]
-
     def per_term(values: list) -> list:
         """A list over the ball, each entry repeated once per sample."""
         return [v for v in values for _ in range(samples)]
@@ -603,7 +602,7 @@ def validate_bundle(
         return seen.setdefault(t, t)
 
     label = [g.format_elem(t) for t in ball]
-    fibers = fibers_of(ball)
+    fibers = bundle.fiber_ideals(ball)
     inverses = [g.inv(t) for t in ball]
     ts, tinvs = per_term(ball), per_term(inverses)
     # A pass over s draws, per t, `samples` pairs (a, b) and then `samples`
@@ -618,7 +617,7 @@ def validate_bundle(
         sts = [st for row in rows for st in per_term(row)]
         tsts = per_term([canonical(g.mul(t, st)) for row in rows for t, st in zip(ball, row)])
         m = len(ss)
-        flat = fibers_of([st for row in rows for st in row])
+        flat = bundle.fiber_ideals([st for row in rows for st in row])
         row_fibers = [flat[i : i + len(ball)] for i in range(0, len(flat), len(ball))]
         x = draw(
             [
@@ -674,7 +673,7 @@ def validate_bundle(
     aa = bundle.mul_many(tinvs, a_star, ts, a)
     norms = batch_norms(_concat(_minus(back, a), aa, a), 3 * n)
     n_inv, n_aa, n_a = (norms[i * n : (i + 1) * n].tolist() for i in range(3))
-    in_unit = (outside_mass(fibers_of([g.identity]) * n, aa) <= tol).tolist()
+    in_unit = (outside_mass(bundle.fiber_ideals([g.identity]) * n, aa) <= tol).tolist()
     lowest = _lowest_eigenvalues(aa, n)
     for i, text in enumerate(label):
         for j in range(i * samples, (i + 1) * samples):
@@ -900,32 +899,3 @@ def central_partial_action(
         )
 
     return PartialAction(g, z_alg, solve)
-
-
-@dataclass
-class SpectralAction:
-    """Partial bijections of the finite spectrum of a commutative unit fiber."""
-
-    group: Group
-    npoints: int
-    action: PartialAction
-
-    def domain(self, t: Elem) -> frozenset[int]:
-        """Points on which t^-1 ... t moves: the source of theta_t."""
-        return frozenset(self.action.iso(t).phi.keys())
-
-    def theta(self, t: Elem) -> dict[int, int]:
-        return dict(self.action.iso(t).phi)
-
-
-def spectral_partial_action(bundle: TwistedBundle, window: int = 2) -> SpectralAction:
-    """Point-level partial action on the spectrum of a commutative B_e.
-
-    Each block of the coefficient algebra must be one-dimensional; the
-    underlying function moves are exactly the central block permutations.
-    """
-    alg = bundle.coeff_algebra
-    if any(d != 1 for d in alg.blocks):
-        raise ValueError("spectral action needs a commutative unit fiber")
-    central = central_partial_action(bundle, window)
-    return SpectralAction(bundle.group, alg.nblocks, central)

@@ -31,6 +31,7 @@ import numpy as np
 from .algebra import (
     DEFAULT_TOL,
     FdElement,
+    _inside_masks,
     batch_norms,
     outside_mass,
     project_batch,
@@ -112,7 +113,7 @@ class Kernel:
         for s, t in keys:
             g.check(s)
             g.check(t)
-        fibers = [bundle.fiber_ideal(g.mul(s, g.inv(t))) for s, t in keys]
+        fibers = bundle.fiber_ideals([g.mul(s, g.inv(t)) for s, t in keys])
         values = list(entries.values())
         batch = stack_elements(alg, values)
         if project:
@@ -160,7 +161,10 @@ class Kernel:
         return Kernel(self.bundle, data)
 
     def __sub__(self, other: "Kernel") -> "Kernel":
-        return self + (-1.0) * other
+        data = dict(self.data)
+        for key, a in other.data.items():
+            data[key] = data[key] - a if key in data else -a
+        return Kernel(self.bundle, data)
 
     def __rmul__(self, scalar) -> "Kernel":
         lam = complex(scalar)
@@ -220,7 +224,7 @@ def k_star(k: Kernel) -> Kernel:
 def norm2(k: Kernel) -> float:
     """Hilbert-Schmidt style norm: square root of the sum of squared fiber norms."""
     g = k.bundle.group
-    fibers = [k.bundle.fiber_ideal(g.mul(s, g.inv(t))) for s, t in k.data]
+    fibers = k.bundle.fiber_ideals([g.mul(s, g.inv(t)) for s, t in k.data])
     batch = project_batch(fibers, stack_elements(k.bundle.coeff_algebra, list(k.data.values())))
     total = 0.0
     for n in batch_norms(batch, len(fibers)).tolist():
@@ -304,75 +308,181 @@ class _WindowRep:
     the rows of slot s and the columns of slot t.  Nothing is recovered
     numerically, so operator norms computed here are the C*-norms of
     M_F(B) up to rounding.
+
+    The representation is block diagonal.  <u_s, k(s, t) u_t> lies in B_e,
+    so it maps the block-j coordinates of slot t to the block-j
+    coordinates of slot s and nothing else.  Hence H_j, the block-j
+    coordinates of the n_j slots that hold block j, is invariant under
+    every pi(k) and pi(k)*, H is the orthogonal sum of the H_j, and
+    ||pi(k)|| = max_j ||pi_j(k)|| with pi_j(k) the (n_j d_j)-square
+    compression of pi(k) to H_j.  ``norm`` takes those per-block norms,
+    one batched SVD per (d_j, n_j), and never forms the dense matrix.
+
+    The layout is fixed per rep, in the packed class order of the
+    coefficient algebra: for size class c, ``held[c]`` (slot, position q)
+    says whether the slot holds block ``members[c][q]``, ``rows[c]``
+    (slot, q, coordinate) is that coordinate's row in the dense matrix
+    (chunks in window order, blocks in index order inside a chunk), and
+    ``local[c]`` is its row in pi_j(k) (slots holding j in window order).
     """
 
     def __init__(self, bundle: TwistedBundle, window: Window):
         self.bundle = bundle
         self.window = window
         g = bundle.group
-        self.starts = np.cumsum((0,) + bundle.coeff_algebra.blocks)
-        self.vdim = int(self.starts[-1])
         alg = bundle.coeff_algebra
-        self.units = {t: bundle.fiber_ideal(t).unit() for t in window}
-        slots = list(self.units)
-        stars = bundle.star_many(slots, stack_elements(alg, list(self.units.values())))
-        self.unit_stars = dict(zip(slots, split_batch(alg, stars, len(slots))))
+        elems = list(window)
+        self.inverses = [g.inv(t) for t in elems]
+        starts = np.cumsum((0,) + alg.blocks)
+        self.vdim = int(starts[-1])
+        self.units = stack_elements(alg, [f.unit() for f in bundle.fiber_ideals(elems)])
+        self.unit_stars = bundle.star_many(elems, self.units)
+        corners = bundle.fiber_ideals(self.inverses)
         self.coords: Dict[Elem, np.ndarray] = {}
-        self.offsets: Dict[Elem, int] = {}
+        dense_row = np.zeros((len(elems), self.vdim), dtype=int)
         at = 0
-        for t in window:
-            held = sorted(bundle.fiber_ideal(g.inv(t)).block_set)
-            self.coords[t] = np.array(
-                [i for j in held for i in range(self.starts[j], self.starts[j + 1])], dtype=int
+        for pos, (t, corner) in enumerate(zip(elems, corners)):
+            coords = np.array(
+                [x for j in sorted(corner.block_set) for x in range(starts[j], starts[j + 1])],
+                dtype=int,
             )
-            self.offsets[t] = at
-            at += len(self.coords[t])
+            self.coords[t] = coords
+            dense_row[pos, coords] = at + np.arange(len(coords))
+            at += len(coords)
         self.dim = at
+        self.occupied = [len(self.coords[t]) > 0 for t in elems]
+        self.held, self.spans, self.rows, self.local, self.groups = [], [], [], [], []
+        for c, (d, mem) in enumerate(zip(alg.sizes, alg.members)):
+            held = _inside_masks(corners, c, len(mem))[:, :, 0, 0]
+            span = starts[list(mem)][:, None] + np.arange(d)
+            self.held.append(held)
+            self.spans.append(span)
+            self.rows.append(dense_row[:, span])
+            self.local.append((np.cumsum(held, axis=0) - 1)[:, :, None] * d + np.arange(d))
+            # the blocks held by n slots form one group for each n > 0: the
+            # (count, side) of its stack of pi_j, the group of each position
+            # q and the place of q in its group
+            count = held.sum(axis=0).tolist()
+            sizes = sorted(set(count) - {0})
+            group = np.array([sizes.index(n) if n else -1 for n in count], dtype=int)
+            place = np.zeros(len(count), dtype=int)
+            shapes = []
+            for i, n in enumerate(sizes):
+                members = np.flatnonzero(group == i)
+                place[members] = np.arange(len(members))
+                shapes.append((len(members), n * d))
+            self.groups.append((shapes, group, place))
 
-    def inner(self, t: Elem, x: FdElement) -> np.ndarray:
-        """Block representation of <u_t, x> for x in the fiber over t."""
-        return self._dense(self.bundle.mul(self.bundle.group.inv(t), self.unit_stars[t], t, x))
-
-    def _dense(self, y: FdElement) -> np.ndarray:
-        """The block-diagonal matrix of y acting on C^V."""
-        out = np.zeros((self.vdim, self.vdim), dtype=complex)
-        for lo, hi, m in zip(self.starts, self.starts[1:], y.mats):
-            out[lo:hi, lo:hi] = m
-        return out
-
-    def matrix(self, k: Kernel) -> np.ndarray:
+    def _inner(self, k: Kernel):
+        """<u_s, k(s, t) u_t> for every entry of k between occupied slots,
+        in two batched product steps, with the window positions of s and t;
+        None when there is no such entry."""
+        index = self.window._index
+        keys, si, ti = [], [], []
+        for key in k.data:
+            i = index.get(key[0])
+            j = index.get(key[1])
+            if i is None or j is None:
+                raise ValueError("kernel support leaves the window")
+            if self.occupied[i] and self.occupied[j]:
+                keys.append(key)
+                si.append(i)
+                ti.append(j)
+        if not keys:
+            return None
         g = self.bundle.group
         alg = self.bundle.coeff_algebra
-        keys = []
-        for s, t in k.data:
-            if s not in self.window or t not in self.window:
-                raise ValueError("kernel support leaves the window")
-            if len(self.coords[s]) and len(self.coords[t]):
-                keys.append((s, t))
-        # <u_s, k(s, t) u_t> for every entry, in two batched product steps
+        rows, cols = np.array(si, dtype=int), np.array(ti, dtype=int)
         moved = self.bundle.mul_many(
             [g.mul(s, g.inv(t)) for s, t in keys],
             stack_elements(alg, [k.data[key] for key in keys]),
             [t for _, t in keys],
-            stack_elements(alg, [self.units[t] for _, t in keys]),
+            tuple(p[cols] for p in self.units),
         )
         inner = self.bundle.mul_many(
-            [g.inv(s) for s, _ in keys],
-            stack_elements(alg, [self.unit_stars[s] for s, _ in keys]),
+            [self.inverses[i] for i in si],
+            tuple(p[rows] for p in self.unit_stars),
             [s for s, _ in keys],
             moved,
         )
+        return inner, rows, cols
+
+    def _blocks(self, inner, si, ti):
+        """Per size class c: the blocks of ``inner`` held by both slots of
+        their entry, as (c, blocks, class positions, row slots, column
+        slots)."""
+        for c, p in enumerate(inner):
+            held = self.held[c]
+            term, q = np.nonzero(held[si] & held[ti])
+            yield c, p[term, q], q, si[term], ti[term]
+
+    def matrix(self, k: Kernel) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (s, t), y in zip(keys, split_batch(alg, inner, len(keys))):
-            rows, cols = self.coords[s], self.coords[t]
-            r0, c0 = self.offsets[s], self.offsets[t]
-            out[r0 : r0 + len(rows), c0 : c0 + len(cols)] += self._dense(y)[np.ix_(rows, cols)]
+        got = self._inner(k)
+        if got is None:
+            return out
+        # support keys are distinct, so every block is written once
+        for c, y, q, s, t in self._blocks(*got):
+            rows = self.rows[c]
+            out[rows[s, q][:, :, None], rows[t, q][:, None, :]] = y
         return out
 
     def norm(self, k: Kernel) -> float:
         if self.dim == 0:
             return 0.0
-        return float(np.linalg.norm(self.matrix(k), ord=2))
+        got = self._inner(k)
+        if got is None:
+            return 0.0
+        worst = 0.0
+        for c, y, q, s, t in self._blocks(*got):
+            local = self.local[c]
+            r, col = local[s, q][:, :, None], local[t, q][:, None, :]
+            shapes, group, place = self.groups[c]
+            of = group[q]
+            for i, (m, side) in enumerate(shapes):
+                pick = of == i
+                if not pick.any():
+                    continue
+                mats = np.zeros((m, side, side), dtype=complex)
+                mats[place[q[pick]][:, None, None], r[pick], col[pick]] = y[pick]
+                worst = max(worst, float(np.linalg.svd(mats, compute_uv=False).max()))
+        return worst
+
+    def vector(self, f: Section, v: np.ndarray) -> np.ndarray:
+        """Coordinates of f (x) v: the chunk of slot t is <u_t, f(t)> v.
+
+        The inner products take one batched product step. Each is applied
+        to v as a block-diagonal matrix over the whole of C^V, in one
+        stacked product, so every coordinate is summed over the full row as
+        a dense product sums it, bit for bit.
+        """
+        vv = np.asarray(v, dtype=complex).reshape(self.vdim)
+        out = np.zeros(self.dim, dtype=complex)
+        index = self.window._index
+        slots = []
+        for t in f.data:
+            i = index.get(t)
+            if i is None:
+                raise ValueError("section support leaves the window")
+            slots.append(i)
+        if not slots:
+            return out
+        alg = self.bundle.coeff_algebra
+        ti = np.array(slots, dtype=int)
+        inner = self.bundle.mul_many(
+            [self.inverses[i] for i in slots],
+            tuple(p[ti] for p in self.unit_stars),
+            list(f.data),
+            stack_elements(alg, list(f.data.values())),
+        )
+        dense = np.zeros((len(slots), self.vdim, self.vdim), dtype=complex)
+        for span, p in zip(self.spans, inner):
+            dense[:, span[:, :, None], span[:, None, :]] = p
+        moved = dense @ vv
+        for c, span in enumerate(self.spans):
+            term, q = np.nonzero(self.held[c][ti])
+            out[self.rows[c][ti[term], q]] = moved[term[:, None], span[q]]
+        return out
 
 
 def window_rep(bundle: TwistedBundle, window: Window) -> _WindowRep:
@@ -403,7 +513,10 @@ def pi_matrix(k: Kernel, window: Window) -> np.ndarray:
 def mf_embed_norm(k: Kernel, window: Window) -> float:
     """C*-norm of the kernel in the windowed matrix algebra M_F(B).
 
-    Monotone under window enlargement.  For a finite group with F = G this
+    Computed as the largest norm of the block compressions pi_j(k), each on
+    the block-j coordinates of the slots that hold block j, with one batched
+    SVD per block size and slot count (see ``_WindowRep``); the matrix of
+    ``pi_matrix`` is never formed.  Monotone under window enlargement.  For a finite group with F = G this
     is the full cross sectional norm; for infinite groups it is a certified
     lower bound for it.
     """
@@ -419,16 +532,7 @@ def section_vector(f: Section, window: Window, v: np.ndarray) -> np.ndarray:
     Support of ``f`` must lie in the window and ``v`` must have one entry
     per coefficient block dimension.
     """
-    rep = window_rep(f.bundle, window)
-    vv = np.asarray(v, dtype=complex).reshape(rep.vdim)
-    out = np.zeros(rep.dim, dtype=complex)
-    for t, a in f.data.items():
-        if t not in window:
-            raise ValueError("section support leaves the window")
-        coords = rep.coords[t]
-        r0 = rep.offsets[t]
-        out[r0 : r0 + len(coords)] = (rep.inner(t, a) @ vv)[coords]
-    return out
+    return window_rep(f.bundle, window).vector(f, v)
 
 
 def validate_sub_expectation(
@@ -449,14 +553,40 @@ def validate_sub_expectation(
     g = bundle.group
     rng = np.random.default_rng(seed)
     elems = list(window.elements)
-    worst = 0.0
+    alg = bundle.coeff_algebra
+
+    # A fiber element takes, block by block in ``block_set`` order, d * d
+    # real parts and then d * d imaginary parts from one draw: the stream of
+    # two ``standard_normal((d, d))`` calls per block. ``plan(t)`` gives the
+    # draw size at t and, per size class, the class positions of the fiber's
+    # blocks and the places of their real parts in the draw; each imaginary
+    # part sits d * d places after its real part.
+    plans: Dict[Elem, tuple] = {}
+
+    def plan(t: Elem) -> tuple:
+        places: List[List[int]] = [[] for _ in alg.sizes]
+        starts: List[List[int]] = [[] for _ in alg.sizes]
+        at = 0
+        for j in bundle.fiber_ideal(t).block_set:
+            c, p = alg.where[j]
+            places[c].append(p)
+            starts[c].append(at)
+            at += 2 * alg.blocks[j] ** 2
+        parts = []
+        for d, pos, st in zip(alg.sizes, places, starts):
+            re = np.add.outer(np.array(st, dtype=int), np.arange(d * d)).reshape(-1, d, d)
+            parts.append((np.array(pos, dtype=int), re, d * d))
+        return at, parts
 
     def rand_fiber(t: Elem) -> FdElement:
-        fib = bundle.fiber_ideal(t)
-        x = bundle.coeff_algebra.zero()
-        for j in fib.block_set:
-            d = bundle.coeff_algebra.blocks[j]
-            x.mats[j] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        got = plans.get(t)
+        if got is None:
+            got = plans[t] = plan(t)
+        size, parts = got
+        z = rng.standard_normal(size)
+        x = alg.zero()
+        for pack, (pos, re, dd) in zip(x.packs, parts):
+            pack[pos] = z[re] + 1j * z[re + dd]
         return x
 
     drawn = []
@@ -467,7 +597,6 @@ def validate_sub_expectation(
         drawn.append((gg, hh, b, rand_fiber(hh)))
     gs = [gg for gg, _, _, _ in drawn]
     hs = [hh for _, hh, _, _ in drawn]
-    alg = bundle.coeff_algebra
     n = len(drawn)
     bs = [b for _, _, b, _ in drawn]
     pbs = [sub.expect(gg, b) for gg, b in zip(gs, bs)]
@@ -496,7 +625,7 @@ def validate_sub_expectation(
         ]
         rhs += [pbs[i], stars[n + i], prods[n + i], prods[3 * n + i]]
     gaps = tuple(p - q for p, q in zip(stack_elements(alg, lhs), stack_elements(alg, rhs)))
-    ideals = [bundle.fiber_ideal(t) for t in fibers]
+    ideals = bundle.fiber_ideals(fibers)
     worst = 0.0
     for v in batch_norms(project_batch(ideals, gaps), len(ideals)).tolist():
         worst = max(worst, v)

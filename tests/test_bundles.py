@@ -46,7 +46,6 @@ from fellap.bundles import (
     make_twisted,
     mask_sub_bundle,
     restrict_to_subgroup,
-    spectral_partial_action,
     subgroup_sub_bundle,
     trace_sub_bundle,
     validate_bundle,
@@ -332,27 +331,22 @@ class TestInducedActions:
             central = central_partial_action(bundle)
             assert unit_identity_residual(central) <= 1e-12
 
-    def test_spectral_action_points_and_function_relation(self):
+    def test_central_action_points_and_function_relation(self):
         z4 = cyclic_group(4)
         glob = random_global_action(rng_for(48), z4, [1])
         pa = restrict_action(glob, Ideal(glob.algebra, [0, 1, 3]))
         bundle = make_semidirect(pa)
-        spec = spectral_partial_action(bundle)
-        assert spec.npoints == 3
+        central = central_partial_action(bundle)
+        assert central.algebra.nblocks == 3
         rng = rng_for(49)
         for t in z4.elements():
-            assert spec.theta(t) == dict(pa.iso(t).phi)
+            assert dict(central.iso(t).phi) == dict(pa.iso(t).phi)
             f = random_element(rng, bundle.coeff_algebra)
             b = bundle.fiber_ideal(t).project(random_element(rng, bundle.coeff_algebra))
-            moved = spec.action.apply(t, f)
+            moved = central.apply(t, f)
             lhs = bundle.mul(z4.identity, moved, t, b)
             rhs = bundle.mul(t, b, z4.identity, f)
             assert op_norm(lhs - rhs) <= 1e-12
-
-    def test_spectral_rejects_matrix_fibers(self):
-        bundle = group_bundle(cyclic_group(2), FdAlgebra([2]))
-        with pytest.raises(ValueError):
-            spectral_partial_action(bundle)
 
     def test_central_action_on_infinite_group_bundle(self):
         pa = random_infinite_partial_action(rng_for(50), FreeGroup(2))

@@ -34,7 +34,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fellap.algebra import FdAlgebra
+from fellap.algebra import (
+    DEFAULT_TOL,
+    FdAlgebra,
+    batch_norms,
+    project_batch,
+    split_batch,
+    stack_elements,
+)
 from fellap.bundles import (
     Section,
     fiber_norm,
@@ -42,10 +49,11 @@ from fellap.bundles import (
     group_bundle,
     make_semidirect,
     mask_sub_bundle,
+    restrict_to_subgroup,
     subgroup_sub_bundle,
     trace_sub_bundle,
 )
-from fellap.groups import LatticeGroup, cyclic_group
+from fellap.groups import FreeGroup, LatticeGroup, cyclic_group, symmetric_group
 from fellap.kernels import (
     Kernel,
     Window,
@@ -60,13 +68,16 @@ from fellap.kernels import (
     rank_one,
     section_vector,
     to_mf,
+    validate_sub_expectation,
     window_rep,
 )
 from fellap.testing import (
     matrix_twist,
+    random_element,
     random_fell_bundle,
     random_global_action,
     random_kernel,
+    random_partial_action,
     random_section,
 )
 
@@ -188,6 +199,153 @@ class DenseWindowRep:
         return out
 
 
+class EntryWindowRep:
+    """Reference route to ``pi_matrix`` and ``section_vector``, entry by entry.
+
+    The same unit-section coordinates as ``window_rep``, assembled one
+    support entry (or section entry) at a time: each <u_s, k(s, t) u_t> is
+    written out as a dense block-diagonal matrix on C^V, cut down to the
+    coordinates of slot s and slot t, and added into its place.  The
+    block-structured route must give the same matrices and vectors bit for
+    bit.
+    """
+
+    def __init__(self, bundle, window):
+        self.bundle = bundle
+        self.window = window
+        g = bundle.group
+        self.starts = np.cumsum((0,) + bundle.coeff_algebra.blocks)
+        self.vdim = int(self.starts[-1])
+        alg = bundle.coeff_algebra
+        self.units = {t: bundle.fiber_ideal(t).unit() for t in window}
+        slots = list(self.units)
+        stars = bundle.star_many(slots, stack_elements(alg, list(self.units.values())))
+        self.unit_stars = dict(zip(slots, split_batch(alg, stars, len(slots))))
+        self.coords = {}
+        self.offsets = {}
+        at = 0
+        for t in window:
+            held = sorted(bundle.fiber_ideal(g.inv(t)).block_set)
+            self.coords[t] = np.array(
+                [i for j in held for i in range(self.starts[j], self.starts[j + 1])], dtype=int
+            )
+            self.offsets[t] = at
+            at += len(self.coords[t])
+        self.dim = at
+
+    def inner(self, t, x):
+        """Block representation of <u_t, x> for x in the fiber over t."""
+        return self._dense(self.bundle.mul(self.bundle.group.inv(t), self.unit_stars[t], t, x))
+
+    def _dense(self, y):
+        """The block-diagonal matrix of y acting on C^V."""
+        out = np.zeros((self.vdim, self.vdim), dtype=complex)
+        for lo, hi, m in zip(self.starts, self.starts[1:], y.mats):
+            out[lo:hi, lo:hi] = m
+        return out
+
+    def matrix(self, k):
+        g = self.bundle.group
+        alg = self.bundle.coeff_algebra
+        keys = []
+        for s, t in k.data:
+            if s not in self.window or t not in self.window:
+                raise ValueError("kernel support leaves the window")
+            if len(self.coords[s]) and len(self.coords[t]):
+                keys.append((s, t))
+        # <u_s, k(s, t) u_t> for every entry, in two batched product steps
+        moved = self.bundle.mul_many(
+            [g.mul(s, g.inv(t)) for s, t in keys],
+            stack_elements(alg, [k.data[key] for key in keys]),
+            [t for _, t in keys],
+            stack_elements(alg, [self.units[t] for _, t in keys]),
+        )
+        inner = self.bundle.mul_many(
+            [g.inv(s) for s, _ in keys],
+            stack_elements(alg, [self.unit_stars[s] for s, _ in keys]),
+            [s for s, _ in keys],
+            moved,
+        )
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for (s, t), y in zip(keys, split_batch(alg, inner, len(keys))):
+            rows, cols = self.coords[s], self.coords[t]
+            r0, c0 = self.offsets[s], self.offsets[t]
+            out[r0 : r0 + len(rows), c0 : c0 + len(cols)] += self._dense(y)[np.ix_(rows, cols)]
+        return out
+
+    def section_vector(self, f, v):
+        vv = np.asarray(v, dtype=complex).reshape(self.vdim)
+        out = np.zeros(self.dim, dtype=complex)
+        for t, a in f.data.items():
+            if t not in self.window:
+                raise ValueError("section support leaves the window")
+            coords = self.coords[t]
+            r0 = self.offsets[t]
+            out[r0 : r0 + len(coords)] = (self.inner(t, a) @ vv)[coords]
+        return out
+
+
+def per_block_sub_expectation(sub, window, samples=8, seed=0, tol=DEFAULT_TOL):
+    """Reference route to ``validate_sub_expectation``: the same laws on
+    fiber elements drawn block by block, two ``standard_normal`` calls per
+    block.  The one-draw route must give the same residual bit for bit."""
+    bundle = sub.bundle
+    g = bundle.group
+    rng = np.random.default_rng(seed)
+    elems = list(window.elements)
+
+    def rand_fiber(t):
+        fib = bundle.fiber_ideal(t)
+        x = bundle.coeff_algebra.zero()
+        for j in fib.block_set:
+            d = bundle.coeff_algebra.blocks[j]
+            x.mats[j] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return x
+
+    drawn = []
+    for _ in range(samples):
+        gg = elems[rng.integers(len(elems))]
+        hh = elems[rng.integers(len(elems))]
+        b = rand_fiber(gg)
+        drawn.append((gg, hh, b, rand_fiber(hh)))
+    gs = [gg for gg, _, _, _ in drawn]
+    hs = [hh for _, hh, _, _ in drawn]
+    alg = bundle.coeff_algebra
+    n = len(drawn)
+    bs = [b for _, _, b, _ in drawn]
+    pbs = [sub.expect(gg, b) for gg, b in zip(gs, bs)]
+    As = [sub.expect(hh, raw) for _, hh, _, raw in drawn]
+    stars = split_batch(alg, bundle.star_many(gs + gs, stack_elements(alg, bs + pbs)), 2 * n)
+    prods = split_batch(
+        alg,
+        bundle.mul_many(
+            gs + gs + hs + hs,
+            stack_elements(alg, bs + pbs + As + As),
+            hs + hs + gs + gs,
+            stack_elements(alg, As + As + bs + pbs),
+        ),
+        4 * n,
+    )
+    # per sample: idempotence, star compatibility, the two module laws
+    fibers, lhs, rhs = [], [], []
+    for i, (gg, hh) in enumerate(zip(gs, hs)):
+        ginv, gh, hg = g.inv(gg), g.mul(gg, hh), g.mul(hh, gg)
+        fibers += [gg, ginv, gh, hg]
+        lhs += [
+            sub.expect(gg, pbs[i]),
+            sub.expect(ginv, stars[i]),
+            sub.expect(gh, prods[i]),
+            sub.expect(hg, prods[2 * n + i]),
+        ]
+        rhs += [pbs[i], stars[n + i], prods[n + i], prods[3 * n + i]]
+    gaps = tuple(p - q for p, q in zip(stack_elements(alg, lhs), stack_elements(alg, rhs)))
+    ideals = [bundle.fiber_ideal(t) for t in fibers]
+    worst = 0.0
+    for v in batch_norms(project_batch(ideals, gaps), len(ideals)).tolist():
+        worst = max(worst, v)
+    return worst
+
+
 class TestWindows:
     def test_ball_order_is_deterministic(self):
         g = LatticeGroup(1)
@@ -243,6 +401,102 @@ class TestExactWindowRep:
             assert abs(np.vdot(fv, pi_matrix(k, w) @ hu) - np.vdot(dfv, dk @ dhu)) <= TOL
             assert abs(np.vdot(fv, hu) - np.vdot(dfv, dhu)) <= TOL
             assert abs(mf_embed_norm(k, w) - np.linalg.norm(dk, 2)) <= TOL
+
+
+FLAVORS = ("semidirect", "scalar-twist", "matrix-twist")
+BLOCK_GROUPS = (cyclic_group(4), symmetric_group(3), FreeGroup(2), LatticeGroup(1))
+
+
+def block_cases():
+    """(rng, bundle, window): every flavor over Z4, S3, F2 and Z at radius 1
+    and 2; partial actions restricted to a few blocks of (1, 2)-block
+    envelopes, whose slots hold different blocks; and a bundle cut down to
+    the even elements of Z4, whose odd slots hold nothing."""
+    for seed, group in enumerate(BLOCK_GROUPS):
+        for flavor in FLAVORS:
+            for radius in (1, 2):
+                rng = np.random.default_rng(100 + 10 * seed + radius)
+                bundle, _ = random_fell_bundle(rng, group, flavor=flavor)
+                yield rng, bundle, Window.ball(group, radius)
+    for seed, group in enumerate((cyclic_group(4), symmetric_group(3))):
+        rng = np.random.default_rng(140 + seed)
+        pa = random_partial_action(rng, group, (1, 2), max_kept_blocks=3)
+        yield rng, make_semidirect(pa), Window.ball(group, 2)
+    rng = np.random.default_rng(150)
+    whole, _ = random_fell_bundle(rng, cyclic_group(4), flavor="matrix-twist")
+    yield rng, restrict_to_subgroup(whole, lambda t: t.data % 2 == 0), Window.ball(whole.group, 2)
+
+
+class TestBlockWindowRep:
+    """The block-structured window representation against its references:
+    the entry-by-entry assembly (bit for bit) and the dense SVD norm."""
+
+    def test_matches_entry_oracle_and_dense_norm(self):
+        held_sets = set()
+        empty_slots = 0
+        for rng, bundle, w in block_cases():
+            oracle = EntryWindowRep(bundle, w)
+            rep = window_rep(bundle, w)
+            assert rep.dim == oracle.dim
+            for t in w:
+                held_sets.add(tuple(oracle.coords[t]))
+                empty_slots += len(oracle.coords[t]) == 0
+            for _ in range(4):
+                k = random_kernel(rng, bundle, w)
+                mat = pi_matrix(k, w)
+                assert np.array_equal(mat, oracle.matrix(k))
+                dense = np.linalg.norm(mat, 2)
+                assert abs(mf_embed_norm(k, w) - dense) <= 1e-12 * dense
+                f = random_section(rng, bundle, w.elements)
+                v = rng.standard_normal(rep.vdim) + 1j * rng.standard_normal(rep.vdim)
+                assert np.array_equal(section_vector(f, w, v), oracle.section_vector(f, v))
+        # the cases include slots holding different blocks, and empty slots
+        assert len(held_sets) > 3 and empty_slots > 0
+
+    def test_zero_dimensional_window(self):
+        rng = np.random.default_rng(151)
+        whole, _ = random_fell_bundle(rng, cyclic_group(4), flavor="semidirect")
+        bundle = restrict_to_subgroup(whole, lambda t: t.data % 2 == 0)
+        t = bundle.group.elem(1)
+        w = Window(bundle.group, [t])
+        assert window_rep(bundle, w).dim == 0
+        k = Kernel.single(bundle, t, t, random_element(rng, bundle.coeff_algebra))
+        assert k.support() == {(t, t)}
+        assert pi_matrix(k, w).shape == (0, 0)
+        assert np.array_equal(pi_matrix(k, w), EntryWindowRep(bundle, w).matrix(k))
+        assert mf_embed_norm(k, w) == 0.0
+        f = random_section(rng, bundle, [t])
+        v = np.ones(window_rep(bundle, w).vdim)
+        assert section_vector(f, w, v).shape == (0,)
+
+    def test_support_outside_window_rejected(self):
+        bundle = lattice_line_bundle()
+        g = bundle.group
+        w = Window.ball(g, 1)
+        far = g.vector([2])
+        k = Kernel.single(bundle, far, g.identity, scalar(bundle.coeff_algebra, 1.0))
+        f = Section.delta(bundle, far, scalar(bundle.coeff_algebra, 1.0))
+        for call in (lambda: pi_matrix(k, w), lambda: mf_embed_norm(k, w)):
+            with pytest.raises(ValueError):
+                call()
+        with pytest.raises(ValueError):
+            section_vector(f, w, np.ones(1))
+
+    def test_sub_expectation_matches_per_block_draws(self):
+        for seed, group in enumerate(BLOCK_GROUPS):
+            for flavor in FLAVORS:
+                rng = np.random.default_rng(160 + seed)
+                bundle, _ = random_fell_bundle(rng, group, flavor=flavor)
+                w = Window.ball(group, 1)
+                e = group.identity
+                masks = [np.eye(d) for d in bundle.coeff_algebra.blocks]
+                for sub in (
+                    subgroup_sub_bundle(bundle, lambda t: t == e),
+                    mask_sub_bundle(bundle, masks),
+                    trace_sub_bundle(bundle, lambda t: t == e),
+                ):
+                    got = validate_sub_expectation(sub, w, samples=6, seed=seed)
+                    assert got == per_block_sub_expectation(sub, w, samples=6, seed=seed)
 
 
 class TestStarProductLaw:
@@ -418,6 +672,19 @@ class TestNorm2AndBeta:
         h = random_kernel(rng, bundle, w)
         k = random_kernel(rng, bundle, w)
         assert norm2(h + k) <= norm2(h) + norm2(k) + TOL
+
+    def test_difference_is_sum_with_negative(self):
+        """k - h takes one pass; on finite entries it equals k + (-1) h
+        exactly, entry by entry, with the same support."""
+        for seed in (34, 35, 36):
+            rng, bundle, w = bundle_with_window(seed)
+            h = random_kernel(rng, bundle, w)
+            k = random_kernel(rng, bundle, w)
+            for diff, ref in ((k - h, k + (-1.0) * h), (k - k, k + (-1.0) * k)):
+                assert diff.support() == ref.support()
+                for key, a in ref.data.items():
+                    assert all(np.array_equal(p, q) for p, q in zip(diff.data[key].packs, a.packs))
+        assert (k - k).support() == set()
 
     def test_beta_identity(self):
         rng, bundle, w = bundle_with_window(32)
