@@ -318,12 +318,14 @@ class _WindowRep:
     compression of pi(k) to H_j.  ``norm`` takes those per-block norms,
     one batched SVD per (d_j, n_j), and never forms the dense matrix.
 
-    The layout is fixed per rep, in the packed class order of the
-    coefficient algebra: for size class c, ``held[c]`` (slot, position q)
-    says whether the slot holds block ``members[c][q]``, ``rows[c]``
-    (slot, q, coordinate) is that coordinate's row in the dense matrix
-    (chunks in window order, blocks in index order inside a chunk), and
-    ``local[c]`` is its row in pi_j(k) (slots holding j in window order).
+    The layout is fixed per rep.  ``coords[t]`` lists the coordinates of
+    C^V that slot t holds.  For size class c of the coefficient algebra,
+    ``held[c]`` (slot, position q) says whether the slot holds block
+    ``members[c][q]``, ``spans[c]`` (q, coordinate) gives the block's
+    coordinates in C^V, ``rows[c]`` (slot, q, coordinate) the row of a held
+    coordinate in the dense matrix (chunks in window order, blocks in index
+    order inside a chunk), and ``local[c]`` its row in pi_j(k) (slots
+    holding j in window order).
     """
 
     def __init__(self, bundle: TwistedBundle, window: Window):
@@ -333,36 +335,40 @@ class _WindowRep:
         alg = bundle.coeff_algebra
         elems = list(window)
         self.inverses = [g.inv(t) for t in elems]
-        starts = np.cumsum((0,) + alg.blocks)
-        self.vdim = int(starts[-1])
-        self.units = stack_elements(alg, [f.unit() for f in bundle.fiber_ideals(elems)])
-        self.unit_stars = bundle.star_many(elems, self.units)
+        fibers = bundle.fiber_ideals(elems)
         corners = bundle.fiber_ideals(self.inverses)
-        self.coords: Dict[Elem, np.ndarray] = {}
-        dense_row = np.zeros((len(elems), self.vdim), dtype=int)
-        at = 0
-        for pos, (t, corner) in enumerate(zip(elems, corners)):
-            coords = np.array(
-                [x for j in sorted(corner.block_set) for x in range(starts[j], starts[j + 1])],
-                dtype=int,
-            )
-            self.coords[t] = coords
-            dense_row[pos, coords] = at + np.arange(len(coords))
-            at += len(coords)
-        self.dim = at
-        self.occupied = [len(self.coords[t]) > 0 for t in elems]
+        classes = list(enumerate(zip(alg.sizes, alg.members)))
+        # the units of the fibers, and their involutions, as batches
+        self.units = tuple(
+            np.where(_inside_masks(fibers, c, len(mem)), np.eye(d, dtype=complex), 0)
+            for c, (d, mem) in classes
+        )
+        self.unit_stars = bundle.star_many(elems, self.units)
+        # which slots hold which blocks, and which coordinates of C^V
+        held = np.zeros((len(elems), alg.nblocks), dtype=bool)
+        for c, (_, mem) in classes:
+            held[:, list(mem)] = _inside_masks(corners, c, len(mem))[:, :, 0, 0]
+        coords = np.repeat(held, alg.blocks, axis=1)
+        dense_row = np.cumsum(coords.ravel()).reshape(coords.shape) - 1
+        self.vdim = coords.shape[1]
+        self.dim = int(coords.sum())
+        self.coords: Dict[Elem, np.ndarray] = {
+            t: np.flatnonzero(row) for t, row in zip(elems, coords)
+        }
+        self.occupied = coords.any(axis=1).tolist()
+        starts = np.cumsum((0,) + alg.blocks)
         self.held, self.spans, self.rows, self.local, self.groups = [], [], [], [], []
-        for c, (d, mem) in enumerate(zip(alg.sizes, alg.members)):
-            held = _inside_masks(corners, c, len(mem))[:, :, 0, 0]
+        for c, (d, mem) in classes:
+            held_c = held[:, list(mem)]
             span = starts[list(mem)][:, None] + np.arange(d)
-            self.held.append(held)
+            self.held.append(held_c)
             self.spans.append(span)
             self.rows.append(dense_row[:, span])
-            self.local.append((np.cumsum(held, axis=0) - 1)[:, :, None] * d + np.arange(d))
+            self.local.append((np.cumsum(held_c, axis=0) - 1)[:, :, None] * d + np.arange(d))
             # the blocks held by n slots form one group for each n > 0: the
             # (count, side) of its stack of pi_j, the group of each position
             # q and the place of q in its group
-            count = held.sum(axis=0).tolist()
+            count = held_c.sum(axis=0).tolist()
             sizes = sorted(set(count) - {0})
             group = np.array([sizes.index(n) if n else -1 for n in count], dtype=int)
             place = np.zeros(len(count), dtype=int)
