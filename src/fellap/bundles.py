@@ -191,7 +191,9 @@ class TwistedBundle:
         self.coeff_algebra = family.algebra
 
     def fiber_ideal(self, t: Elem) -> Ideal:
-        return self.fiber_ideals([t])[0]
+        """``fiber_ideals([t])[0]``, read through the family's one-element
+        lookup."""
+        return self.family.iso(t).target
 
     def fiber_ideals(self, ts) -> list[Ideal]:
         """The fiber ideals over the elements of ``ts``, from one ``isos``

@@ -367,7 +367,8 @@ class _WindowRep:
             self.local.append((np.cumsum(held_c, axis=0) - 1)[:, :, None] * d + np.arange(d))
             # the blocks held by n slots form one group for each n > 0: the
             # (count, side) of its stack of pi_j, the group of each position
-            # q and the place of q in its group
+            # q and the place of q in its group (counted in Python: the first
+            # np.unique call of a process imports numpy.ma, about 1 MB)
             count = held_c.sum(axis=0).tolist()
             sizes = sorted(set(count) - {0})
             group = np.array([sizes.index(n) if n else -1 for n in count], dtype=int)

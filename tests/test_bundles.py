@@ -114,6 +114,17 @@ class TestSemidirectProducts:
         a = bundle.fiber_ideal(t).project(random_element(rng_for(2), pa.algebra))
         assert fiber_norm(bundle, t, a) == pytest.approx(op_norm(a), abs=1e-14)
 
+    def test_fiber_ideals_read_as_one_at_a_time(self):
+        """One batched read gives each element's fiber ideal, repeats and
+        elements not read before included."""
+        for group in (symmetric_group(3), FreeGroup(2)):
+            bundle, _ = random_fell_bundle(rng_for(3), group)
+            ball = group.ball(2)
+            ts = ball + ball[::-1]
+            got = bundle.fiber_ideals(ts)
+            assert got == [bundle.fiber_ideal(t) for t in ts]
+            assert got[: len(ball)] == [bundle.family.domain(t) for t in ball]
+
 
 class TestTwistValidation:
     def test_i_twist_over_z2_passes(self):
