@@ -20,7 +20,8 @@ enumeration and a brute-force pointwise evaluator at small i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -427,17 +428,57 @@ class Arrow:
 
 @dataclass(frozen=True)
 class GroupoidTable:
+    """The arrows of a truncated boundary groupoid, with lazy symbol data.
+
+    Each distinct element g met by ``symbol``, ``range_word``, ``label``,
+    ``invert`` or ``compose`` is parsed into its ``PartialSymbol`` once,
+    with its shift (a, |b|) for g = a b^{-1}; its label is formatted once,
+    and each product g h is formed once.  The caches take any element of
+    the group, since a product may leave ball(radius).  They are filled on
+    first use and sit outside equality, hashing and repr, so a table that
+    has been validated equals a fresh one built from the same arguments.
+    """
+
     group: FreeGroup
     depth: int
     radius: int
     arrows: Tuple[Arrow, ...]
+    # g -> (symbol, a, |b|)
+    _symbols: Dict[Elem, Tuple[PartialSymbol, Word, int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _labels: Dict[Elem, str] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _products: Dict[Tuple[Elem, Elem], Elem] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def _symbol_data(self, g: Elem) -> Tuple[PartialSymbol, Word, int]:
+        data = self._symbols.get(g)
+        if data is None:
+            sym = partial_symbol(self.group, g)
+            data = self._symbols[g] = (sym, sym.pos, len(sym.neg))
+        return data
 
     def symbol(self, arrow: Arrow) -> PartialSymbol:
-        return partial_symbol(self.group, arrow.g)
+        return self._symbol_data(arrow.g)[0]
 
     def range_word(self, arrow: Arrow) -> Word:
-        sym = self.symbol(arrow)
-        return sym.pos + arrow.source[len(sym.neg) :]
+        _, pos, cut = self._symbol_data(arrow.g)
+        return pos + arrow.source[cut:]
+
+    @cached_property
+    def range_words(self) -> Tuple[Word, ...]:
+        """``range_word`` of every arrow, in table order."""
+        return tuple(self.range_word(arrow) for arrow in self.arrows)
+
+    def label(self, g: Elem) -> str:
+        """``format_elem`` of g."""
+        text = self._labels.get(g)
+        if text is None:
+            text = self._labels[g] = self.group.format_elem(g)
+        return text
 
     def is_unit(self, arrow: Arrow) -> bool:
         return arrow.g == self.group.identity
@@ -453,11 +494,20 @@ class GroupoidTable:
 
         Defined on representatives when the range word of ``second``
         matches the source of ``first`` exactly; the composite sits at
-        second's source with the product symbol.
+        second's source with the product symbol.  This is narrower than
+        the composition of germs: the range of a b^{-1} on a depth-d
+        cylinder has d + |a| - |b| letters while every source has d, so
+        an arrow with |a| != |b| composes with units only, and at radius 1
+        no two non-unit arrows compose.  ROADMAP item 5 replaces it with
+        the composition of germs on refined cylinders.
         """
         if self.range_word(second) != first.source:
             return None
-        return Arrow(second.source, self.group.mul(first.g, second.g))
+        key = (first.g, second.g)
+        product = self._products.get(key)
+        if product is None:
+            product = self._products[key] = self.group.mul(first.g, second.g)
+        return Arrow(second.source, product)
 
 
 def spectral_groupoid(n: int, depth: int, radius: int) -> GroupoidTable:
@@ -485,16 +535,23 @@ def validate_groupoid(table: GroupoidTable) -> ActionReport:
     Associativity is checked on every composable triple: y composes after
     x when its range word is x's source, so arrows are indexed by range
     word once and each triple is reached from x through that index, in the
-    order of an all-pairs scan.
+    order of an all-pairs scan.  compose(y, z) depends on the pair only,
+    so it is formed once per pair, on the first x that reaches y; every
+    product still goes through ``table.compose``.
+
+    The check is only as wide as ``compose``: composition needs an exact
+    match of range word and source, so arrows with |a| != |b| meet units
+    only, and at radius 1 every associativity triple is (x, unit, unit).
+    ROADMAP item 5 widens it to the composition of germs.
     """
     report = ActionReport()
-    grp = table.group
-    ranges = [table.range_word(arrow) for arrow in table.arrows]
-    by_range: Dict[Word, List[Arrow]] = {}
-    for arrow, rng in zip(table.arrows, ranges):
-        by_range.setdefault(rng, []).append(arrow)
-    for arrow, rng in zip(table.arrows, ranges):
-        label = f"({''.join(map(str, arrow.source))},{grp.format_elem(arrow.g)})"
+    arrows = table.arrows
+    ranges = table.range_words
+    by_range: Dict[Word, List[int]] = {}
+    for k, rng in enumerate(ranges):
+        by_range.setdefault(rng, []).append(k)
+    for arrow, rng in zip(arrows, ranges):
+        label = f"({''.join(map(str, arrow.source))},{table.label(arrow.g)})"
         inv = table.invert(arrow)
         double = table.invert(inv)
         report.add(
@@ -517,13 +574,21 @@ def validate_groupoid(table: GroupoidTable) -> ActionReport:
             else 1.0,
             0.5,
         )
-    for x in table.arrows:
-        for y in by_range.get(x.source, ()):
+    # after[j]: the pairs (z, compose(y, z)) for y = arrows[j], in index order
+    after: List[Optional[List[Tuple[Arrow, Optional[Arrow]]]]] = [None] * len(arrows)
+    for x in arrows:
+        for j in by_range.get(x.source, ()):
+            y = arrows[j]
             xy = table.compose(x, y)
             if xy is None:
                 continue
-            for z in by_range.get(y.source, ()):
-                yz = table.compose(y, z)
+            row = after[j]
+            if row is None:
+                row = after[j] = [
+                    (arrows[k], table.compose(y, arrows[k]))
+                    for k in by_range.get(y.source, ())
+                ]
+            for z, yz in row:
                 if yz is None:
                     continue
                 lhs = table.compose(xy, z)

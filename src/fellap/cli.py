@@ -758,9 +758,8 @@ def groupoid(ctx, n, depth, radius):
             raise ConfigError("the boundary action needs at least two letters")
         table = spectral_groupoid(n, depth, radius)
         rep = validate_groupoid(table)
-        grp = table.group
         rows: List[Tuple[str, ...]] = []
-        for idx, arrow in enumerate(table.arrows):
+        for idx, (arrow, rng) in enumerate(zip(table.arrows, table.range_words)):
             rows.append(
                 (
                     str(n),
@@ -768,8 +767,8 @@ def groupoid(ctx, n, depth, radius):
                     str(radius),
                     str(idx),
                     "".join(map(str, arrow.source)),
-                    grp.format_elem(arrow.g),
-                    "".join(map(str, table.range_word(arrow))),
+                    table.label(arrow.g),
+                    "".join(map(str, rng)),
                     "1" if table.is_unit(arrow) else "0",
                 )
             )

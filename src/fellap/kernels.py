@@ -547,7 +547,6 @@ def validate_sub_expectation(
     window: Window,
     samples: int = 8,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Largest sampled violation of the conditional expectation laws.
 
@@ -656,7 +655,7 @@ def cond_expectation_pf(
     the expectation are sampled first and a violation raises ValueError.
     """
     if validate:
-        worst = validate_sub_expectation(sub, window, samples=samples, seed=seed, tol=tol)
+        worst = validate_sub_expectation(sub, window, samples=samples, seed=seed)
         if worst > tol:
             raise ValueError(
                 f"conditional expectation violates its module laws (residual {worst:.3e})"

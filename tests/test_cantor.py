@@ -22,6 +22,10 @@ Frozen oracles, derived before the implementation ran:
   * groupoid validation outcomes (checked counts, the violation rows of a
     table that miscomposes one pair, and the order of every report entry)
     are pinned from the all-pairs validator.
+  * the table's lazily cached symbol data agrees with a fresh
+    ``partial_symbol`` per arrow, its products with ``FreeGroup.word`` on
+    the joined letters (a full reduction, not the junction cancellation
+    of ``mul``) up to length 2r, and validation parses each element once.
 """
 
 import time
@@ -32,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fellap import algebra
+from fellap import algebra, cantor
 from fellap.cantor import (
     Arrow,
     CantorDomainError,
@@ -583,3 +587,72 @@ class TestGroupoid:
         )
         assert len(calls) == report.checked
         assert zlib.crc32(repr(calls).encode()) == crc
+
+
+class TestCachedGroupoidTable:
+    SHAPES = [(2, 2, 1), (2, 4, 2), (2, 3, 3), (3, 3, 2)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_range_words_match_fresh_symbols(self, shape):
+        table = spectral_groupoid(*shape)
+        validate_groupoid(table)
+        assert len(table.range_words) == len(table.arrows)
+        for arrow, rng in zip(table.arrows, table.range_words):
+            sym = partial_symbol(table.group, arrow.g)
+            expected = sym.pos + arrow.source[len(sym.neg) :]
+            assert rng == expected
+            assert table.range_word(arrow) == expected
+            assert table.symbol(arrow) == sym
+            assert table.label(arrow.g) == table.group.format_elem(arrow.g)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_products_of_length_two_r(self, shape):
+        # arrows built outside the table, so the products leave ball(r)
+        n, d, r = shape
+        table = spectral_groupoid(*shape)
+        grp = table.group
+        acting = [g for g in grp.ball(r) if not partial_symbol(grp, g).domain_zero]
+        checked = 0
+        for g in acting:
+            for h in acting:
+                want = grp.word(g.data + h.data)
+                if len(want.data) != 2 * r:
+                    continue
+                sym_h = partial_symbol(grp, h)
+                second = Arrow(sym_h.neg + (1,) * d, h)
+                first = Arrow(table.range_word(second), g)
+                for _ in range(2):  # the second call reads the cache
+                    out = table.compose(first, second)
+                    assert out == Arrow(second.source, want)
+                    assert out.g == grp.mul(g, h)
+                sym = partial_symbol(grp, want)
+                assert table.symbol(out) == sym
+                assert table.range_word(out) == sym.pos + out.source[len(sym.neg) :]
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_validated_table_equals_fresh_table(self, shape):
+        used = spectral_groupoid(*shape)
+        assert validate_groupoid(used).passed
+        fresh = GroupoidTable(used.group, used.depth, used.radius, used.arrows)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert used == spectral_groupoid(*shape)
+
+    def test_validation_parses_each_element_once(self, monkeypatch):
+        table = spectral_groupoid(3, 3, 2)
+        parse = cantor.partial_symbol
+        parsed = []
+
+        def counting(group, g):
+            parsed.append(g)
+            return parse(group, g)
+
+        monkeypatch.setattr(cantor, "partial_symbol", counting)
+        report = validate_groupoid(table)
+        assert report.checked == 5508
+        assert parsed
+        assert len(parsed) == len(set(parsed))
+        assert set(parsed) <= set(table.group.ball(2 * table.radius))

@@ -35,7 +35,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fellap.algebra import (
-    DEFAULT_TOL,
     FdAlgebra,
     batch_norms,
     project_batch,
@@ -285,7 +284,7 @@ class EntryWindowRep:
         return out
 
 
-def per_block_sub_expectation(sub, window, samples=8, seed=0, tol=DEFAULT_TOL):
+def per_block_sub_expectation(sub, window, samples=8, seed=0):
     """Reference route to ``validate_sub_expectation``: the same laws on
     fiber elements drawn block by block, two ``standard_normal`` calls per
     block.  The one-draw route must give the same residual bit for bit."""
