@@ -125,7 +125,13 @@ class FdAlgebra:
     def gaussian_many(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
         """A batch of m Gaussian elements (see :func:`stack_elements`), the
         same draws, bit for bit, as m successive ``gaussian`` calls."""
-        z = rng.normal(size=(m, 2 * self.dim)).take(self._gauss_order, axis=1).view(complex)
+        return self.gaussian_layout(rng.normal(size=(m, 2 * self.dim)))
+
+    def gaussian_layout(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The batch whose term i reads row i of ``z`` as ``gaussian`` reads
+        its draw: per block, d*d real parts and then d*d imaginary parts."""
+        m = len(z)
+        z = z.take(self._gauss_order, axis=1).view(complex)
         packs = []
         at = 0
         for d, mem in zip(self.sizes, self.members):

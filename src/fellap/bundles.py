@@ -778,27 +778,39 @@ def canonical_expectation(f: Section) -> FdElement:
 class SubBundle:
     """A sub-Fell-bundle given by a fiberwise conditional expectation.
 
-    ``project`` must be idempotent, contractive, and a bimodule map over the
-    surviving fibers; the standard examples below all qualify.
+    ``member`` says which fibers survive.  ``project`` maps a batch of
+    fiber elements (see ``fellap.algebra.stack_elements``) to the batch of
+    their projections; it must be idempotent, contractive, and a bimodule
+    map over the surviving fibers, and the standard examples below all
+    qualify.  ``expect_many`` applies it together with the membership
+    mask, and ``expect`` is its one-term view.
     """
 
     bundle: TwistedBundle
     member: Callable[[Elem], bool]
-    project: Callable[[Elem, FdElement], FdElement]
+    project: Callable[[tuple[np.ndarray, ...]], tuple[np.ndarray, ...]]
+
+    def expect_many(self, ts, batch) -> tuple[np.ndarray, ...]:
+        """The expectations of the terms of ``batch``, term i over ts[i]:
+        its projection where ``member`` holds, zero elsewhere."""
+        out = self.project(batch)
+        keep = np.array([bool(self.member(t)) for t in ts], dtype=bool)
+        if keep.all():
+            return tuple(out)
+        return tuple(np.where(keep[:, None, None, None], p, 0) for p in out)
 
     def expect(self, t: Elem, a: FdElement) -> FdElement:
-        if not self.member(t):
-            return self.bundle.coeff_algebra.zero()
-        return self.project(t, a)
+        got = self.expect_many([t], tuple(p[None] for p in a.packs))
+        return split_batch(self.bundle.coeff_algebra, got, 1)[0]
 
 
 def full_sub_bundle(bundle: TwistedBundle) -> SubBundle:
-    return SubBundle(bundle, lambda t: True, lambda t, a: a)
+    return SubBundle(bundle, lambda t: True, lambda batch: batch)
 
 
 def subgroup_sub_bundle(bundle: TwistedBundle, member: Callable[[Elem], bool]) -> SubBundle:
     """Fibers over a subgroup survive whole; everything else dies."""
-    return SubBundle(bundle, member, lambda t, a: a)
+    return SubBundle(bundle, member, lambda batch: batch)
 
 
 def mask_sub_bundle(bundle: TwistedBundle, masks: list[np.ndarray]) -> SubBundle:
@@ -808,9 +820,10 @@ def mask_sub_bundle(bundle: TwistedBundle, masks: list[np.ndarray]) -> SubBundle
     must be closed under multiplication and contain the diagonal for the
     compression to be a conditional expectation.
     """
+    per_class = [np.array([masks[j] for j in mem]) for mem in bundle.coeff_algebra.members]
 
-    def project(t: Elem, a: FdElement) -> FdElement:
-        return FdElement(a.algebra, [m * w for m, w in zip(a.mats, masks)])
+    def project(batch: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        return tuple(p * m for p, m in zip(batch, per_class))
 
     return SubBundle(bundle, lambda t: True, project)
 
@@ -818,12 +831,13 @@ def mask_sub_bundle(bundle: TwistedBundle, masks: list[np.ndarray]) -> SubBundle
 def trace_sub_bundle(bundle: TwistedBundle, member: Callable[[Elem], bool]) -> SubBundle:
     """Normalized-trace expectation onto scalars in each surviving fiber."""
 
-    def project(t: Elem, a: FdElement) -> FdElement:
-        mats = []
-        for m in a.mats:
-            d = m.shape[0]
-            mats.append(np.trace(m) / d * np.eye(d, dtype=complex) if d else m)
-        return FdElement(a.algebra, mats)
+    def project(batch: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        out = []
+        for p in batch:
+            d = p.shape[-1]
+            tr = np.trace(p, axis1=-2, axis2=-1) / d
+            out.append(tr[..., None, None] * np.eye(d, dtype=complex))
+        return tuple(out)
 
     return SubBundle(bundle, member, project)
 

@@ -144,6 +144,9 @@ class FiniteGroup(Group):
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        return f"FiniteGroup({self.label!r}, order={self._n})"
+
     @property
     def is_finite(self) -> bool:
         return True
@@ -169,12 +172,14 @@ class FiniteGroup(Group):
         return [Elem(self, i) for i in range(self._n)]
 
     def mul(self, a: Elem, b: Elem) -> Elem:
-        self.check(a)
-        self.check(b)
+        if a.group is not self or b.group is not self:
+            self.check(a)
+            self.check(b)
         return Elem(self, self._table[a.data][b.data])
 
     def inv(self, a: Elem) -> Elem:
-        self.check(a)
+        if a.group is not self:
+            self.check(a)
         return Elem(self, self._inv[a.data])
 
     def ball(self, radius: int) -> list[Elem]:
@@ -225,6 +230,9 @@ class FreeGroup(Group):
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        return f"FreeGroup({self.rank})"
+
     @property
     def identity(self) -> Elem:
         return Elem(self, ())
@@ -256,7 +264,8 @@ class FreeGroup(Group):
         return Elem(self, x[: len(x) - k] + y[k:])
 
     def inv(self, a: Elem) -> Elem:
-        self.check(a)
+        if a.group is not self:
+            self.check(a)
         return Elem(self, tuple(-l for l in reversed(a.data)))
 
     def word_length(self, a: Elem) -> int:
@@ -318,6 +327,9 @@ class LatticeGroup(Group):
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        return f"LatticeGroup({self.dim})"
+
     @property
     def identity(self) -> Elem:
         return Elem(self, (0,) * self.dim)
@@ -329,12 +341,14 @@ class LatticeGroup(Group):
         return Elem(self, v)
 
     def mul(self, a: Elem, b: Elem) -> Elem:
-        self.check(a)
-        self.check(b)
+        if a.group is not self or b.group is not self:
+            self.check(a)
+            self.check(b)
         return Elem(self, tuple(x + y for x, y in zip(a.data, b.data)))
 
     def inv(self, a: Elem) -> Elem:
-        self.check(a)
+        if a.group is not self:
+            self.check(a)
         return Elem(self, tuple(-x for x in a.data))
 
     def word_length(self, a: Elem) -> int:

@@ -14,6 +14,17 @@ k*(r, s) = k(s, r)*.  The convention makes the left regular representation
 product reversing, pi(h * k) = pi(k) pi(h), while pi(k*) = pi(k)*.  The
 reversal is deliberate and pinned by tests; do not "fix" the product order.
 
+A kernel is stored packed: its support pairs (s, t) in insertion order
+(``keys``), the fiber coordinate s t^{-1} of each (``elems``), and all its
+values as one read-only batch (``batch``, one (m, n_c, d_c, d_c) array per
+size class, row i for ``keys[i]``).  The operations read and write that
+batch directly: products gather their factors by row for one
+``mul_many`` call, the involution stars the batch at ``elems``, beta moves
+only the keys, and sums are one scatter per class.  ``Kernel.data``, a
+mapping from key to element, is a read-only view built on first use.
+The windowed conditional expectation runs on the batch too, through
+``SubBundle.expect_many``.
+
 Every kernel supported in a finite window F of the group lives in the matrix
 algebra M_F(B) of the bundle, and ``mf_embed_norm`` computes its genuine
 C*-norm there by representing M_F(B) on a windowed Hilbert space built from
@@ -24,6 +35,7 @@ C*-algebra norm of pi(k) it is a lower bound that grows with the window.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
@@ -83,23 +95,29 @@ class Window:
         except KeyError:
             raise KeyError(f"{self.group.format_elem(t)} not in window") from None
 
-    def covers(self, other: "Window") -> bool:
-        """Whether every element of ``other`` belongs to this window."""
-        return all(t in self._index for t in other.elements)
-
     def __repr__(self) -> str:
         names = ", ".join(self.group.format_elem(t) for t in self.elements)
         return f"Window[{names}]"
 
 
 class Kernel:
-    """Finitely supported map (s, t) -> fiber over s t^{-1}.
+    """Finitely supported map (s, t) -> fiber over s t^{-1}, stored packed.
 
-    Fiber membership of every entry is checked at construction; exact zero
-    entries are dropped so that support bookkeeping stays meaningful.
+    ``keys`` lists the support pairs (s, t) in insertion order, ``elems``
+    the fiber coordinate s t^{-1} of each, and ``batch`` their values as one
+    batch (see ``fellap.algebra.stack_elements``): row i of every class
+    array belongs to ``keys[i]``.  The batch is read-only, since kernels
+    share it (``beta_act`` and ``cond_expectation_pf`` may pass it on as it
+    is).  ``data`` is a read-only mapping from key to element, built from
+    the batch on first use.
+
+    Fiber membership of every entry is checked at construction, by either
+    constructor; exact zero entries are dropped so that support bookkeeping
+    stays meaningful.  With ``project`` set, entries are projected into
+    their fibers instead of checked.
     """
 
-    __slots__ = ("bundle", "data")
+    __slots__ = ("bundle", "keys", "elems", "batch", "_data")
 
     def __init__(
         self,
@@ -108,31 +126,58 @@ class Kernel:
         project: bool = False,
     ):
         g = bundle.group
-        alg = bundle.coeff_algebra
         keys = list(entries)
-        for s, t in keys:
-            g.check(s)
-            g.check(t)
-        fibers = bundle.fiber_ideals([g.mul(s, g.inv(t)) for s, t in keys])
-        values = list(entries.values())
-        batch = stack_elements(alg, values)
+        elems = [g.mul(s, g.inv(t)) for s, t in keys]
+        batch = stack_elements(bundle.coeff_algebra, list(entries.values()))
+        self._settle(bundle, keys, elems, batch, project)
+
+    @classmethod
+    def _of(cls, bundle: TwistedBundle, keys, elems, batch, project: bool = False) -> "Kernel":
+        """The kernel with rows ``batch`` at ``keys``, whose fiber
+        coordinates the caller gives as ``elems``."""
+        k = object.__new__(cls)
+        k._settle(bundle, keys, elems, batch, project)
+        return k
+
+    def _settle(self, bundle, keys, elems, batch, project) -> None:
+        fibers = bundle.fiber_ideals(elems)
         if project:
             batch = project_batch(fibers, batch)
-            values = split_batch(alg, batch, len(keys))
         else:
-            for (s, t), mass in zip(keys, outside_mass(fibers, batch)):
-                if not mass <= 1e-9:
-                    raise ValueError(
-                        f"entry at ({g.format_elem(s)}, {g.format_elem(t)}) "
-                        "lies outside its fiber"
-                    )
+            mass = outside_mass(fibers, batch)
+            bad = np.flatnonzero(~(mass <= 1e-9))
+            if len(bad):
+                g = bundle.group
+                s, t = keys[bad[0]]
+                raise ValueError(
+                    f"entry at ({g.format_elem(s)}, {g.format_elem(t)}) lies outside its fiber"
+                )
         nonzero = np.zeros(len(keys), dtype=bool)
         for p in batch:
             nonzero |= p.any(axis=(1, 2, 3))
+        if not nonzero.all():
+            keep = np.flatnonzero(nonzero).tolist()
+            keys = [keys[i] for i in keep]
+            elems = [elems[i] for i in keep]
+            batch = tuple(p[keep] for p in batch)
+        for p in batch:
+            p.flags.writeable = False
         self.bundle = bundle
-        self.data: Dict[Tuple[Elem, Elem], FdElement] = {
-            key: a for key, a, keep in zip(keys, values, nonzero.tolist()) if keep
-        }
+        self.keys = tuple(keys)
+        self.elems = tuple(elems)
+        self.batch = tuple(batch)
+        self._data = None
+
+    @property
+    def data(self) -> Mapping[Tuple[Elem, Elem], FdElement]:
+        """The entries as a read-only mapping; its elements are views into
+        the batch."""
+        if self._data is None:
+            alg = self.bundle.coeff_algebra
+            self._data = MappingProxyType(
+                dict(zip(self.keys, split_batch(alg, self.batch, len(self.keys))))
+            )
+        return self._data
 
     @staticmethod
     def zero(bundle: TwistedBundle) -> "Kernel":
@@ -144,88 +189,120 @@ class Kernel:
 
     @staticmethod
     def diagonal_unit(bundle: TwistedBundle, window: Window) -> "Kernel":
+        """The unit of M_F(B): the unit of B_e at every (t, t) of the window."""
+        n = len(window)
         one = bundle.coeff_algebra.one()
-        return Kernel(bundle, {(t, t): one for t in window})
+        return Kernel._of(
+            bundle,
+            [(t, t) for t in window],
+            [bundle.group.identity] * n,
+            tuple(np.repeat(p[None], n, axis=0) for p in one.packs),
+        )
 
     def value(self, s: Elem, t: Elem) -> FdElement:
         got = self.data.get((s, t))
         return got if got is not None else self.bundle.coeff_algebra.zero()
 
     def support(self) -> set:
-        return set(self.data.keys())
+        return set(self.keys)
+
+    def _combine(self, other: "Kernel", sign: float) -> "Kernel":
+        """self + sign * other for sign = 1 or -1: the rows of self, then
+        those keys of other that self lacks, in other's order; a shared key
+        gets one addition, and x + (-y) is x - y bit for bit."""
+        at = dict(zip(self.keys, range(len(self.keys))))
+        shared, theirs, fresh = [], [], []
+        for j, key in enumerate(other.keys):
+            i = at.get(key)
+            if i is None:
+                fresh.append(j)
+            else:
+                shared.append(i)
+                theirs.append(j)
+        batch = []
+        for p, q in zip(self.batch, other.batch):
+            q = q if sign > 0 else -q
+            out = np.concatenate((p, q[fresh]))
+            out[shared] += q[theirs]
+            batch.append(out)
+        keys = self.keys + tuple(other.keys[j] for j in fresh)
+        elems = self.elems + tuple(other.elems[j] for j in fresh)
+        return Kernel._of(self.bundle, keys, elems, tuple(batch))
 
     def __add__(self, other: "Kernel") -> "Kernel":
-        data = dict(self.data)
-        for key, a in other.data.items():
-            data[key] = data[key] + a if key in data else a
-        return Kernel(self.bundle, data)
+        return self._combine(other, 1.0)
 
     def __sub__(self, other: "Kernel") -> "Kernel":
-        data = dict(self.data)
-        for key, a in other.data.items():
-            data[key] = data[key] - a if key in data else -a
-        return Kernel(self.bundle, data)
+        return self._combine(other, -1.0)
 
     def __rmul__(self, scalar) -> "Kernel":
         lam = complex(scalar)
-        return Kernel(self.bundle, {key: lam * a for key, a in self.data.items()})
+        return Kernel._of(self.bundle, self.keys, self.elems, tuple(lam * p for p in self.batch))
 
 
 def k_mul(h: Kernel, k: Kernel) -> Kernel:
     """Kernel product (h * k)(r, s) = sum_t k(r, t) h(t, s).
 
     Inside each summand k's entry multiplies from the left in the bundle.
-    The support of the result is contained in rows(k) x cols(h).
+    The support of the result is contained in rows(k) x cols(h).  The terms
+    are gathered from the two batches by row, in one ``mul_many`` call, and
+    summed into their keys in term order; the key (r, s) takes the fiber
+    coordinate (r t^-1)(t s^-1) of its first term.
     """
     if h.bundle is not k.bundle:
         raise ValueError("kernel product needs a common bundle")
     bundle = h.bundle
     g = bundle.group
-    by_col: Dict[Elem, List[Tuple[Elem, FdElement]]] = {}
-    for (r, t), a in k.data.items():
-        by_col.setdefault(t, []).append((r, a))
-    by_row: Dict[Elem, List[Tuple[Elem, FdElement]]] = {}
-    for (t, s), b in h.data.items():
-        by_row.setdefault(t, []).append((s, b))
-    keys: Dict[Tuple[Elem, Elem], int] = {}
-    slot, ss, xs, ts, ys = [], [], [], [], []
+    by_col: Dict[Elem, List[int]] = {}
+    for i, (_, t) in enumerate(k.keys):
+        by_col.setdefault(t, []).append(i)
+    by_row: Dict[Elem, List[int]] = {}
+    for j, (t, _) in enumerate(h.keys):
+        by_row.setdefault(t, []).append(j)
+    slots: Dict[Tuple[Elem, Elem], int] = {}
+    elems: List[Elem] = []
+    slot, left, right = [], [], []
     for t, lefts in by_col.items():
         rights = by_row.get(t)
         if rights is None:
             continue
-        tinv = g.inv(t)
-        for r, a in lefts:
-            rt = g.mul(r, tinv)
-            for s, b in rights:
-                slot.append(keys.setdefault((r, s), len(keys)))
-                ss.append(rt)
-                xs.append(a)
-                ts.append(g.mul(t, g.inv(s)))
-                ys.append(b)
-    alg = bundle.coeff_algebra
-    terms = bundle.mul_many(ss, stack_elements(alg, xs), ts, stack_elements(alg, ys))
-    sums = tuple(np.zeros((len(keys),) + p.shape[1:], dtype=complex) for p in terms)
+        for i in lefts:
+            r = k.keys[i][0]
+            for j in rights:
+                key = (r, h.keys[j][1])
+                at = slots.get(key)
+                if at is None:
+                    at = slots[key] = len(elems)
+                    elems.append(g.mul(k.elems[i], h.elems[j]))
+                slot.append(at)
+                left.append(i)
+                right.append(j)
+    terms = bundle.mul_many(
+        [k.elems[i] for i in left],
+        tuple(p[left] for p in k.batch),
+        [h.elems[j] for j in right],
+        tuple(p[right] for p in h.batch),
+    )
+    sums = tuple(np.zeros((len(elems),) + p.shape[1:], dtype=complex) for p in terms)
     for total, p in zip(sums, terms):
         np.add.at(total, slot, p)
-    return Kernel(bundle, dict(zip(keys, split_batch(alg, sums, len(keys)))))
+    return Kernel._of(bundle, list(slots), elems, sums)
 
 
 def k_star(k: Kernel) -> Kernel:
-    """Involution k*(r, s) = k(s, r)* taken in the bundle."""
+    """Involution k*(r, s) = k(s, r)* taken in the bundle: the batch is
+    starred at ``elems``, and the key (r, s) sits at (s r^-1)^-1."""
     g = k.bundle.group
-    alg = k.bundle.coeff_algebra
-    stars = k.bundle.star_many(
-        [g.mul(s, g.inv(r)) for s, r in k.data], stack_elements(alg, list(k.data.values()))
+    stars = k.bundle.star_many(list(k.elems), k.batch)
+    return Kernel._of(
+        k.bundle, [(r, s) for s, r in k.keys], [g.inv(x) for x in k.elems], stars
     )
-    keys = [(r, s) for s, r in k.data]
-    return Kernel(k.bundle, dict(zip(keys, split_batch(alg, stars, len(keys)))))
 
 
 def norm2(k: Kernel) -> float:
     """Hilbert-Schmidt style norm: square root of the sum of squared fiber norms."""
-    g = k.bundle.group
-    fibers = k.bundle.fiber_ideals([g.mul(s, g.inv(t)) for s, t in k.data])
-    batch = project_batch(fibers, stack_elements(k.bundle.coeff_algebra, list(k.data.values())))
+    fibers = k.bundle.fiber_ideals(k.elems)
+    batch = project_batch(fibers, k.batch)
     total = 0.0
     for n in batch_norms(batch, len(fibers)).tolist():
         total += n**2
@@ -237,12 +314,14 @@ def beta_act(t: Elem, k: Kernel) -> Kernel:
 
     Pure index arithmetic: entries are moved, never transformed, so norm2
     is preserved exactly and beta is a group action by *-automorphisms.
+    The batch and ``elems`` carry over as they are, because
+    (r t^-1)(s t^-1)^-1 = r s^-1.
     """
     g = k.bundle.group
     g.check(t)
     tinv = g.inv(t)
-    moved = {(g.mul(r, tinv), g.mul(s, tinv)): a for (r, s), a in k.data.items()}
-    return Kernel(k.bundle, moved)
+    moved = [(g.mul(r, tinv), g.mul(s, tinv)) for r, s in k.keys]
+    return Kernel._of(k.bundle, moved, k.elems, k.batch)
 
 
 def rank_one(xi: Section, eta: Section) -> Kernel:
@@ -253,31 +332,20 @@ def rank_one(xi: Section, eta: Section) -> Kernel:
     g = bundle.group
     alg = bundle.coeff_algebra
     cols = list(eta.data)
+    invs = [g.inv(t) for t in cols]
     stars = bundle.star_many(cols, stack_elements(alg, list(eta.data.values())))
     keys = [(s, t) for s in xi.data for t in cols]
     col = np.tile(np.arange(len(cols)), len(xi.data))
+    row = np.repeat(np.arange(len(xi.data)), len(cols))
+    ss = [s for s, _ in keys]
+    ts = [invs[c] for c in col.tolist()]
     terms = bundle.mul_many(
-        [s for s, _ in keys],
-        stack_elements(alg, [a for a in xi.data.values() for _ in cols]),
-        [g.inv(t) for _, t in keys],
+        ss,
+        tuple(p[row] for p in stack_elements(alg, list(xi.data.values()))),
+        ts,
         tuple(p[col] for p in stars),
     )
-    return Kernel(bundle, dict(zip(keys, split_batch(alg, terms, len(keys)))))
-
-
-def to_mf(k: Kernel, window: Window) -> List[List[FdElement]]:
-    """Matrix of the kernel over the window, as a dense list of lists.
-
-    Raises if any support pair falls outside window x window; use a larger
-    window rather than silently truncating.
-    """
-    for (s, t) in k.data:
-        if s not in window or t not in window:
-            g = k.bundle.group
-            raise ValueError(
-                f"support pair ({g.format_elem(s)}, {g.format_elem(t)}) outside window"
-            )
-    return [[k.value(s, t) for t in window] for s in window]
+    return Kernel._of(bundle, keys, [g.mul(s, u) for s, u in zip(ss, ts)], terms)
 
 
 def mf_dim(bundle: TwistedBundle, window: Window) -> int:
@@ -385,34 +453,34 @@ class _WindowRep:
         in two batched product steps, with the window positions of s and t;
         None when there is no such entry."""
         index = self.window._index
-        keys, si, ti = [], [], []
-        for key in k.data:
-            i = index.get(key[0])
-            j = index.get(key[1])
+        occupied = self.occupied
+        rows, si, ti = [], [], []
+        for row, (s, t) in enumerate(k.keys):
+            i = index.get(s)
+            j = index.get(t)
             if i is None or j is None:
                 raise ValueError("kernel support leaves the window")
-            if self.occupied[i] and self.occupied[j]:
-                keys.append(key)
+            if occupied[i] and occupied[j]:
+                rows.append(row)
                 si.append(i)
                 ti.append(j)
-        if not keys:
+        if not rows:
             return None
-        g = self.bundle.group
-        alg = self.bundle.coeff_algebra
-        rows, cols = np.array(si, dtype=int), np.array(ti, dtype=int)
+        values = k.batch if len(rows) == len(k.keys) else tuple(p[rows] for p in k.batch)
+        srow, tcol = np.array(si, dtype=int), np.array(ti, dtype=int)
         moved = self.bundle.mul_many(
-            [g.mul(s, g.inv(t)) for s, t in keys],
-            stack_elements(alg, [k.data[key] for key in keys]),
-            [t for _, t in keys],
-            tuple(p[cols] for p in self.units),
+            [k.elems[r] for r in rows],
+            values,
+            [k.keys[r][1] for r in rows],
+            tuple(p[tcol] for p in self.units),
         )
         inner = self.bundle.mul_many(
             [self.inverses[i] for i in si],
-            tuple(p[rows] for p in self.unit_stars),
-            [s for s, _ in keys],
+            tuple(p[srow] for p in self.unit_stars),
+            [k.keys[r][0] for r in rows],
             moved,
         )
-        return inner, rows, cols
+        return inner, srow, tcol
 
     def _blocks(self, inner, si, ti):
         """Per size class c: the blocks of ``inner`` held by both slots of
@@ -584,58 +652,60 @@ def validate_sub_expectation(
             parts.append((np.array(pos, dtype=int), re, d * d))
         return at, parts
 
-    def rand_fiber(t: Elem) -> FdElement:
+    n = samples
+    # rows 0..n-1 hold b, drawn over g; rows n..2n-1 the raw draws over h
+    draws = tuple(
+        np.zeros((2 * n, len(mem), d, d), dtype=complex) for d, mem in zip(alg.sizes, alg.members)
+    )
+
+    def rand_fiber(row: int, t: Elem) -> None:
         got = plans.get(t)
         if got is None:
             got = plans[t] = plan(t)
         size, parts = got
         z = rng.standard_normal(size)
-        x = alg.zero()
-        for pack, (pos, re, dd) in zip(x.packs, parts):
-            pack[pos] = z[re] + 1j * z[re + dd]
-        return x
+        for pack, (pos, re, dd) in zip(draws, parts):
+            pack[row, pos] = z[re] + 1j * z[re + dd]
 
-    drawn = []
-    for _ in range(samples):
+    gs, hs = [], []
+    for i in range(n):
         gg = elems[rng.integers(len(elems))]
         hh = elems[rng.integers(len(elems))]
-        b = rand_fiber(gg)
-        drawn.append((gg, hh, b, rand_fiber(hh)))
-    gs = [gg for gg, _, _, _ in drawn]
-    hs = [hh for _, hh, _, _ in drawn]
-    n = len(drawn)
-    bs = [b for _, _, b, _ in drawn]
-    pbs = [sub.expect(gg, b) for gg, b in zip(gs, bs)]
-    As = [sub.expect(hh, raw) for _, hh, _, raw in drawn]
-    stars = split_batch(alg, bundle.star_many(gs + gs, stack_elements(alg, bs + pbs)), 2 * n)
-    prods = split_batch(
-        alg,
-        bundle.mul_many(
-            gs + gs + hs + hs,
-            stack_elements(alg, bs + pbs + As + As),
-            hs + hs + gs + gs,
-            stack_elements(alg, As + As + bs + pbs),
-        ),
-        4 * n,
+        rand_fiber(i, gg)
+        rand_fiber(n + i, hh)
+        gs.append(gg)
+        hs.append(hh)
+    bs = _rows(draws, 0, n)
+    pbs = sub.expect_many(gs, bs)
+    As = sub.expect_many(hs, _rows(draws, n, 2 * n))
+    stars = bundle.star_many(gs + gs, _cat(bs, pbs))
+    prods = bundle.mul_many(
+        gs + gs + hs + hs, _cat(bs, pbs, As, As), hs + hs + gs + gs, _cat(As, As, bs, pbs)
     )
-    # per sample: idempotence, star compatibility, the two module laws
-    fibers, lhs, rhs = [], [], []
-    for i, (gg, hh) in enumerate(zip(gs, hs)):
-        ginv, gh, hg = g.inv(gg), g.mul(gg, hh), g.mul(hh, gg)
-        fibers += [gg, ginv, gh, hg]
-        lhs += [
-            sub.expect(gg, pbs[i]),
-            sub.expect(ginv, stars[i]),
-            sub.expect(gh, prods[i]),
-            sub.expect(hg, prods[2 * n + i]),
-        ]
-        rhs += [pbs[i], stars[n + i], prods[n + i], prods[3 * n + i]]
-    gaps = tuple(p - q for p, q in zip(stack_elements(alg, lhs), stack_elements(alg, rhs)))
+    # the four laws, one block of n terms each: idempotence, star
+    # compatibility, and the two module laws
+    ginvs = [g.inv(x) for x in gs]
+    ghs = [g.mul(x, y) for x, y in zip(gs, hs)]
+    hgs = [g.mul(y, x) for x, y in zip(gs, hs)]
+    fibers = gs + ginvs + ghs + hgs
+    lhs = sub.expect_many(
+        fibers, _cat(pbs, _rows(stars, 0, n), _rows(prods, 0, n), _rows(prods, 2 * n, 3 * n))
+    )
+    rhs = _cat(pbs, _rows(stars, n, 2 * n), _rows(prods, n, 2 * n), _rows(prods, 3 * n, 4 * n))
+    gaps = tuple(p - q for p, q in zip(lhs, rhs))
     ideals = bundle.fiber_ideals(fibers)
     worst = 0.0
     for v in batch_norms(project_batch(ideals, gaps), len(ideals)).tolist():
         worst = max(worst, v)
     return worst
+
+
+def _rows(batch, lo: int, hi: int) -> tuple:
+    return tuple(p[lo:hi] for p in batch)
+
+
+def _cat(*batches) -> tuple:
+    return tuple(np.concatenate(ps) for ps in zip(*batches))
 
 
 def cond_expectation_pf(
@@ -660,9 +730,8 @@ def cond_expectation_pf(
             raise ValueError(
                 f"conditional expectation violates its module laws (residual {worst:.3e})"
             )
-    g = sub.bundle.group
-    out: Dict[Tuple[Elem, Elem], FdElement] = {}
-    for (s, t), a in k.data.items():
-        if s in window and t in window:
-            out[(s, t)] = sub.expect(g.mul(s, g.inv(t)), a)
-    return Kernel(sub.bundle, out)
+    inside = window._index
+    rows = [i for i, (s, t) in enumerate(k.keys) if s in inside and t in inside]
+    ts = [k.elems[i] for i in rows]
+    values = k.batch if len(rows) == len(k.keys) else tuple(p[rows] for p in k.batch)
+    return Kernel._of(sub.bundle, [k.keys[i] for i in rows], ts, sub.expect_many(ts, values))

@@ -351,14 +351,29 @@ def random_kernel(
     max_entries: int = 6,
     scale: float = 1.0,
 ) -> Kernel:
-    """Kernel with entries at random window pairs, projected into their fibers."""
+    """Kernel with entries at random window pairs, projected into their fibers.
+
+    Each entry draws s, t and then its raw element, as ``random_element``
+    draws it; a repeated pair keeps its first position and its last draw.
+    The fibers are read, and the draws projected, once for all entries.
+    """
     g = bundle.group
+    alg = bundle.coeff_algebra
     elems = list(window.elements)
-    entries = {}
     n = int(rng.integers(1, max_entries + 1))
-    for _ in range(n):
+    z = np.empty((n, 2 * alg.dim))
+    last: dict = {}
+    for i in range(n):
         s = elems[int(rng.integers(len(elems)))]
         t = elems[int(rng.integers(len(elems)))]
-        fib = bundle.fiber_ideal(g.mul(s, g.inv(t)))
-        entries[(s, t)] = fib.project(random_element(rng, bundle.coeff_algebra, scale))
-    return Kernel(bundle, entries)
+        z[i] = rng.normal(size=2 * alg.dim)
+        last[(s, t)] = i
+    keys = list(last)
+    raw = alg.gaussian_layout(z[list(last.values())])
+    return Kernel._of(
+        bundle,
+        keys,
+        [g.mul(s, g.inv(t)) for s, t in keys],
+        tuple(scale * p for p in raw),
+        project=True,
+    )

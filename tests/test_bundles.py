@@ -24,6 +24,7 @@ import pytest
 from fellap.algebra import (
     ActionReport,
     FdAlgebra,
+    FdElement,
     Ideal,
     PartialAction,
     identity_action,
@@ -297,6 +298,37 @@ class TestSubBundles:
                 ea = sub.expect(t, a)
                 assert op_norm(ea) <= op_norm(a) + 1e-12
                 assert op_norm(sub.expect(t, ea) - ea) <= 1e-12
+
+    def test_batched_expectations_match_per_element_formulas(self):
+        """``expect_many`` against the projections written one element and
+        one block at a time, bit for bit, with non-members sent to zero."""
+        rng = rng_for(32)
+        for group, blocks in ((cyclic_group(3), [2, 1, 2]), (symmetric_group(3), [1, 3])):
+            bundle = group_bundle(group, FdAlgebra(blocks))
+            alg = bundle.coeff_algebra
+            e = group.identity
+            masks = [np.triu(np.ones((d, d))) for d in blocks]
+
+            def mask(a):
+                return FdElement(alg, [m * w for m, w in zip(a.mats, masks)])
+
+            def trace(a):
+                mats = [np.trace(m) / len(m) * np.eye(len(m), dtype=complex) for m in a.mats]
+                return FdElement(alg, mats)
+
+            for sub, one in (
+                (subgroup_sub_bundle(bundle, lambda t: t == e), lambda a: a),
+                (mask_sub_bundle(bundle, masks), mask),
+                (trace_sub_bundle(bundle, lambda t: t != e), trace),
+            ):
+                ts = [group.elements()[i] for i in rng.integers(len(group.elements()), size=7)]
+                xs = [random_element(rng, alg) for _ in ts]
+                got = split_batch(alg, sub.expect_many(ts, stack_elements(alg, xs)), len(ts))
+                for t, x, y in zip(ts, xs, got):
+                    want = one(x) if sub.member(t) else alg.zero()
+                    assert all(np.array_equal(p, q) for p, q in zip(y.packs, want.packs))
+                    view = sub.expect(t, x)
+                    assert all(np.array_equal(p, q) for p, q in zip(view.packs, want.packs))
 
     def test_mask_expectation_is_bimodular(self):
         rng = rng_for(31)

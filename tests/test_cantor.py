@@ -641,6 +641,13 @@ class TestCachedGroupoidTable:
         assert repr(used) == repr(fresh)
         assert used == spectral_groupoid(*shape)
 
+    def test_separate_tables_have_equal_reprs(self):
+        """Groups have value reprs, so a table's repr carries no address."""
+        first, second = spectral_groupoid(2, 2, 1), spectral_groupoid(2, 2, 1)
+        assert first.group is not second.group
+        assert repr(first) == repr(second)
+        assert "FreeGroup(2)" in repr(first) and " at 0x" not in repr(first)
+
     def test_validation_parses_each_element_once(self, monkeypatch):
         table = spectral_groupoid(3, 3, 2)
         parse = cantor.partial_symbol

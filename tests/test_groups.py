@@ -203,3 +203,45 @@ class TestElementKeys:
         assert repr(Z2.vector([3, -4])) == "Elem(Z^2:3,-4)"
         assert repr(S3.elem(4)) == "Elem(S3:4)"
         assert repr(F2.identity) == "Elem(F2:e)"
+
+    def test_value_reprs(self):
+        assert repr(FreeGroup(2)) == "FreeGroup(2)"
+        assert repr(LatticeGroup(1)) == "LatticeGroup(1)"
+        assert repr(cyclic_group(3)) == "FiniteGroup('Z3', order=3)"
+        assert repr(symmetric_group(3)) == "FiniteGroup('S3', order=6)"
+
+
+class TestOwnershipFastPath:
+    """``mul`` and ``inv`` check an element only when its group is not the
+    one called; an equal group still interoperates, a foreign one raises."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: cyclic_group(4), lambda: LatticeGroup(2), lambda: FreeGroup(2)],
+        ids=["finite", "lattice", "free"],
+    )
+    def test_own_elements_skip_check(self, make, monkeypatch):
+        g = make()
+        a, b = g.ball(1)[1], g.ball(1)[-1]
+        checked = []
+        monkeypatch.setattr(g, "check", lambda x: checked.append(x))
+        g.mul(a, b)
+        g.inv(a)
+        assert checked == []
+        twin = make()
+        g.mul(a, twin.ball(1)[1])
+        g.inv(twin.ball(1)[1])
+        assert len(checked) == 3
+
+    def test_foreign_elements_raise(self):
+        for g, other in [
+            (cyclic_group(3), cyclic_group(4).elem(0)),
+            (LatticeGroup(1), LatticeGroup(2).identity),
+            (FreeGroup(2), FreeGroup(3).identity),
+        ]:
+            with pytest.raises(ContextMismatchError):
+                g.mul(g.identity, other)
+            with pytest.raises(ContextMismatchError):
+                g.mul(other, g.identity)
+            with pytest.raises(ContextMismatchError):
+                g.inv(other)

@@ -34,9 +34,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fellap import kernels
 from fellap.algebra import (
     FdAlgebra,
     batch_norms,
+    outside_mass,
     project_batch,
     split_batch,
     stack_elements,
@@ -66,7 +68,6 @@ from fellap.kernels import (
     pi_matrix,
     rank_one,
     section_vector,
-    to_mf,
     validate_sub_expectation,
     window_rep,
 )
@@ -345,6 +346,168 @@ def per_block_sub_expectation(sub, window, samples=8, seed=0):
     return worst
 
 
+class DictKernel:
+    """Reference route to ``Kernel``: a dict holding one element per entry.
+
+    Every operation below (``ref_k_mul`` and the rest) stacks the entries it
+    reads into a batch for the bundle's batched products and splits the
+    result back into elements, and recomputes s t^-1 for every entry.  The
+    packed kernel must agree with it key for key and bit for bit.
+    """
+
+    def __init__(self, bundle, entries, project=False):
+        g = bundle.group
+        alg = bundle.coeff_algebra
+        keys = list(entries)
+        for s, t in keys:
+            g.check(s)
+            g.check(t)
+        fibers = [bundle.fiber_ideal(g.mul(s, g.inv(t))) for s, t in keys]
+        values = list(entries.values())
+        batch = stack_elements(alg, values)
+        if project:
+            batch = project_batch(fibers, batch)
+            values = split_batch(alg, batch, len(keys))
+        else:
+            for (s, t), mass in zip(keys, outside_mass(fibers, batch)):
+                if not mass <= 1e-9:
+                    raise ValueError("entry lies outside its fiber")
+        nonzero = np.zeros(len(keys), dtype=bool)
+        for p in batch:
+            nonzero |= p.any(axis=(1, 2, 3))
+        self.bundle = bundle
+        self.data = {key: a for key, a, keep in zip(keys, values, nonzero.tolist()) if keep}
+
+    def __add__(self, other):
+        data = dict(self.data)
+        for key, a in other.data.items():
+            data[key] = data[key] + a if key in data else a
+        return DictKernel(self.bundle, data)
+
+    def __sub__(self, other):
+        data = dict(self.data)
+        for key, a in other.data.items():
+            data[key] = data[key] - a if key in data else -a
+        return DictKernel(self.bundle, data)
+
+    def __rmul__(self, scalar):
+        lam = complex(scalar)
+        return DictKernel(self.bundle, {key: lam * a for key, a in self.data.items()})
+
+
+def ref_k_mul(h, k):
+    bundle = h.bundle
+    g = bundle.group
+    by_col, by_row = {}, {}
+    for (r, t), a in k.data.items():
+        by_col.setdefault(t, []).append((r, a))
+    for (t, s), b in h.data.items():
+        by_row.setdefault(t, []).append((s, b))
+    keys = {}
+    slot, ss, xs, ts, ys = [], [], [], [], []
+    for t, lefts in by_col.items():
+        rights = by_row.get(t)
+        if rights is None:
+            continue
+        tinv = g.inv(t)
+        for r, a in lefts:
+            rt = g.mul(r, tinv)
+            for s, b in rights:
+                slot.append(keys.setdefault((r, s), len(keys)))
+                ss.append(rt)
+                xs.append(a)
+                ts.append(g.mul(t, g.inv(s)))
+                ys.append(b)
+    alg = bundle.coeff_algebra
+    terms = bundle.mul_many(ss, stack_elements(alg, xs), ts, stack_elements(alg, ys))
+    sums = tuple(np.zeros((len(keys),) + p.shape[1:], dtype=complex) for p in terms)
+    for total, p in zip(sums, terms):
+        np.add.at(total, slot, p)
+    return DictKernel(bundle, dict(zip(keys, split_batch(alg, sums, len(keys)))))
+
+
+def ref_k_star(k):
+    g = k.bundle.group
+    alg = k.bundle.coeff_algebra
+    stars = k.bundle.star_many(
+        [g.mul(s, g.inv(r)) for s, r in k.data], stack_elements(alg, list(k.data.values()))
+    )
+    keys = [(r, s) for s, r in k.data]
+    return DictKernel(k.bundle, dict(zip(keys, split_batch(alg, stars, len(keys)))))
+
+
+def ref_norm2(k):
+    g = k.bundle.group
+    fibers = [k.bundle.fiber_ideal(g.mul(s, g.inv(t))) for s, t in k.data]
+    batch = project_batch(fibers, stack_elements(k.bundle.coeff_algebra, list(k.data.values())))
+    total = 0.0
+    for n in batch_norms(batch, len(fibers)).tolist():
+        total += n**2
+    return float(np.sqrt(total))
+
+
+def ref_beta_act(t, k):
+    g = k.bundle.group
+    tinv = g.inv(t)
+    return DictKernel(
+        k.bundle, {(g.mul(r, tinv), g.mul(s, tinv)): a for (r, s), a in k.data.items()}
+    )
+
+
+def ref_rank_one(xi, eta):
+    bundle = xi.bundle
+    g = bundle.group
+    alg = bundle.coeff_algebra
+    cols = list(eta.data)
+    stars = bundle.star_many(cols, stack_elements(alg, list(eta.data.values())))
+    keys = [(s, t) for s in xi.data for t in cols]
+    col = np.tile(np.arange(len(cols)), len(xi.data))
+    terms = bundle.mul_many(
+        [s for s, _ in keys],
+        stack_elements(alg, [a for a in xi.data.values() for _ in cols]),
+        [g.inv(t) for _, t in keys],
+        tuple(p[col] for p in stars),
+    )
+    return DictKernel(bundle, dict(zip(keys, split_batch(alg, terms, len(keys)))))
+
+
+def ref_cond_expectation(sub, k, window):
+    g = sub.bundle.group
+    out = {}
+    for (s, t), a in k.data.items():
+        if s in window and t in window:
+            out[(s, t)] = sub.expect(g.mul(s, g.inv(t)), a)
+    return DictKernel(sub.bundle, out)
+
+
+def ref_random_kernel(rng, bundle, window, max_entries=6, scale=1.0):
+    """``random_kernel`` entry by entry: each entry projected into its fiber
+    as it is drawn."""
+    g = bundle.group
+    elems = list(window.elements)
+    entries = {}
+    n = int(rng.integers(1, max_entries + 1))
+    for _ in range(n):
+        s = elems[int(rng.integers(len(elems)))]
+        t = elems[int(rng.integers(len(elems)))]
+        fib = bundle.fiber_ideal(g.mul(s, g.inv(t)))
+        entries[(s, t)] = fib.project(random_element(rng, bundle.coeff_algebra, scale))
+    return DictKernel(bundle, entries)
+
+
+def assert_same_kernel(packed, ref):
+    """Same keys in the same order, bit-equal entries, the fiber coordinate
+    s t^-1 at every key, and the same norm2."""
+    g = packed.bundle.group
+    assert list(packed.keys) == list(ref.data)
+    assert len(packed.elems) == len(packed.keys)
+    for i, (s, t) in enumerate(packed.keys):
+        assert packed.elems[i] == g.mul(s, g.inv(t))
+        for p, q in zip(packed.batch, ref.data[(s, t)].packs):
+            assert np.array_equal(p[i], q)
+    assert norm2(packed) == ref_norm2(ref)
+
+
 class TestWindows:
     def test_ball_order_is_deterministic(self):
         g = LatticeGroup(1)
@@ -357,11 +520,6 @@ class TestWindows:
         g = cyclic_group(3)
         with pytest.raises(ValueError):
             Window(g, [g.elem(0), g.elem(1), g.elem(0)])
-
-    def test_covers(self):
-        g = LatticeGroup(1)
-        assert Window.ball(g, 2).covers(Window.ball(g, 1))
-        assert not Window.ball(g, 1).covers(Window.ball(g, 2))
 
 
 class TestWindowRepCache:
@@ -818,17 +976,6 @@ class TestMatrixWindow:
             k = random_kernel(rng, bundle, w1)
             assert mf_embed_norm(k, w1) <= mf_embed_norm(k, w2) + TOL
 
-    def test_to_mf_shape_and_error(self):
-        rng, bundle, w = bundle_with_window(66)
-        k = random_kernel(rng, bundle, w)
-        mat = to_mf(k, w)
-        assert len(mat) == len(w) and all(len(row) == len(w) for row in mat)
-        g = bundle.group
-        outside = Window(g, [g.identity])
-        if any(pair != (g.identity, g.identity) for pair in k.support()):
-            with pytest.raises(ValueError):
-                to_mf(k, outside)
-
     def test_product_support_closure(self):
         rng, bundle, w = bundle_with_window(67)
         h = random_kernel(rng, bundle, w)
@@ -934,3 +1081,167 @@ class TestCondExpectation:
         k = random_kernel(rng, bundle, w, max_entries=3)
         with pytest.raises(ValueError):
             cond_expectation_pf(bad, k, w, samples=16, seed=5)
+
+
+PACKED_GROUPS = (cyclic_group(4), symmetric_group(3), LatticeGroup(1), FreeGroup(2))
+
+
+def packed_cases():
+    """(seed, rng, bundle, ball(1)): two bundles of every flavor over Z4,
+    S3, Z and F2."""
+    for gi, group in enumerate(PACKED_GROUPS):
+        for fi, flavor in enumerate(FLAVORS):
+            for rep in range(2):
+                seed = 300 + 10 * gi + 3 * fi + rep
+                rng = np.random.default_rng(seed)
+                bundle, _ = random_fell_bundle(rng, group, flavor=flavor)
+                yield seed, rng, bundle, Window.ball(group, 1)
+
+
+def twin_kernels(rng, bundle, window, count, **kw):
+    """``count`` packed random kernels, and the same kernels drawn again
+    from the same stream by the per-entry route; the two routes must leave
+    the generator in the same state."""
+    state = rng.bit_generator.state
+    packed = [random_kernel(rng, bundle, window, **kw) for _ in range(count)]
+    after = rng.bit_generator.state
+    rng.bit_generator.state = state
+    refs = [ref_random_kernel(rng, bundle, window, **kw) for _ in range(count)]
+    assert rng.bit_generator.state == after
+    return packed, refs
+
+
+class TestPackedKernels:
+    """The packed kernel against the dict route, bit for bit."""
+
+    def test_random_kernel_matches_per_entry_route(self):
+        """Over every flavor, and a bundle whose odd fibers are zero (their
+        entries are dropped); a one-point window repeats its pair on every
+        draw, which keeps the last draw."""
+        whole, _ = random_fell_bundle(
+            np.random.default_rng(150), cyclic_group(4), flavor="matrix-twist"
+        )
+        even = restrict_to_subgroup(whole, lambda t: t.data % 2 == 0)
+        cases = list(packed_cases())
+        cases.append((150, np.random.default_rng(151), even, Window.ball(even.group, 1)))
+        for _, rng, bundle, w in cases:
+            lone = Window(bundle.group, [bundle.group.identity])
+            shapes = ((w, 6, 1.0), (w, 12, 0.5), (w, 1, 2.0), (lone, 4, 1.0))
+            for window, max_entries, scale in shapes:
+                (packed,), (ref,) = twin_kernels(
+                    rng, bundle, window, 1, max_entries=max_entries, scale=scale
+                )
+                assert_same_kernel(packed, ref)
+
+    def test_operations_match_dict_route(self):
+        for seed, rng, bundle, w in packed_cases():
+            g = bundle.group
+            e = g.identity
+            big = Window.ball(g, 2)
+            oracle = EntryWindowRep(bundle, big)
+            (h, k), (rh, rk) = twin_kernels(rng, bundle, w, 2)
+            t = w.elements[seed % len(w)]
+            part = Window(g, w.elements[:-1])
+            masks = [np.eye(d) for d in bundle.coeff_algebra.blocks]
+            one = bundle.coeff_algebra.one()
+            xi = random_section(rng, bundle, w.elements)
+            eta = random_section(rng, bundle, w.elements[::-1])
+            pairs = [
+                (h, rh),
+                (k_mul(h, k), ref_k_mul(rh, rk)),
+                (k_mul(k, k), ref_k_mul(rk, rk)),
+                (k_star(k), ref_k_star(rk)),
+                (beta_act(t, k), ref_beta_act(t, rk)),
+                (
+                    k_mul(beta_act(t, h), k_star(k)),
+                    ref_k_mul(ref_beta_act(t, rh), ref_k_star(rk)),
+                ),
+                (h + k, rh + rk),
+                (h - k, rh - rk),
+                (k - k, rk - rk),
+                (k + k_star(k), rk + ref_k_star(rk)),
+                ((1 - 2j) * k, (1 - 2j) * rk),
+                (0 * k, 0 * rk),
+                (Kernel.diagonal_unit(bundle, w), DictKernel(bundle, {(x, x): one for x in w})),
+                (rank_one(xi, eta), ref_rank_one(xi, eta)),
+            ]
+            for sub in (
+                full_sub_bundle(bundle),
+                subgroup_sub_bundle(bundle, lambda x: x == e),
+                mask_sub_bundle(bundle, masks),
+                trace_sub_bundle(bundle, lambda x: x == e),
+            ):
+                got = cond_expectation_pf(sub, k, part, validate=False)
+                pairs.append((got, ref_cond_expectation(sub, rk, part)))
+            for packed, ref in pairs:
+                assert_same_kernel(packed, ref)
+                assert np.array_equal(pi_matrix(packed, big), oracle.matrix(ref))
+                assert mf_embed_norm(packed, big) == mf_embed_norm(Kernel(bundle, ref.data), big)
+
+    def test_overridden_products_match_dict_route(self):
+        """Packed products still go through ``mul_many`` and ``star_many``,
+        so a bundle that overrides ``mul`` gets its own product."""
+        glob = random_global_action(np.random.default_rng(11), cyclic_group(3), [2])
+        family, twist = matrix_twist(glob, salt=11)
+        pa = random_global_action(np.random.default_rng(12), cyclic_group(3))
+        wrong = _WrongInverseBundle(family, twist)
+        for bad in (wrong, _ScaledBundle(pa, make_semidirect(pa).twist)):
+            rng = np.random.default_rng(5)
+            w = Window.ball(bad.group, 1)
+            (a, b), (ra, rb) = twin_kernels(rng, bad, w, 2, max_entries=6)
+            assert_same_kernel(k_mul(a, b), ref_k_mul(ra, rb))
+            assert_same_kernel(k_star(a), ref_k_star(ra))
+            assert_same_kernel(k_mul(k_star(b), a), ref_k_mul(ref_k_star(rb), ra))
+
+    def test_operations_neither_stack_nor_split(self, monkeypatch):
+        for seed in (81, 82, 83):
+            rng, bundle, w = bundle_with_window(seed)
+            e = bundle.group.identity
+            h = random_kernel(rng, bundle, w)
+            k = random_kernel(rng, bundle, w)
+            t = w.elements[-1]
+            sub = trace_sub_bundle(bundle, lambda x: x == e)
+            calls = []
+            for name in ("stack_elements", "split_batch"):
+                real = getattr(kernels, name)
+
+                def counting(*args, _name=name, _real=real):
+                    calls.append(_name)
+                    return _real(*args)
+
+                monkeypatch.setattr(kernels, name, counting)
+            hk = k_mul(h, k)
+            moved = beta_act(t, k_star(hk))
+            norm2(moved - h + 2.0 * k)
+            pi_matrix(hk, w)
+            mf_embed_norm(k_star(k), w)
+            cond_expectation_pf(sub, k, w)
+            assert calls == []
+            monkeypatch.undo()
+
+    def test_packed_constructor_checks_fibers_and_drops_zeros(self):
+        bundle, _ = random_fell_bundle(np.random.default_rng(68), flavor="semidirect")
+        g = bundle.group
+        alg = bundle.coeff_algebra
+        e = g.identity
+        unit = tuple(p[None] for p in alg.one().packs)
+        (t,) = [x for x in Window.ball(g, 1) if bundle.fiber_ideal(x).dim() < alg.dim][:1]
+        with pytest.raises(ValueError):
+            Kernel._of(bundle, [(t, e)], [t], unit)
+        cut = Kernel._of(bundle, [(t, e)], [t], unit, project=True)
+        want = bundle.fiber_ideal(t).unit()
+        assert all(np.array_equal(p, q) for p, q in zip(cut.value(t, e).packs, want.packs))
+        zero = tuple(np.zeros_like(p) for p in unit)
+        assert Kernel._of(bundle, [(e, e)], [e], zero).support() == set()
+
+    def test_batch_and_data_are_read_only(self):
+        bundle = group_bundle(cyclic_group(3), FdAlgebra([1, 2]))
+        k = random_kernel(np.random.default_rng(84), bundle, Window.ball(bundle.group, 1))
+        key = k.keys[0]
+        assert k.data[key] is k.data[key] and len(k.data) == len(k.keys)
+        with pytest.raises(TypeError):
+            k.data[key] = k.data[key]
+        with pytest.raises(ValueError):
+            k.batch[0][0] = 0
+        with pytest.raises(ValueError):
+            k.data[key].packs[0][...] = 0
