@@ -140,23 +140,24 @@ class Kernel:
         return k
 
     def _settle(self, bundle, keys, elems, batch, project) -> None:
+        # the per-row verdicts are read as Python lists: a kernel has few
+        # rows, and a numpy reduction costs more than the loop over them
         fibers = bundle.fiber_ideals(elems)
         if project:
             batch = project_batch(fibers, batch)
         else:
-            mass = outside_mass(fibers, batch)
-            bad = np.flatnonzero(~(mass <= 1e-9))
-            if len(bad):
-                g = bundle.group
-                s, t = keys[bad[0]]
-                raise ValueError(
-                    f"entry at ({g.format_elem(s)}, {g.format_elem(t)}) lies outside its fiber"
-                )
+            for (s, t), mass in zip(keys, outside_mass(fibers, batch).tolist()):
+                if not mass <= 1e-9:
+                    g = bundle.group
+                    raise ValueError(
+                        f"entry at ({g.format_elem(s)}, {g.format_elem(t)}) lies outside its fiber"
+                    )
         nonzero = np.zeros(len(keys), dtype=bool)
         for p in batch:
             nonzero |= p.any(axis=(1, 2, 3))
-        if not nonzero.all():
-            keep = np.flatnonzero(nonzero).tolist()
+        live = nonzero.tolist()
+        if not all(live):
+            keep = [i for i, x in enumerate(live) if x]
             keys = [keys[i] for i in keep]
             elems = [elems[i] for i in keep]
             batch = tuple(p[keep] for p in batch)
@@ -210,6 +211,11 @@ class Kernel:
         """self + sign * other for sign = 1 or -1: the rows of self, then
         those keys of other that self lacks, in other's order; a shared key
         gets one addition, and x + (-y) is x - y bit for bit."""
+        if self.keys == other.keys:
+            batch = tuple(
+                p + q if sign > 0 else p - q for p, q in zip(self.batch, other.batch)
+            )
+            return Kernel._of(self.bundle, self.keys, self.elems, batch)
         at = dict(zip(self.keys, range(len(self.keys))))
         shared, theirs, fresh = [], [], []
         for j, key in enumerate(other.keys):
@@ -631,41 +637,22 @@ def validate_sub_expectation(
 
     # A fiber element takes, block by block in ``block_set`` order, d * d
     # real parts and then d * d imaginary parts from one draw: the stream of
-    # two ``standard_normal((d, d))`` calls per block. ``plan(t)`` gives the
-    # draw size at t and, per size class, the class positions of the fiber's
-    # blocks and the places of their real parts in the draw; each imaginary
-    # part sits d * d places after its real part.
-    plans: Dict[Elem, tuple] = {}
-
-    def plan(t: Elem) -> tuple:
-        places: List[List[int]] = [[] for _ in alg.sizes]
-        starts: List[List[int]] = [[] for _ in alg.sizes]
-        at = 0
-        for j in bundle.fiber_ideal(t).block_set:
-            c, p = alg.where[j]
-            places[c].append(p)
-            starts[c].append(at)
-            at += 2 * alg.blocks[j] ** 2
-        parts = []
-        for d, pos, st in zip(alg.sizes, places, starts):
-            re = np.add.outer(np.array(st, dtype=int), np.arange(d * d)).reshape(-1, d, d)
-            parts.append((np.array(pos, dtype=int), re, d * d))
-        return at, parts
-
+    # two ``standard_normal((d, d))`` calls per block. That is the layout
+    # ``FdAlgebra.gaussian_layout`` reads from a row of 2 * dim draws, so
+    # each draw goes to its blocks' places in such a row (``places[t]``), and
+    # the rows become the batch of draws in one call at the end.
+    starts = np.cumsum((0,) + tuple(2 * d * d for d in alg.blocks))
+    places: Dict[Elem, np.ndarray] = {}
     n = samples
     # rows 0..n-1 hold b, drawn over g; rows n..2n-1 the raw draws over h
-    draws = tuple(
-        np.zeros((2 * n, len(mem), d, d), dtype=complex) for d, mem in zip(alg.sizes, alg.members)
-    )
+    rows = np.zeros((2 * n, 2 * alg.dim))
 
     def rand_fiber(row: int, t: Elem) -> None:
-        got = plans.get(t)
-        if got is None:
-            got = plans[t] = plan(t)
-        size, parts = got
-        z = rng.standard_normal(size)
-        for pack, (pos, re, dd) in zip(draws, parts):
-            pack[row, pos] = z[re] + 1j * z[re + dd]
+        at = places.get(t)
+        if at is None:
+            spans = [np.arange(starts[j], starts[j + 1]) for j in bundle.fiber_ideal(t).block_set]
+            at = places[t] = np.concatenate([np.zeros(0, dtype=int)] + spans)
+        rows[row, at] = rng.standard_normal(len(at))
 
     gs, hs = [], []
     for i in range(n):
@@ -675,6 +662,7 @@ def validate_sub_expectation(
         rand_fiber(n + i, hh)
         gs.append(gg)
         hs.append(hh)
+    draws = alg.gaussian_layout(rows)
     bs = _rows(draws, 0, n)
     pbs = sub.expect_many(gs, bs)
     As = sub.expect_many(hs, _rows(draws, n, 2 * n))
