@@ -444,9 +444,6 @@ class Ideal:
     def dim(self) -> int:
         return sum(self.algebra.blocks[j] ** 2 for j in self.block_set)
 
-    def intersect(self, other: "Ideal") -> "Ideal":
-        return Ideal(self.algebra, self.block_set & other.block_set)
-
     def __le__(self, other: "Ideal") -> bool:
         return self.block_set <= other.block_set
 

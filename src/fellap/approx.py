@@ -29,7 +29,6 @@ from .algebra import (
     batch_norms,
     op_norm,
     project_batch,
-    split_batch,
     stack_elements,
 )
 from .bundles import TwistedBundle
@@ -128,11 +127,6 @@ def _defect_sums(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) -> Tup
     return sums
 
 
-def defect_sum(a: APWitness, t: Elem, b: FdElement) -> FdElement:
-    """sum_r a(tr)* b a(r), evaluated in the bundle; lies in the fiber over t."""
-    return split_batch(a.bundle.coeff_algebra, _defect_sums(a, [(t, b)]), 1)[0]
-
-
 def ap_defects(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) -> List[float]:
     """Defects | b - sum_r a(tr)* b a(r) | of the witness at targets (t, b)."""
     bundle = a.bundle
@@ -225,8 +219,9 @@ def default_targets(bundle: TwistedBundle, radius: int = 1, max_per_fiber: int =
     """Basis targets of every nonzero fiber over the ball of the given radius."""
     out: List[Target] = []
     g = bundle.group
-    for t in g.ball(radius):
-        basis = bundle.fiber_ideal(t).basis()
+    ball = g.ball(radius)
+    for t, fiber in zip(ball, bundle.fiber_ideals(ball)):
+        basis = fiber.basis()
         if max_per_fiber > 0:
             basis = basis[:max_per_fiber]
         for i, b in enumerate(basis):

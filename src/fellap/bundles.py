@@ -21,11 +21,12 @@ the map attached to s^-1; conflating the two is the classic sign error this
 module's validator is designed to catch. The code evaluates the product as
 a gamma_s(b) omega(s, t), the same element (see ``TwistedBundle``).
 
-Products and involutions also come batched (``TwistedBundle.mul_many``,
+Products and involutions are evaluated in batches (``TwistedBundle.mul_many``,
 ``star_many``): many terms, each with its own group elements, in one
-gather and one batched product per block-size class. The validator, the
-kernel algebra and the approximation-property sums evaluate each product
-step that way.
+gather and one batched product per block-size class. ``mul`` and ``star``
+are the one-term views of these; the validator, the sections, the kernel
+algebra and the approximation-property sums evaluate each product step on
+a whole batch.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ from .algebra import (
     _adjoint,
     _chunks,
     _distinct,
+    _packed,
     apply_many,
     batch_norms,
+    center_basis,
     identity_action,
     op_norm,
     outside_mass,
@@ -69,7 +72,6 @@ __all__ = [
     "validate_twist",
     "validate_bundle",
     "fiber_norm",
-    "canonical_expectation",
     "central_partial_action",
     "restrict_to_subgroup",
     "full_sub_bundle",
@@ -179,9 +181,9 @@ class TwistedBundle:
     composition law, so the identity holds for twisted families too.
 
     ``mul_many`` and ``star_many`` evaluate many products or involutions at
-    once on batches (see ``fellap.algebra.stack_elements``). A subclass
-    that overrides ``mul`` or ``star`` gets its own method applied term by
-    term there, so a deliberately broken product stays broken in batches.
+    once on batches (see ``fellap.algebra.stack_elements``); they are the
+    one implementation of the product and the involution, and ``mul`` and
+    ``star`` are their one-term views.
     """
 
     def __init__(self, family: PartialAction, twist: Twist):
@@ -204,20 +206,19 @@ class TwistedBundle:
         return self.fiber_ideal(t).dim()
 
     def mul(self, s: Elem, a: FdElement, t: Elem, b: FdElement) -> FdElement:
-        """Coefficient of (a d_s)(b d_t), an element of the fiber at st."""
-        return a * self.family.iso(s).apply(b) * self.twist.omega(s, t)
+        """Coefficient of (a d_s)(b d_t), an element of the fiber at st:
+        ``mul_many`` on one term."""
+        got = self.mul_many([s], _one_term(a), [t], _one_term(b))
+        return split_batch(self.coeff_algebra, got, 1)[0]
 
     def star(self, t: Elem, a: FdElement) -> FdElement:
-        """Coefficient of (a d_t)*, an element of the fiber at t^-1."""
-        g = self.group
-        tinv = g.inv(t)
-        return self.twist.omega(tinv, t).star() * self.family.iso(tinv).apply(a.star())
+        """Coefficient of (a d_t)*, an element of the fiber at t^-1:
+        ``star_many`` on one term."""
+        return split_batch(self.coeff_algebra, self.star_many([t], _one_term(a)), 1)[0]
 
     def mul_many(self, ss, xs, ts, ys) -> tuple[np.ndarray, ...]:
         """Batch of the products (xs_i d_{ss_i})(ys_i d_{ts_i}); ``xs`` and
         ``ys`` are batches of len(ss) terms."""
-        if type(self).mul is not TwistedBundle.mul:
-            return self._per_term(self.mul, ss, xs, ts, ys)
         pairs, slot = _distinct(zip(ss, ts))
         moved = apply_many(self.family.isos([s for s, _ in pairs]), ys, slot)
         omegas = self._omegas(pairs, slot)
@@ -225,8 +226,6 @@ class TwistedBundle:
 
     def star_many(self, ts, xs) -> tuple[np.ndarray, ...]:
         """Batch of the involutions (xs_i d_{ts_i})*."""
-        if type(self).star is not TwistedBundle.star:
-            return self._per_term(self.star, ts, xs)
         elems, slot = _distinct(ts)
         inv = self.group.inv
         pairs = [(inv(t), t) for t in elems]
@@ -245,13 +244,10 @@ class TwistedBundle:
         stacked = stack_elements(self.coeff_algebra, values)
         return tuple(p[slot] for p in stacked)
 
-    def _per_term(self, fn, *args) -> tuple[np.ndarray, ...]:
-        """``fn`` term by term; its arguments alternate between a list of
-        group elements and a batch of elements, as in ``mul`` and ``star``."""
-        alg = self.coeff_algebra
-        m = len(args[0])
-        cols = [a if k % 2 == 0 else split_batch(alg, a, m) for k, a in enumerate(args)]
-        return stack_elements(alg, [fn(*row) for row in zip(*cols)])
+
+def _one_term(a: FdElement) -> tuple[np.ndarray, ...]:
+    """The batch whose one term is ``a``."""
+    return tuple(p[None] for p in a.packs)
 
 
 def make_semidirect(pa: PartialAction) -> TwistedBundle:
@@ -380,7 +376,7 @@ def validate_twist(
     isos = family.isos(ball)
     inside = [iso.target.block_set for iso in isos]  # A_t
     inv_inside = domains_of([g.inv(t) for t in ball])  # A_{t^-1}
-    one = tuple(p[None] for p in alg.one().packs)  # a batch of one term
+    one = _one_term(alg.one())
     ideals: dict[frozenset, Ideal] = {}
     bases: dict[frozenset, tuple] = {}
 
@@ -693,7 +689,7 @@ class Section:
     """Finitely supported section of a bundle: one coefficient per element.
 
     Entries are expected to lie in their fibers; nothing is projected
-    silently. Convolution is the algebraic crossed-product multiplication.
+    silently.
     """
 
     __slots__ = ("bundle", "data")
@@ -701,14 +697,6 @@ class Section:
     def __init__(self, bundle: TwistedBundle, data: Mapping[Elem, FdElement]):
         self.bundle = bundle
         self.data = dict(data)
-
-    @staticmethod
-    def zero(bundle: TwistedBundle) -> "Section":
-        return Section(bundle, {})
-
-    @staticmethod
-    def delta(bundle: TwistedBundle, t: Elem, a: FdElement) -> "Section":
-        return Section(bundle, {t: a})
 
     def value(self, t: Elem) -> FdElement:
         got = self.data.get(t)
@@ -729,49 +717,39 @@ class Section:
     def __rmul__(self, scalar) -> "Section":
         return Section(self.bundle, {t: complex(scalar) * a for t, a in self.data.items()})
 
-    def conv(self, other: "Section") -> "Section":
-        g = self.bundle.group
-        acc: dict[Elem, FdElement] = {}
-        for s, a in self.data.items():
-            for t, b in other.data.items():
-                r = g.mul(s, t)
-                term = self.bundle.mul(s, a, t, b)
-                acc[r] = acc[r] + term if r in acc else term
-        return Section(self.bundle, acc)
-
-    def star(self) -> "Section":
-        g = self.bundle.group
-        return Section(
-            self.bundle, {g.inv(t): self.bundle.star(t, a) for t, a in self.data.items()}
-        )
-
     def right_mul(self, b: FdElement) -> "Section":
-        """Right action of a unit-fiber element: (f b)(t) = f(t) b."""
-        g = self.bundle.group
-        e = g.identity
-        return Section(
-            self.bundle,
-            {t: self.bundle.mul(t, a, e, b) for t, a in self.data.items()},
+        """Right action of a unit-fiber element: (f b)(t) = f(t) b, every
+        product in one ``mul_many`` call."""
+        bundle = self.bundle
+        alg = bundle.coeff_algebra
+        ts = list(self.data)
+        m = len(ts)
+        prods = bundle.mul_many(
+            ts,
+            stack_elements(alg, list(self.data.values())),
+            [bundle.group.identity] * m,
+            stack_elements(alg, [b] * m),
         )
+        return Section(bundle, dict(zip(ts, split_batch(alg, prods, m))))
 
     def inner(self, other: "Section") -> FdElement:
-        """Unit-fiber valued inner product, sum of f(t)* g(t) in the bundle."""
-        g = self.bundle.group
-        out = self.bundle.coeff_algebra.zero()
-        for t, a in self.data.items():
-            b = other.data.get(t)
-            if b is None:
-                continue
-            out = out + self.bundle.mul(g.inv(t), self.bundle.star(t, a), t, b)
-        return out
+        """Unit-fiber valued inner product, the sum of f(t)* g(t) in the
+        bundle, with its involutions and products in one ``star_many`` and
+        one ``mul_many`` call."""
+        bundle = self.bundle
+        alg = bundle.coeff_algebra
+        ts = [t for t in self.data if t in other.data]
+        stars = bundle.star_many(ts, stack_elements(alg, [self.data[t] for t in ts]))
+        terms = bundle.mul_many(
+            [bundle.group.inv(t) for t in ts],
+            stars,
+            ts,
+            stack_elements(alg, [other.data[t] for t in ts]),
+        )
+        return _packed(alg, tuple(p.sum(axis=0) for p in terms))
 
     def sup_norm(self) -> float:
         return max((op_norm(a) for a in self.data.values()), default=0.0)
-
-
-def canonical_expectation(f: Section) -> FdElement:
-    """Coefficient at the identity, the usual expectation onto B_e."""
-    return f.value(f.bundle.group.identity)
 
 
 @dataclass
@@ -800,7 +778,7 @@ class SubBundle:
         return tuple(np.where(keep[:, None, None, None], p, 0) for p in out)
 
     def expect(self, t: Elem, a: FdElement) -> FdElement:
-        got = self.expect_many([t], tuple(p[None] for p in a.packs))
+        got = self.expect_many([t], _one_term(a))
         return split_batch(self.bundle.coeff_algebra, got, 1)[0]
 
 
@@ -848,22 +826,25 @@ def trace_sub_bundle(bundle: TwistedBundle, member: Callable[[Elem], bool]) -> S
 
 
 def _generated_ideal_blocks(bundle: TwistedBundle, t: Elem) -> frozenset[int]:
-    """Blocks of the ideal spanned by B_t B_t* inside the unit fiber."""
-    g = bundle.group
-    tinv = g.inv(t)
-    blocks: set[int] = set()
-    basis = bundle.fiber_ideal(t).basis()
-    for a in basis:
-        prod = bundle.mul(t, a, tinv, bundle.star(t, a))
-        for j, m in enumerate(prod.mats):
-            if np.abs(m).max(initial=0.0) > 1e-12:
-                blocks.add(j)
-    return frozenset(blocks)
+    """Blocks of the ideal spanned by B_t B_t* inside the unit fiber: the
+    blocks where some m m* is not zero, over the basis m of B_t, from one
+    ``star_many`` and one ``mul_many`` call."""
+    fiber = bundle.fiber_ideal(t)
+    basis = fiber.basis_batch()
+    n = fiber.dim()
+    prods = bundle.mul_many(
+        [t] * n, basis, [bundle.group.inv(t)] * n, bundle.star_many([t] * n, basis)
+    )
+    members = bundle.coeff_algebra.members
+    return frozenset(
+        j
+        for c, p in enumerate(prods)
+        for j, hit in zip(members[c], (np.abs(p) > 1e-12).any(axis=(0, 2, 3)))
+        if hit
+    )
 
 
-def central_partial_action(
-    bundle: TwistedBundle, window: int = 2, tol: float = 1e-9
-) -> PartialAction:
+def central_partial_action(bundle: TwistedBundle, tol: float = 1e-9) -> PartialAction:
     """Partial action on the center of the unit fiber induced by the bundle.
 
     The ideal I_t is generated by B_t B_t*; the map sends a central z of
@@ -882,20 +863,27 @@ def central_partial_action(
             return IdealIso.identity_on(z_alg.full_ideal())
         src = sorted(_generated_ideal_blocks(bundle, g.inv(t)))
         tgt = sorted(_generated_ideal_blocks(bundle, t))
-        fiber_basis = bundle.fiber_ideal(t).basis()
+        # Row i holds the entries of the products m p_j (for i < len(src))
+        # or p_k m (after) of block (src + tgt)[i], over the basis m of B_t,
+        # all from one mul_many call.
+        fiber = bundle.fiber_ideal(t)
+        n, k = fiber.dim(), len(src) + len(tgt)
+        left, right = slice(len(src) * n), slice(len(src) * n, None)
+        ms = _take(fiber.basis_batch(), np.tile(np.arange(n), k))
+        blocks = np.repeat(np.array(src + tgt, dtype=int), n)
+        ps = _take(stack_elements(alg, center_basis(alg)), blocks)
+        prods = bundle.mul_many(
+            [t] * len(src) * n + [e] * len(tgt) * n,
+            _concat(_take(ms, left), _take(ps, right)),
+            [e] * len(src) * n + [t] * len(tgt) * n,
+            _concat(_take(ps, left), _take(ms, right)),
+        )
+        rows = np.concatenate(
+            [np.zeros((k, 0), dtype=complex)] + [p.reshape(k, -1) for p in prods if k], axis=1
+        )
+        mat = rows[len(src) :].T
         phi: dict[int, int] = {}
-        for j in src:
-            p_j = alg.zero()
-            p_j.mats[j] = np.eye(alg.blocks[j], dtype=complex)
-            rhs = np.concatenate([bundle.mul(t, m, e, p_j).flat() for m in fiber_basis])
-            cols = []
-            for k in tgt:
-                p_k = alg.zero()
-                p_k.mats[k] = np.eye(alg.blocks[k], dtype=complex)
-                cols.append(
-                    np.concatenate([bundle.mul(e, p_k, t, m).flat() for m in fiber_basis])
-                )
-            mat = np.stack(cols, axis=1)
+        for j, rhs in zip(src, rows):
             c, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
             resid = float(np.linalg.norm(mat @ c - rhs))
             if resid > tol:

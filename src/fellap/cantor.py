@@ -112,12 +112,6 @@ class CylFun:
     def sup_norm(self) -> float:
         return float(np.abs(self.table).max(initial=0.0))
 
-    def value_on(self, word: Word) -> complex:
-        """Value on the cylinder of the given word; needs len(word) >= depth."""
-        if len(word) < self.depth:
-            raise ValueError("word shorter than the table depth")
-        return complex(self.table[_word_index(self.n, word[: self.depth])])
-
 
 def cyl_indicator(n: int, word: Iterable[int]) -> CylFun:
     w = tuple(int(x) for x in word)
@@ -149,12 +143,6 @@ class PartialSymbol:
 
     def inverse(self) -> "PartialSymbol":
         return partial_symbol(self.group, self.group.inv(self.elem))
-
-    def domain_indicator(self) -> CylFun:
-        """Unit of D_g, the indicator of X_a."""
-        if self.domain_zero:
-            raise ValueError("symbol acts nowhere")
-        return cyl_indicator(self.group.rank, self.pos)
 
 
 def partial_symbol(group: FreeGroup, g: Elem) -> PartialSymbol:
@@ -239,11 +227,6 @@ class CuntzWitness:
     def support_size(self) -> int:
         n = self.group.rank
         return sum(n**k for k in range(self.min_length(), self.i + 1))
-
-    def support_words(self) -> Iterator[Word]:
-        n = self.group.rank
-        for k in range(self.min_length(), self.i + 1):
-            yield from positive_words(n, k)
 
 
 def xi_witness(i: int, n: int, include_identity: bool = False) -> CuntzWitness:

@@ -339,8 +339,8 @@ def _run(ctx, body: Callable[[], None]) -> None:
 
 @main.command()
 @click.argument("target")
-@click.option("--window", type=int, default=2, show_default=True, help="Ball radius for sampled axioms.")
-@click.option("--samples", type=int, default=2, show_default=True)
+@click.option("--window", type=click.IntRange(min=0), default=2, show_default=True, help="Ball radius for sampled axioms.")
+@click.option("--samples", type=click.IntRange(min=1), default=2, show_default=True)
 @click.pass_context
 def validate(ctx, target, window, samples):
     """Run the validator matching TARGET (a bundle, twist, or action ref)."""
@@ -630,8 +630,8 @@ def _ap_check_cuntz(ctx, store, b, bundle_ref, witness_spec, imax, targets_text,
 
 @main.command()
 @click.option("--bundle", "bundle_ref", required=True, help="Bundle ref from the config.")
-@click.option("--window", type=int, default=2, show_default=True, help="Ball radius of the kernel window.")
-@click.option("--samples", type=int, default=5, show_default=True)
+@click.option("--window", type=click.IntRange(min=0), default=2, show_default=True, help="Ball radius of the kernel window.")
+@click.option("--samples", type=click.IntRange(min=1), default=5, show_default=True)
 @click.pass_context
 def kernels(ctx, bundle_ref, window, samples):
     """Matrix-window report: dimension, sampled norms, shift residuals."""
@@ -704,7 +704,7 @@ def _parse_word(grp: FreeGroup, token: str) -> Elem:
 
 @main.command("cuntz-ap")
 @click.option("--n", type=int, default=2, show_default=True, help="Alphabet size (free group rank).")
-@click.option("--imax", type=int, default=8, show_default=True, help="Largest witness index.")
+@click.option("--imax", type=click.IntRange(min=1), default=8, show_default=True, help="Largest witness index.")
 @click.option("--targets", "targets_text", default="a", show_default=True, help="Comma-separated words; letters a..z, trailing ' inverts.")
 @click.pass_context
 def cuntz_ap(ctx, n, imax, targets_text):
@@ -746,8 +746,8 @@ def cuntz_ap(ctx, n, imax, targets_text):
 
 @main.command()
 @click.option("--n", type=int, default=2, show_default=True, help="Alphabet size.")
-@click.option("--depth", type=int, default=2, show_default=True, help="Cylinder coarsening depth.")
-@click.option("--radius", type=int, default=1, show_default=True, help="Word-length cutoff for acting symbols.")
+@click.option("--depth", type=click.IntRange(min=0), default=2, show_default=True, help="Cylinder coarsening depth.")
+@click.option("--radius", type=click.IntRange(min=0), default=1, show_default=True, help="Word-length cutoff for acting symbols.")
 @click.pass_context
 def groupoid(ctx, n, depth, radius):
     """Enumerate the truncated boundary groupoid and check its axioms."""

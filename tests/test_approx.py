@@ -41,7 +41,6 @@ from fellap.approx import (
     ap_defect_partial,
     convexify,
     default_targets,
-    defect_sum,
     folner_witness,
     uniform_witness,
     witness_bound,
@@ -61,8 +60,24 @@ from fellap.testing import (
     scalar_coboundary_twist,
 )
 
+from test_bundles import ref_mul
+
 TOL = 1e-10
 EXACT = 1e-12
+
+
+def ref_defect_sum(a, t, b):
+    """sum_r a(tr)* b a(r), summand by summand through the per-term
+    reference product ``ref_mul``."""
+    bundle = a.bundle
+    g = bundle.group
+    e = g.identity
+    total = bundle.coeff_algebra.zero()
+    for r, v in a.data.items():
+        left = a.data.get(g.mul(t, r))
+        if left is not None:
+            total = total + ref_mul(bundle, t, ref_mul(bundle, e, left.star(), t, b), e, v)
+    return total
 
 
 def random_fiber_element(rng, bundle, t, scale=1.0):
@@ -266,9 +281,10 @@ class TestConvexify:
         tgt = targets[0]
         want_d = bundle.coeff_algebra.zero()
         for a, lam in weights:
-            want_d = want_d + lam * defect_sum(a, tgt.t, tgt.b)
-        got = defect_sum(mixed, tgt.t, tgt.b)
+            want_d = want_d + lam * ref_defect_sum(a, tgt.t, tgt.b)
+        got = ref_defect_sum(mixed, tgt.t, tgt.b)
         assert fiber_norm(bundle, tgt.t, got - want_d) <= EXACT
+        assert abs(ap_defect(mixed, tgt.t, tgt.b) - fiber_norm(bundle, tgt.t, tgt.b - got)) <= EXACT
 
     def test_single_witness_translate_keeps_defects(self):
         rng = np.random.default_rng(21)

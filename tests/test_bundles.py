@@ -27,6 +27,7 @@ from fellap.algebra import (
     FdElement,
     Ideal,
     PartialAction,
+    apply_many,
     identity_action,
     op_norm,
     restrict_action,
@@ -39,7 +40,6 @@ from fellap.bundles import (
     Section,
     Twist,
     TwistedBundle,
-    canonical_expectation,
     central_partial_action,
     fiber_norm,
     group_bundle,
@@ -179,22 +179,54 @@ class TestTwistValidation:
         assert "twist-unitary" in {a for a, _, _ in rep.rows}
 
 
+def _product(bundle, s, a, t, b):
+    return a * bundle.family.iso(s).apply(b) * bundle.twist.omega(s, t)
+
+
+def ref_mul(bundle, s, a, t, b):
+    """Reference route to ``mul_many``, one term at a time in element
+    arithmetic: a gamma_s(b) omega(s, t), or the broken bundles' own
+    formula (their ``ref_mul``)."""
+    own = getattr(bundle, "ref_mul", None)
+    return own(s, a, t, b) if own is not None else _product(bundle, s, a, t, b)
+
+
+def ref_star(bundle, t, a):
+    """Reference route to ``star_many``: omega(t^-1, t)* gamma_{t^-1}(a*)."""
+    tinv = bundle.group.inv(t)
+    return bundle.twist.omega(tinv, t).star() * bundle.family.iso(tinv).apply(a.star())
+
+
 class _WrongInverseBundle(TwistedBundle):
     """Deliberately wrong twisted product: pulls a back along the map at
-    s^-1 instead of the inverse of the map at s."""
+    s^-1 instead of the inverse of the map at s. It overrides ``mul_many``;
+    ``ref_mul`` is the same formula one term at a time."""
 
-    def mul(self, s, a, t, b):
+    def ref_mul(self, s, a, t, b):
         g = self.group
         pulled = self.family.iso(g.inv(s)).apply(a)
         return self.twist.omega(s, t) * self.family.iso(s).apply(pulled * b)
 
+    def mul_many(self, ss, xs, ts, ys):
+        inv = self.group.inv
+        pulled = apply_many(self.family.isos([inv(s) for s in ss]), xs)
+        moved = apply_many(self.family.isos(ss), tuple(p @ q for p, q in zip(pulled, ys)))
+        omegas = stack_elements(self.coeff_algebra, self.twist.omegas(list(zip(ss, ts))))
+        return tuple(w @ y for w, y in zip(omegas, moved))
+
 
 class _ScaledBundle(TwistedBundle):
-    """Deliberately non-associative product: scaled whenever s = 1."""
+    """Deliberately non-associative product: scaled whenever s = 1. It
+    overrides ``mul_many``; ``ref_mul`` is the same formula one term at a
+    time."""
 
-    def mul(self, s, a, t, b):
-        out = TwistedBundle.mul(self, s, a, t, b)
+    def ref_mul(self, s, a, t, b):
+        out = _product(self, s, a, t, b)
         return 1.01 * out if s.data == 1 else out
+
+    def mul_many(self, ss, xs, ts, ys):
+        scale = np.array([1.01 if s.data == 1 else 1.0 for s in ss])[:, None, None, None]
+        return tuple(scale * p for p in super().mul_many(ss, xs, ts, ys))
 
 
 class TestBundleValidation:
@@ -238,36 +270,37 @@ class TestBundleValidation:
 
 
 class TestSections:
-    def test_conv_against_manual_sum(self):
-        rng = rng_for(20)
-        bundle, _ = random_fell_bundle(rng, cyclic_group(4), "semidirect")
-        g = bundle.group
-        f = random_section(rng, bundle, g.elements())
-        h = random_section(rng, bundle, g.elements())
-        prod = f.conv(h)
-        for r in g.elements():
-            manual = bundle.coeff_algebra.zero()
-            for s in g.elements():
-                t = g.mul(g.inv(s), r)
-                manual = manual + bundle.mul(s, f.value(s), t, h.value(t))
-            assert op_norm(prod.value(r) - manual) <= 1e-12
-
-    def test_star_is_involutive(self):
-        rng = rng_for(21)
-        bundle, _ = random_fell_bundle(rng, cyclic_group(3), "matrix-twist")
-        f = random_section(rng, bundle, bundle.group.elements())
-        assert (f.star().star() - f).sup_norm() <= 1e-12
-
-    def test_expectation_of_star_conv_is_inner(self):
+    def test_inner_against_per_term_sum(self):
         rng = rng_for(22)
         for flavor in ("semidirect", "scalar-twist", "matrix-twist"):
             bundle, _ = random_fell_bundle(rng, cyclic_group(4), flavor)
-            f = random_section(rng, bundle, bundle.group.elements())
-            lhs = canonical_expectation(f.star().conv(f))
+            g = bundle.group
+            f = random_section(rng, bundle, g.elements())
+            h = random_section(rng, bundle, g.elements()[1:])
+            for x, y in ((f, f), (f, h), (h, f)):
+                want = bundle.coeff_algebra.zero()
+                for t in y.support():
+                    xt = ref_star(bundle, t, x.value(t))
+                    want = want + ref_mul(bundle, g.inv(t), xt, t, y.value(t))
+                assert op_norm(x.inner(y) - want) <= 1e-12
             rhs = f.inner(f)
-            assert op_norm(lhs - rhs) <= 1e-12
             evs = [w for m in rhs.mats if m.size for w in np.linalg.eigvalsh(m)]
             assert min(evs, default=0.0) >= -1e-12
+            assert op_norm(Section(bundle, {}).inner(f)) == 0.0
+
+    def test_right_mul_against_per_term_products(self):
+        rng = rng_for(24)
+        for flavor in ("semidirect", "scalar-twist", "matrix-twist"):
+            bundle, _ = random_fell_bundle(rng, symmetric_group(3), flavor)
+            g = bundle.group
+            f = random_section(rng, bundle, g.elements())
+            b = random_element(rng, bundle.coeff_algebra)
+            got = f.right_mul(b)
+            assert got.support() == f.support()
+            for t in f.support():
+                want = ref_mul(bundle, t, f.value(t), g.identity, b)
+                assert op_norm(got.value(t) - want) <= 1e-12
+            assert Section(bundle, {}).right_mul(b).support() == []
 
     def test_section_arithmetic(self):
         rng = rng_for(23)
@@ -275,7 +308,7 @@ class TestSections:
         f = random_section(rng, bundle, bundle.group.elements())
         g2 = 2.0 * f
         assert (g2 - f - f).sup_norm() <= 1e-13
-        assert Section.zero(bundle).sup_norm() == 0.0
+        assert Section(bundle, {}).sup_norm() == 0.0
 
 
 class TestSubBundles:
@@ -410,8 +443,9 @@ def _fiber_samples(rng, bundle, elems):
 
 
 def _many_gap(bundle, rng, elems) -> float:
-    """Largest gap between mul_many/star_many and per-term mul/star over all
-    pairs of ``elems``, each term with its own (s, t) and samples."""
+    """Largest gap between mul_many/star_many and the per-term reference
+    route (``ref_mul``, ``ref_star``) over all pairs of ``elems``, each term
+    with its own (s, t) and samples."""
     alg = bundle.coeff_algebra
     ss = [s for s in elems for _ in elems]
     ts = [t for _ in elems for t in elems]
@@ -423,7 +457,9 @@ def _many_gap(bundle, rng, elems) -> float:
     stars = split_batch(alg, bundle.star_many(ts, stack_elements(alg, ys)), m)
     gap = 0.0
     for s, x, t, y, p, q in zip(ss, xs, ts, ys, prods, stars):
-        gap = max(gap, op_norm(p - bundle.mul(s, x, t, y)), op_norm(q - bundle.star(t, y)))
+        gap = max(
+            gap, op_norm(p - ref_mul(bundle, s, x, t, y)), op_norm(q - ref_star(bundle, t, y))
+        )
     return gap
 
 
@@ -467,6 +503,8 @@ class TestBatchedProducts:
         assert validate_bundle(zero, window=2, samples=2).passed
 
     def test_overriding_subclasses_stay_broken(self):
+        """Bundles that override ``mul_many`` with a broken product match
+        their own per-term formula, and fail ``validate_bundle``."""
         glob = random_global_action(rng_for(11), cyclic_group(3), [2])
         family, twist = matrix_twist(glob, salt=11)
         pa = random_partial_action(rng_for(12), cyclic_group(3))
@@ -481,22 +519,30 @@ class TestBatchedProducts:
             assert validate_bundle(good, window=2, seed=3).passed
 
     def test_class_level_wrapper_keeps_the_batched_path(self, monkeypatch):
+        """With ``mul`` and ``star`` wrapped at class level, as a tracer
+        wraps them, the validator and the library's other product callers
+        never call them: every product goes through the batched routes."""
         bundle, _ = random_fell_bundle(rng_for(74), symmetric_group(3), "matrix-twist")
         want = validate_bundle(bundle, window=2, samples=2, seed=5)
         calls = []
-        inner = TwistedBundle.mul
+        for name in ("mul", "star"):
+            inner = getattr(TwistedBundle, name)
 
-        def counted(self, *args):
-            calls.append(args[0])
-            return inner(self, *args)
+            def counted(self, *args, _name=name, _inner=inner):
+                calls.append(_name)
+                return _inner(self, *args)
 
-        monkeypatch.setattr(TwistedBundle, "mul", counted)
+            monkeypatch.setattr(TwistedBundle, name, counted)
         got = validate_bundle(bundle, window=2, samples=2, seed=5)
         assert calls == []
         assert (got.checked, got.rows) == (want.checked, want.rows)
-        pa = random_partial_action(rng_for(12), cyclic_group(3))
-        assert not validate_bundle(_ScaledBundle(pa, make_semidirect(pa).twist), seed=2).passed
-        assert calls
+        g = bundle.group
+        f = random_section(rng_for(75), bundle, g.elements())
+        f.right_mul(random_element(rng_for(76), bundle.coeff_algebra)).inner(f)
+        central = central_partial_action(bundle)
+        for t in g.elements():
+            central.iso(t)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

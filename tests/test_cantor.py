@@ -71,7 +71,10 @@ def brute_cuntz_defect(i, g, grp, include_identity=False):
         cyl_indicator(n, sym.neg) if sym.neg else CylFun.constant(n, 1.0)
     )
     total = CylFun.constant(n, 0.0)
-    for word in w.support_words():
+    words = (
+        word for k in range(w.min_length(), i + 1) for word in positive_words(n, k)
+    )
+    for word in words:
         h = grp.word(word)
         s = grp.mul(grp.inv(g), h)
         xi_s = w.value(s)
@@ -199,7 +202,8 @@ class TestCylinders:
         assert g.depth == 4
         assert (g - f).sup_norm() == 0.0
         for word in positive_words(2, 4):
-            assert g.value_on(word) == f.value_on(word)
+            want = 1.0 if word[0] == 1 else 2.0 if word[:2] == (2, 1) else 0.0
+            assert g.table[_word_index(2, word)] == want
 
     def test_canonical_minimizes_depth(self):
         f = cyl_indicator(2, (1,)).refine_to(5)
@@ -210,7 +214,7 @@ class TestCylinders:
 
     def test_conj_and_scale(self):
         f = (1 + 2j) * cyl_indicator(2, (2,))
-        assert f.conj().value_on((2,)) == 1 - 2j
+        assert f.conj().table[_word_index(2, (2,))] == 1 - 2j
         assert f.sup_norm() == pytest.approx(abs(1 + 2j), abs=1e-15)
 
     def test_alphabet_mismatch_rejected(self):
@@ -237,8 +241,6 @@ class TestSymbols:
         grp = FreeGroup(2)
         sym = partial_symbol(grp, grp.word([-2, 1]))
         assert sym.domain_zero
-        with pytest.raises(ValueError):
-            sym.domain_indicator()
 
     def test_inverse_swaps_parts(self):
         grp = FreeGroup(2)

@@ -115,6 +115,29 @@ class TestConfigErrors:
         assert r.exit_code == 2
         assert "dihedral" in r.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("validate", "bf2", "--samples", "-2"),
+            ("validate", "bf2", "--samples", "0"),
+            ("validate", "bf2", "--window", "-1"),
+            ("kernels", "--bundle", "bf2", "--window", "-1"),
+            ("kernels", "--bundle", "b1", "--samples", "0"),
+            ("groupoid", "--radius", "-1"),
+            ("groupoid", "--depth", "-1"),
+            ("cuntz-ap", "--imax", "0"),
+            ("cuntz-ap", "--imax", "-3"),
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_integer_option(self, conf, args):
+        """An out-of-range count or radius is a usage error naming the
+        option, never a traceback or a vacuous pass."""
+        r = run("--config", conf, *args)
+        assert r.exit_code == 2
+        assert "Invalid value" in r.stderr and args[-2] in r.stderr
+        assert isinstance(r.exception, SystemExit)
+
     @staticmethod
     def explicit_z2(one: dict) -> dict:
         """An explicit action of Z2 on C + C: the identity at 0, and at 1 the

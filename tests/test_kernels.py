@@ -81,7 +81,7 @@ from fellap.testing import (
     random_section,
 )
 
-from test_bundles import _ScaledBundle, _WrongInverseBundle
+from test_bundles import _ScaledBundle, _WrongInverseBundle, ref_mul, ref_star
 
 TOL = 1e-10
 # bundles per window radius compared with the dense route
@@ -114,7 +114,8 @@ class DenseWindowRep:
     under <x (x) v, y (x) w> = <v, (x* y) w>.  An orthonormal basis of the
     range (eigenvalues above a relative cutoff) gives the slot its
     coordinates, and kernels and sections are expressed in them.  Nothing
-    here uses the unit sections of ``window_rep``, so the two routes check
+    here uses the unit sections of ``window_rep`` or the batched products
+    (every product is the per-term ``ref_mul``), so the two routes check
     each other: they agree on every basis-free quantity.
     """
 
@@ -134,9 +135,9 @@ class DenseWindowRep:
             self.fiber_basis[t] = basis
             gram = np.zeros((n * self.vdim, n * self.vdim), dtype=complex)
             for a_idx, ba in enumerate(basis):
-                ba_star = bundle.star(t, ba)
+                ba_star = ref_star(bundle, t, ba)
                 for b_idx, bb in enumerate(basis):
-                    inner = bundle.mul(g.inv(t), ba_star, t, bb)
+                    inner = ref_mul(bundle, g.inv(t), ba_star, t, bb)
                     gram[
                         a_idx * self.vdim : (a_idx + 1) * self.vdim,
                         b_idx * self.vdim : (b_idx + 1) * self.vdim,
@@ -179,7 +180,7 @@ class DenseWindowRep:
             st = g.mul(s, g.inv(t))
             tmat = np.zeros((ns, nt), dtype=complex)
             for col, bt in enumerate(self.fiber_basis[t]):
-                tmat[:, col] = self.fiber_coords(s, self.bundle.mul(st, a, t, bt))
+                tmat[:, col] = self.fiber_coords(s, ref_mul(self.bundle, st, a, t, bt))
             w_t = self.onb_maps[t].reshape(nt, self.vdim, self.qdims[t])
             moved = np.einsum("ab,bvq->avq", tmat, w_t).reshape(ns * self.vdim, self.qdims[t])
             r0, c0 = self.offsets[s], self.offsets[t]
@@ -235,7 +236,8 @@ class EntryWindowRep:
 
     def inner(self, t, x):
         """Block representation of <u_t, x> for x in the fiber over t."""
-        return self._dense(self.bundle.mul(self.bundle.group.inv(t), self.unit_stars[t], t, x))
+        g = self.bundle.group
+        return self._dense(ref_mul(self.bundle, g.inv(t), self.unit_stars[t], t, x))
 
     def _dense(self, y):
         """The block-diagonal matrix of y acting on C^V."""
@@ -632,7 +634,7 @@ class TestBlockWindowRep:
         w = Window.ball(g, 1)
         far = g.vector([2])
         k = Kernel.single(bundle, far, g.identity, scalar(bundle.coeff_algebra, 1.0))
-        f = Section.delta(bundle, far, scalar(bundle.coeff_algebra, 1.0))
+        f = Section(bundle, {far: scalar(bundle.coeff_algebra, 1.0)})
         for call in (lambda: pi_matrix(k, w), lambda: mf_embed_norm(k, w)):
             with pytest.raises(ValueError):
                 call()
@@ -680,8 +682,9 @@ class TestStarProductLaw:
         assert kdist(lhs, wrong) > 1e-3
 
     def test_broken_products_break_the_laws(self):
-        """Bundles whose ``mul`` is deliberately wrong keep it in batched
-        kernel products, so the kernel laws fail for them."""
+        """Bundles that override ``mul_many`` with a deliberately wrong
+        product keep it in kernel products, so the kernel laws fail for
+        them."""
         glob = random_global_action(np.random.default_rng(11), cyclic_group(3), [2])
         family, twist = matrix_twist(glob, salt=11)
         pa = random_global_action(np.random.default_rng(12), cyclic_group(3))
@@ -1179,8 +1182,8 @@ class TestPackedKernels:
                 assert mf_embed_norm(packed, big) == mf_embed_norm(Kernel(bundle, ref.data), big)
 
     def test_overridden_products_match_dict_route(self):
-        """Packed products still go through ``mul_many`` and ``star_many``,
-        so a bundle that overrides ``mul`` gets its own product."""
+        """Packed products go through ``mul_many`` and ``star_many``, so a
+        bundle that overrides ``mul_many`` gets its own product."""
         glob = random_global_action(np.random.default_rng(11), cyclic_group(3), [2])
         family, twist = matrix_twist(glob, salt=11)
         pa = random_global_action(np.random.default_rng(12), cyclic_group(3))

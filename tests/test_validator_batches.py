@@ -44,6 +44,11 @@ from fellap.testing import (
 )
 
 
+def _meet(*ideals: Ideal) -> Ideal:
+    """The ideal on the blocks that all of ``ideals`` hold."""
+    return Ideal(ideals[0].algebra, frozenset.intersection(*(i.block_set for i in ideals)))
+
+
 def row_validate_twist(
     family: PartialAction,
     twist: Twist,
@@ -65,7 +70,7 @@ def row_validate_twist(
     rep.add("identity-map", "e", iso_e.map_distance(IdealIso.identity_on(full)), tol)
 
     def corner(s: Elem, t: Elem) -> Ideal:
-        return family.domain(s).intersect(family.domain(g.mul(s, t)))
+        return _meet(family.domain(s), family.domain(g.mul(s, t)))
 
     for t in ball:
         rep.add(
@@ -109,7 +114,7 @@ def row_validate_twist(
             # composition through the twist
             iso_t = family.iso(t)
             iso_st = family.iso(st)
-            dom = family.domain(g.inv(t)).intersect(family.domain(g.inv(st)))
+            dom = _meet(family.domain(g.inv(t)), family.domain(g.inv(st)))
             for x in dom.basis():
                 lhs = iso_s.apply(iso_t.apply(x))
                 rhs = om * iso_st.apply(x) * om.star()
@@ -121,11 +126,7 @@ def row_validate_twist(
             for t in ball:
                 st = g.mul(s, t)
                 rs = g.mul(r, s)
-                dom = (
-                    family.domain(g.inv(r))
-                    .intersect(family.domain(s))
-                    .intersect(family.domain(st))
-                )
+                dom = _meet(family.domain(g.inv(r)), family.domain(s), family.domain(st))
                 if not dom.block_set:
                     continue
                 om_st = twist.omega(s, t)
