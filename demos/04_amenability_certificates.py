@@ -9,7 +9,9 @@ and a family of witnesses with bounds <= 1 and defects -> 0 certifies
 the approximation property. Three constructions are shown: the uniform
 witness on a finite group (defects exactly zero), box witnesses on the
 integers (defect (|t|/N) |b|), and convex mixing of witnesses over a
-free group, which trades no bound growth for averaged defects.
+free group, which trades no bound growth for averaged defects. A witness
+with central values has a positive-type function t -> c_t on the group
+(``ad_function``), and its defects are read from it.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from fellap.algebra import FdAlgebra
 from fellap.approx import (
     APWitness,
+    ad_function,
     ap_certify,
     ap_defect,
     convexify,
@@ -54,6 +57,15 @@ print(
     f"box N={N}, t=3: defect {ap_defect(box, t, b):.6f}"
     f" = 3/10 x |b| = {0.3 * fiber_norm(zbundle, t, b):.6f}"
 )
+
+# The box witness has central values, so sum_s a(ts)* b a(s) = b c_t with
+# one scalar c_t per block: its positive-type function c_t = 1 - |t|/N.
+# ap_certify reads every defect from it, one sum per t whatever the
+# number of targets.
+print(f"box N={N} positive-type function c_t (one block, M_2):")
+for k in range(-1, 12, 3):
+    c = ad_function(box, line.vector([k]))[0].real
+    print(f"   t={k:3d}: c_t = {c:.4f}, 1 - |t|/N = {max(0.0, 1 - abs(k) / N):.4f}")
 
 # ap_certify sweeps a whole family: bounds must stay capped and the final
 # witness must push every defect under the tolerance.

@@ -298,7 +298,8 @@ def split_batch(algebra: FdAlgebra, batch: Sequence[np.ndarray], m: int) -> list
 def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
     """``op_norm`` of every term of a batch: the largest modulus for a class
     of 1 x 1 blocks, otherwise one batched SVD per class, over the blocks
-    that are not exactly zero, since a zero block has norm 0."""
+    that are not exactly zero, since a zero block has norm 0 (their norms
+    are laid back out as an (m, n_c) array with zeros in the gaps)."""
     out = np.zeros(m)
     for p in batch:
         if p.shape[-1] == 1:
@@ -309,8 +310,9 @@ def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
             s = np.linalg.svd(p, compute_uv=False)
             np.maximum(out, s.max(axis=(1, 2)), out=out)
         elif live.any():
-            s = np.linalg.svd(p[live], compute_uv=False)
-            np.maximum.at(out, np.nonzero(live)[0], s.max(axis=1))
+            norms = np.zeros(live.shape)
+            norms[live] = np.linalg.svd(p[live], compute_uv=False).max(axis=1)
+            np.maximum(out, norms.max(axis=1), out=out)
     return out
 
 

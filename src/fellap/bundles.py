@@ -857,12 +857,21 @@ def central_partial_action(bundle: TwistedBundle, tol: float = 1e-9) -> PartialA
     alg = bundle.coeff_algebra
     z_alg = FdAlgebra([1] * alg.nblocks)
     e = g.identity
+    generated: dict[Elem, list[int]] = {}
+
+    def ideal_blocks(t: Elem) -> list[int]:
+        """The sorted blocks of I_t, each found once per action, since
+        ``solve`` asks for them at t and at t^-1."""
+        got = generated.get(t)
+        if got is None:
+            got = generated[t] = sorted(_generated_ideal_blocks(bundle, t))
+        return got
 
     def solve(t: Elem) -> IdealIso:
         if t == e:
             return IdealIso.identity_on(z_alg.full_ideal())
-        src = sorted(_generated_ideal_blocks(bundle, g.inv(t)))
-        tgt = sorted(_generated_ideal_blocks(bundle, t))
+        src = ideal_blocks(g.inv(t))
+        tgt = ideal_blocks(t)
         # Row i holds the entries of the products m p_j (for i < len(src))
         # or p_k m (after) of block (src + tgt)[i], over the basis m of B_t,
         # all from one mul_many call.

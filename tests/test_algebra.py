@@ -31,6 +31,7 @@ from fellap.algebra import (
     IdealIso,
     PartialAction,
     apply_many,
+    batch_norms,
     center_basis,
     globalize_finite,
     op_norm,
@@ -187,6 +188,42 @@ class TestPackedArithmetic:
         xs = [random_element(rng, MIXED) for _ in range(5)]
         assert op_norms(xs) == [max(np.linalg.norm(m, 2) for m in x.mats) for x in xs]
         assert op_norms([]) == []
+
+    def test_batched_norms_match_the_scatter_reference(self):
+        """Laying the live-block norms out densely and taking the row
+        maximum gives what ``np.maximum.at`` over the live blocks gave, bit
+        for bit: whole zero terms, classes with some blocks zero, and a NaN
+        block, which stays NaN."""
+
+        def reference(batch, m):
+            out = np.zeros(m)
+            for p in batch:
+                if p.shape[-1] == 1:
+                    np.maximum(out, np.abs(p).max(axis=(1, 2, 3), initial=0.0), out=out)
+                    continue
+                live = p.any(axis=(-2, -1))
+                if live.all():
+                    np.maximum(out, np.linalg.svd(p, compute_uv=False).max(axis=(1, 2)), out=out)
+                elif live.any():
+                    s = np.linalg.svd(p[live], compute_uv=False)
+                    with np.errstate(invalid="ignore"):  # a NaN already in out
+                        np.maximum.at(out, np.nonzero(live)[0], s.max(axis=1))
+            return out
+
+        rng = rng_for(67)
+        xs = [random_element(rng, MIXED) for _ in range(9)]
+        xs[1] = MIXED.zero()
+        for k, x in enumerate(xs[2:7], 2):
+            for j in range(MIXED.nblocks):
+                if (j + k) % 3:
+                    x.mats[j] = np.zeros_like(x.mats[j])
+        xs[7].mats[1][0, 0] = np.nan  # a 1 x 1 block: an SVD refuses NaN
+        batch = stack_elements(MIXED, xs)
+        live = [p.any(axis=(-2, -1)) for p in batch]
+        assert any(not v.all() and v.any() for v, p in zip(live, batch) if p.shape[-1] > 1)
+        got = batch_norms(batch, len(xs))
+        np.testing.assert_array_equal(got, reference(batch, len(xs)))
+        assert got[1] == 0.0 and np.isnan(got[7])
 
     def test_block_writes_change_the_element(self):
         x = MIXED.zero()

@@ -31,14 +31,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fellap.algebra import FdAlgebra, Ideal, op_norm, pullback_action, restrict_action
+import fellap.approx as approx
+from fellap.algebra import (
+    FdAlgebra,
+    Ideal,
+    IdealIso,
+    PartialAction,
+    op_norm,
+    pullback_action,
+    restrict_action,
+    stack_elements,
+)
 from fellap.approx import (
     APWitness,
     Target,
     TranslateSearchError,
+    _central_defects,
+    _defect_sums,
+    ad_function,
     ap_certify,
     ap_defect,
     ap_defect_partial,
+    ap_defects,
     convexify,
     default_targets,
     folner_witness,
@@ -46,10 +60,25 @@ from fellap.approx import (
     witness_bound,
     witness_gram,
 )
-from fellap.bundles import fiber_norm, group_bundle, make_semidirect, make_twisted
-from fellap.groups import FreeGroup, LatticeGroup, UnsupportedGroupError, cyclic_group
+from fellap.bundles import (
+    Twist,
+    TwistedBundle,
+    fiber_norm,
+    group_bundle,
+    make_semidirect,
+    make_twisted,
+)
+from fellap.cli import ConfigStore
+from fellap.groups import (
+    FreeGroup,
+    LatticeGroup,
+    UnsupportedGroupError,
+    cyclic_group,
+    symmetric_group,
+)
 from fellap.testing import (
     matrix_twist,
+    random_block_unitary,
     random_element,
     random_fell_bundle,
     random_finite_group,
@@ -61,6 +90,7 @@ from fellap.testing import (
 )
 
 from test_bundles import ref_mul
+from test_cli import BASE_CONFIG
 
 TOL = 1e-10
 EXACT = 1e-12
@@ -470,3 +500,259 @@ class TestCertify:
         defects = [r.defect for r in verdict.rows]
         assert all(x >= y - EXACT for x, y in zip(defects, defects[1:]))
         assert verdict.passed
+
+
+def ref_defect_sums(a, targets):
+    """``_defect_sums`` as it added its terms before: the same two
+    ``mul_many`` calls, then one ``np.add.at`` scatter per size class. The
+    bit-for-bit reference of the per-rank additions."""
+    bundle = a.bundle
+    g = bundle.group
+    e = g.identity
+    alg = bundle.coeff_algebra
+    at = {r: i for i, r in enumerate(a.data)}
+    owner, ts, left, right = [], [], [], []
+    for i, (t, _) in enumerate(targets):
+        for r, k in at.items():
+            j = at.get(g.mul(t, r))
+            if j is not None:
+                owner.append(i)
+                ts.append(t)
+                left.append(j)
+                right.append(k)
+    values = stack_elements(alg, list(a.data.values()))
+    bs = stack_elements(alg, [b for _, b in targets])
+    es = [e] * len(ts)
+    mid = bundle.mul_many(
+        es, tuple(p[left].conj().swapaxes(-1, -2) for p in values), ts, tuple(p[owner] for p in bs)
+    )
+    terms = bundle.mul_many(ts, mid, es, tuple(p[right] for p in values))
+    sums = tuple(np.zeros(p.shape, dtype=complex) for p in bs)
+    for total, p in zip(sums, terms):
+        np.add.at(total, owner, p)
+    return sums
+
+
+def pairs_of(targets):
+    return [(tgt.t, tgt.b) for tgt in targets]
+
+
+def rng_at(seed):
+    return np.random.default_rng(seed)
+
+
+def basis_blocks(ideal):
+    """The block of each basis element of the ideal, in ``basis`` order."""
+    sizes = ideal.algebra.blocks
+    return [j for j in sorted(ideal.block_set) for _ in range(sizes[j] ** 2)]
+
+
+def criterion_5_shapes():
+    """(witness, target pairs) on the shapes of acceptance criterion 5:
+    uniform witnesses on 12 random finite bundles against the basis of
+    every fiber, and box witnesses N = 1..64 on the line (the group bundle
+    of M_2 and a random bundle) against the basis of every fiber over
+    t = 0, ±1, ±2, ±N//3, ±N//2, ±(N-1), ±N."""
+    out = []
+    for seed in range(12):
+        rng = np.random.default_rng(500 + seed)
+        bundle, _ = random_fell_bundle(rng, group=random_finite_group(rng))
+        out.append((uniform_witness(bundle), pairs_of(default_targets(bundle))))
+    line = LatticeGroup(1)
+    bundles = [group_bundle(line, FdAlgebra([2])), random_fell_bundle(rng_at(640), group=line)[0]]
+    for n in range(1, 65):
+        bundle = bundles[n % 2]
+        offs = {0, 1, 2, n // 3, n // 2, n - 1, n}
+        ts = [line.vector([sign * off]) for off in sorted(offs) for sign in (1, -1)]
+        pairs = [(t, b) for t, ideal in zip(ts, bundle.fiber_ideals(ts)) for b in ideal.basis()]
+        out.append((folner_witness(bundle, n), pairs))
+    return out
+
+
+def cli_shapes():
+    """The bundles of the CLI tests' config (seed 7) with the witness
+    ``ap-check`` gives them, against ball(2) basis targets."""
+    store = ConfigStore(raw=BASE_CONFIG, sha="-", seed=7)
+    out = []
+    for name in ("bs3", "b1", "b2", "bz"):
+        bundle = store.bundle(name)
+        out.append((uniform_witness(bundle), pairs_of(default_targets(bundle, radius=2))))
+    bline = store.bundle("bline")
+    for n in (1, 8, 64):
+        out.append((folner_witness(bline, n), pairs_of(default_targets(bline, radius=2))))
+    return out
+
+
+def moving_unit_bundle(seed, twisted):
+    """A bundle over Z4 whose alpha_e is the non-trivial conjugation
+    Ad(v_e): the family t -> Ad(v_t) alpha_t of a global action, v a random
+    block unitary per element, v_e included, with the twist
+    omega(s, t) = v_s alpha_s(v_t) v_st* or the trivial one. Only the module
+    product is used on it, not the bundle axioms."""
+    rng = rng_at(900 + seed)
+    glob = random_global_action(rng, cyclic_group(4), [1, 2])
+    g, alg = glob.group, glob.algebra
+    v = {t: random_block_unitary(rng, alg) for t in g.elements()}
+
+    def fam(t):
+        iso = glob.iso(t)
+        unis = {j: v[t].mats[iso.phi[j]] @ iso.unitaries[j] for j in iso.phi}
+        return IdealIso(iso.source, iso.target, dict(iso.phi), unis)
+
+    family = PartialAction(g, alg, fam)
+    if not twisted:
+        return make_semidirect(family)
+    return make_twisted(family, Twist(lambda s, t: v[s] * glob.apply(s, v[t]) * v[g.mul(s, t)].star()))
+
+
+def central_gap(a, pairs):
+    got = _central_defects(a, pairs)
+    want = ap_defects(a, pairs)
+    assert len(got) == len(want) == len(pairs)
+    return max((abs(x - y) for x, y in zip(got, want)), default=0.0)
+
+
+class TestDefectSums:
+    def test_rank_sums_equal_the_scatter_to_the_bit(self):
+        """Random non-central witnesses over F2 (the certify-sweep and
+        criterion-7 shapes), where targets own different numbers of terms,
+        and the central shapes."""
+        cases = []
+        for seed in range(4):
+            for flavor in ("semidirect", "scalar-twist", "matrix-twist"):
+                _, witnesses, targets = sweep_free_fixture(seed, flavor)
+                cases += [(a, pairs_of(targets)) for a, _ in witnesses]
+            _, witnesses, targets = criterion_7_fixture(seed)
+            cases += [(a, pairs_of(targets)) for a, _ in witnesses]
+        cases += criterion_5_shapes()[::5] + cli_shapes()
+        for a, pairs in cases:
+            got, want = _defect_sums(a, pairs), ref_defect_sums(a, pairs)
+            assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+    def test_no_targets(self):
+        bundle = group_bundle(cyclic_group(3), FdAlgebra([1, 2]))
+        got = _defect_sums(uniform_witness(bundle), [])
+        assert [p.shape[0] for p in got] == [0, 0]
+
+
+class TestCentralRoute:
+    """The central route of ``ap_certify`` against ``ap_defects``."""
+
+    def test_criterion_5_shapes(self):
+        assert max(central_gap(a, pairs) for a, pairs in criterion_5_shapes()) <= 1e-13
+
+    def test_cli_config_bundles(self):
+        assert max(central_gap(a, pairs) for a, pairs in cli_shapes()) <= 1e-13
+
+    def test_moving_unit_bundles(self):
+        """alpha_e is a non-trivial conjugation here, so b S_t is not the
+        defect sum; alpha_e(b) S_t is."""
+        for seed in range(20):
+            bundle = moving_unit_bundle(seed, twisted=seed % 2)
+            e = bundle.group.identity
+            x = random_element(rng_at(seed), bundle.coeff_algebra)
+            assert op_norm(bundle.family.apply(e, x) - x) > 0.1
+            pairs = pairs_of(default_targets(bundle, radius=2))
+            assert central_gap(uniform_witness(bundle), pairs) <= 1e-13
+
+    def test_near_central_witness_takes_the_direct_route(self, monkeypatch):
+        bundle = group_bundle(cyclic_group(3), FdAlgebra([2]))
+        a = uniform_witness(bundle)
+        nudged = a.value(bundle.group.identity).copy()
+        nudged.mats[0][0, 1] = 1e-300
+        b = APWitness(bundle, {**a.data, bundle.group.identity: nudged})
+        routes = []
+        monkeypatch.setattr(
+            approx, "ap_defects", lambda w, pairs: routes.append("direct") or ap_defects(w, pairs)
+        )
+        monkeypatch.setattr(
+            approx,
+            "_central_defects",
+            lambda w, pairs: routes.append("central") or _central_defects(w, pairs),
+        )
+        ap_certify(bundle, [a, b, APWitness.zero(bundle)])
+        assert routes == ["central", "direct", "central"]
+
+    def test_zero_witness_and_no_targets(self):
+        rng = rng_at(61)
+        bundle, _ = random_fell_bundle(rng, group=cyclic_group(4))
+        zero = APWitness.zero(bundle)
+        pairs = pairs_of(default_targets(bundle))
+        pairs += [(t, random_fiber_element(rng, bundle, t)) for t in bundle.group.elements()]
+        got = _central_defects(zero, pairs)
+        want = [fiber_norm(bundle, t, b) for t, b in pairs]
+        assert max(abs(x - y) for x, y in zip(got, want)) <= EXACT
+        verdict = ap_certify(bundle, [zero, uniform_witness(bundle)], targets=[])
+        assert verdict.rows == () and verdict.passed
+        assert _central_defects(uniform_witness(bundle), []) == []
+
+    def test_target_outside_fiber_rejected(self):
+        bundle = make_semidirect(random_partial_action(rng_at(62), cyclic_group(4)))
+        alg = bundle.coeff_algebra
+        t = next(t for t in bundle.group.elements() if bundle.fiber_ideal(t).dim() < alg.dim)
+        with pytest.raises(ValueError, match="outside the fiber"):
+            ap_certify(bundle, [uniform_witness(bundle)], [Target(t, alg.one(), "one")])
+
+    def test_one_sum_per_element_not_per_target(self, monkeypatch):
+        """S3 with base block M_2, matrix-twisted: ball(1) is the whole
+        group and the default targets are 6 x 24 = 144. The central route
+        sums 6 x 6 = 36 terms per product step, the direct route 864."""
+        glob = random_global_action(rng_at(63), symmetric_group(3), (2,))
+        bundle = make_twisted(*matrix_twist(glob, 63))
+        a = uniform_witness(bundle)
+        terms = []
+        inner = TwistedBundle.mul_many
+
+        def counted(self, ss, xs, ts, ys):
+            terms.append(len(ss))
+            return inner(self, ss, xs, ts, ys)
+
+        targets = default_targets(bundle)
+        monkeypatch.setattr(TwistedBundle, "mul_many", counted)
+        assert all(r.defect <= EXACT for r in ap_certify(bundle, [a], targets).rows)
+        assert len(targets) == 144 and terms == [36, 36]
+        terms.clear()
+        ap_defects(a, pairs_of(targets))
+        assert terms == [864, 864]
+
+
+class TestAdFunction:
+    def test_box_on_the_line(self):
+        """c_t = 1 - |t|/N on every block, and |1 - c_{t,j}| is the defect
+        at every basis target in block j."""
+        line = LatticeGroup(1)
+        bundle = group_bundle(line, FdAlgebra([1, 2]))
+        for n in (1, 4, 10):
+            a = folner_witness(bundle, n)
+            for off in range(-n - 1, n + 2):
+                t = line.vector([off])
+                c = ad_function(a, t)
+                assert np.abs(c - max(0.0, 1 - abs(off) / n)).max() <= EXACT
+                ideal = bundle.fiber_ideal(t)
+                defects = ap_defects(a, [(t, b) for b in ideal.basis()])
+                want = [abs(1 - c[j]) for j in basis_blocks(ideal)]
+                assert want == pytest.approx(defects, abs=EXACT)
+
+    def test_basis_defects_on_criterion_5_bundles(self):
+        """On the random finite bundles with every basis target of each
+        fiber, the defect is |1 - c_{t,j}| and c vanishes off D_t."""
+        for seed in range(12):
+            rng = rng_at(500 + seed)
+            bundle, _ = random_fell_bundle(rng, group=random_finite_group(rng))
+            alg = bundle.coeff_algebra
+            a = folner_witness(bundle) if seed % 2 else APWitness(
+                bundle, {r: 0.5 * alg.one() for r in bundle.group.ball(1)[:3]}
+            )
+            ts = bundle.group.elements()
+            for t, ideal in zip(ts, bundle.fiber_ideals(ts)):
+                c = ad_function(a, t)
+                assert all(c[j] == 0 for j in range(alg.nblocks) if j not in ideal.block_set)
+                defects = ap_defects(a, [(t, b) for b in ideal.basis()])
+                want = [abs(1 - c[j]) for j in basis_blocks(ideal)]
+                assert want == pytest.approx(defects, abs=1e-13)
+
+    def test_non_central_witness_refused(self):
+        bundle = group_bundle(cyclic_group(3), FdAlgebra([2]))
+        x = random_element(rng_at(64), bundle.coeff_algebra)
+        with pytest.raises(ValueError, match="not central"):
+            ad_function(APWitness(bundle, {bundle.group.identity: x}), bundle.group.identity)

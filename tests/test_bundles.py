@@ -21,6 +21,7 @@ import zlib
 import numpy as np
 import pytest
 
+import fellap.bundles as bundles_module
 from fellap.algebra import (
     ActionReport,
     FdAlgebra,
@@ -406,6 +407,26 @@ class TestInducedActions:
             bundle, _ = random_fell_bundle(rng_for(seed), cyclic_group(6))
             central = central_partial_action(bundle)
             assert unit_identity_residual(central) <= 1e-12
+
+    def test_central_action_finds_each_generated_ideal_once(self, monkeypatch):
+        """``solve`` needs the generated ideal at t and at t^-1; over every t
+        of Z6 that is 10 asks of 5 ideals, each computed once."""
+        bundle, _ = random_fell_bundle(rng_for(46), cyclic_group(6))
+        g = bundle.group
+        want = central_partial_action(bundle)
+        want_phi = {t: dict(want.iso(t).phi) for t in g.elements()}
+        asked = []
+        inner = bundles_module._generated_ideal_blocks
+
+        def counted(bundle, t):
+            asked.append(t)
+            return inner(bundle, t)
+
+        monkeypatch.setattr(bundles_module, "_generated_ideal_blocks", counted)
+        central = central_partial_action(bundle)
+        assert {t: dict(central.iso(t).phi) for t in g.elements()} == want_phi
+        assert len(asked) == len(set(asked)) == 5
+        assert set(asked) == set(g.elements()) - {g.identity}
 
     def test_central_action_points_and_function_relation(self):
         z4 = cyclic_group(4)
