@@ -541,6 +541,11 @@ def rng_at(seed):
     return np.random.default_rng(seed)
 
 
+def basis_pairs(bundle, ts):
+    """Every basis target (t, b) of the fibers over the elements ``ts``."""
+    return [(t, b) for t, ideal in zip(ts, bundle.fiber_ideals(ts)) for b in ideal.basis()]
+
+
 def basis_blocks(ideal):
     """The block of each basis element of the ideal, in ``basis`` order."""
     sizes = ideal.algebra.blocks
@@ -557,15 +562,14 @@ def criterion_5_shapes():
     for seed in range(12):
         rng = np.random.default_rng(500 + seed)
         bundle, _ = random_fell_bundle(rng, group=random_finite_group(rng))
-        out.append((uniform_witness(bundle), pairs_of(default_targets(bundle))))
+        out.append((uniform_witness(bundle), basis_pairs(bundle, bundle.group.elements())))
     line = LatticeGroup(1)
     bundles = [group_bundle(line, FdAlgebra([2])), random_fell_bundle(rng_at(640), group=line)[0]]
     for n in range(1, 65):
         bundle = bundles[n % 2]
         offs = {0, 1, 2, n // 3, n // 2, n - 1, n}
         ts = [line.vector([sign * off]) for off in sorted(offs) for sign in (1, -1)]
-        pairs = [(t, b) for t, ideal in zip(ts, bundle.fiber_ideals(ts)) for b in ideal.basis()]
-        out.append((folner_witness(bundle, n), pairs))
+        out.append((folner_witness(bundle, n), basis_pairs(bundle, ts)))
     return out
 
 
