@@ -298,8 +298,7 @@ def split_batch(algebra: FdAlgebra, batch: Sequence[np.ndarray], m: int) -> list
 def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
     """``op_norm`` of every term of a batch: the largest modulus for a class
     of 1 x 1 blocks, otherwise one batched SVD per class, over the blocks
-    that are not exactly zero, since a zero block has norm 0 (their norms
-    are laid back out as an (m, n_c) array with zeros in the gaps)."""
+    that are not exactly zero, since a zero block has norm 0."""
     out = np.zeros(m)
     for p in batch:
         if p.shape[-1] == 1:

@@ -537,10 +537,6 @@ def pairs_of(targets):
     return [(tgt.t, tgt.b) for tgt in targets]
 
 
-def rng_at(seed):
-    return np.random.default_rng(seed)
-
-
 def basis_pairs(bundle, ts):
     """Every basis target (t, b) of the fibers over the elements ``ts``."""
     return [(t, b) for t, ideal in zip(ts, bundle.fiber_ideals(ts)) for b in ideal.basis()]
@@ -564,7 +560,10 @@ def criterion_5_shapes():
         bundle, _ = random_fell_bundle(rng, group=random_finite_group(rng))
         out.append((uniform_witness(bundle), basis_pairs(bundle, bundle.group.elements())))
     line = LatticeGroup(1)
-    bundles = [group_bundle(line, FdAlgebra([2])), random_fell_bundle(rng_at(640), group=line)[0]]
+    bundles = [
+        group_bundle(line, FdAlgebra([2])),
+        random_fell_bundle(np.random.default_rng(640), group=line)[0],
+    ]
     for n in range(1, 65):
         bundle = bundles[n % 2]
         offs = {0, 1, 2, n // 3, n // 2, n - 1, n}
@@ -593,7 +592,7 @@ def moving_unit_bundle(seed, twisted):
     block unitary per element, v_e included, with the twist
     omega(s, t) = v_s alpha_s(v_t) v_st* or the trivial one. Only the module
     product is used on it, not the bundle axioms."""
-    rng = rng_at(900 + seed)
+    rng = np.random.default_rng(900 + seed)
     glob = random_global_action(rng, cyclic_group(4), [1, 2])
     g, alg = glob.group, glob.algebra
     v = {t: random_block_unitary(rng, alg) for t in g.elements()}
@@ -606,7 +605,8 @@ def moving_unit_bundle(seed, twisted):
     family = PartialAction(g, alg, fam)
     if not twisted:
         return make_semidirect(family)
-    return make_twisted(family, Twist(lambda s, t: v[s] * glob.apply(s, v[t]) * v[g.mul(s, t)].star()))
+    omega = Twist(lambda s, t: v[s] * glob.apply(s, v[t]) * v[g.mul(s, t)].star())
+    return make_twisted(family, omega)
 
 
 def central_gap(a, pairs):
@@ -633,11 +633,6 @@ class TestDefectSums:
             got, want = _defect_sums(a, pairs), ref_defect_sums(a, pairs)
             assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
-    def test_no_targets(self):
-        bundle = group_bundle(cyclic_group(3), FdAlgebra([1, 2]))
-        got = _defect_sums(uniform_witness(bundle), [])
-        assert [p.shape[0] for p in got] == [0, 0]
-
 
 class TestCentralRoute:
     """The central route of ``ap_certify`` against ``ap_defects``."""
@@ -654,7 +649,7 @@ class TestCentralRoute:
         for seed in range(20):
             bundle = moving_unit_bundle(seed, twisted=seed % 2)
             e = bundle.group.identity
-            x = random_element(rng_at(seed), bundle.coeff_algebra)
+            x = random_element(np.random.default_rng(seed), bundle.coeff_algebra)
             assert op_norm(bundle.family.apply(e, x) - x) > 0.1
             pairs = pairs_of(default_targets(bundle, radius=2))
             assert central_gap(uniform_witness(bundle), pairs) <= 1e-13
@@ -678,7 +673,7 @@ class TestCentralRoute:
         assert routes == ["central", "direct", "central"]
 
     def test_zero_witness_and_no_targets(self):
-        rng = rng_at(61)
+        rng = np.random.default_rng(61)
         bundle, _ = random_fell_bundle(rng, group=cyclic_group(4))
         zero = APWitness.zero(bundle)
         pairs = pairs_of(default_targets(bundle))
@@ -691,7 +686,7 @@ class TestCentralRoute:
         assert _central_defects(uniform_witness(bundle), []) == []
 
     def test_target_outside_fiber_rejected(self):
-        bundle = make_semidirect(random_partial_action(rng_at(62), cyclic_group(4)))
+        bundle = make_semidirect(random_partial_action(np.random.default_rng(62), cyclic_group(4)))
         alg = bundle.coeff_algebra
         t = next(t for t in bundle.group.elements() if bundle.fiber_ideal(t).dim() < alg.dim)
         with pytest.raises(ValueError, match="outside the fiber"):
@@ -701,7 +696,7 @@ class TestCentralRoute:
         """S3 with base block M_2, matrix-twisted: ball(1) is the whole
         group and the default targets are 6 x 24 = 144. The central route
         sums 6 x 6 = 36 terms per product step, the direct route 864."""
-        glob = random_global_action(rng_at(63), symmetric_group(3), (2,))
+        glob = random_global_action(np.random.default_rng(63), symmetric_group(3), (2,))
         bundle = make_twisted(*matrix_twist(glob, 63))
         a = uniform_witness(bundle)
         terms = []
@@ -741,7 +736,7 @@ class TestAdFunction:
         """On the random finite bundles with every basis target of each
         fiber, the defect is |1 - c_{t,j}| and c vanishes off D_t."""
         for seed in range(12):
-            rng = rng_at(500 + seed)
+            rng = np.random.default_rng(500 + seed)
             bundle, _ = random_fell_bundle(rng, group=random_finite_group(rng))
             alg = bundle.coeff_algebra
             a = folner_witness(bundle) if seed % 2 else APWitness(
@@ -757,6 +752,6 @@ class TestAdFunction:
 
     def test_non_central_witness_refused(self):
         bundle = group_bundle(cyclic_group(3), FdAlgebra([2]))
-        x = random_element(rng_at(64), bundle.coeff_algebra)
+        x = random_element(np.random.default_rng(64), bundle.coeff_algebra)
         with pytest.raises(ValueError, match="not central"):
             ad_function(APWitness(bundle, {bundle.group.identity: x}), bundle.group.identity)
