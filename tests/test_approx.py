@@ -24,6 +24,10 @@ Frozen oracles, fixed ahead of the implementation:
 * Partial-action route.  |b - sum_s a(ts)* alpha_t(alpha_{t^-1}(b) a(s))|
   computed from the partial action must agree with the bundle-route defect
   over the semidirect bundle to 1e-10.
+
+* Central route.  For a witness with central values, the defects
+  ``ap_certify`` reads from one unit-target sum per t agree with the
+  per-target sums of ``ap_defects`` to 1e-13.
 """
 
 import numpy as np
