@@ -382,8 +382,8 @@ class Ideal:
     block_set: frozenset[int]
 
     def __init__(self, algebra: FdAlgebra, block_set: Iterable[int]):
-        bs = frozenset(int(j) for j in block_set)
-        if any(not (0 <= j < algebra.nblocks) for j in bs):
+        bs = frozenset(map(int, block_set))
+        if bs and (min(bs) < 0 or max(bs) >= algebra.nblocks):
             raise ValueError("block index out of range")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "block_set", bs)
@@ -561,21 +561,28 @@ class IdealIso:
     unitaries: Mapping[int, np.ndarray]
 
     def __post_init__(self):
-        s, t = self.source, self.target
+        s, t, phi, unis = self.source, self.target, self.phi, self.unitaries
         if s.algebra != t.algebra:
             raise ValueError("source and target must be ideals of the same algebra")
-        if set(self.phi.keys()) != set(s.block_set):
+        if phi.keys() != s.block_set:
             raise ValueError("phi must be defined exactly on the source blocks")
-        if set(self.phi.values()) != set(t.block_set):
+        values = set(phi.values())
+        if values != t.block_set:
             raise ValueError("phi must be onto the target blocks")
-        if len(set(self.phi.values())) != len(self.phi):
+        if len(values) != len(phi):
             raise ValueError("phi must be injective")
-        for j, k in self.phi.items():
-            dj, dk = s.algebra.blocks[j], s.algebra.blocks[k]
+        if unis.keys() != phi.keys():
+            missing, extra = sorted(phi.keys() - unis.keys()), sorted(unis.keys() - phi.keys())
+            raise ValueError(
+                f"no entry {missing[0]} among the unitaries" if missing
+                else f"unitaries given outside the source blocks, at {extra}"
+            )
+        blocks = s.algebra.blocks
+        for j, k in phi.items():
+            dj, dk = blocks[j], blocks[k]
             if dj != dk:
                 raise ValueError(f"phi maps block {j} (dim {dj}) to block {k} (dim {dk})")
-            u = self.unitaries[j]
-            if u.shape != (dj, dj):
+            if unis[j].shape != (dj, dj):
                 raise ValueError("unitary shape mismatch")
 
     @cached_property
@@ -590,22 +597,23 @@ class IdealIso:
         matrix of x -> U x U* for d up to ``_KRON_MAX`` and U itself above
         it, with U the unitary of the block sent there (zero outside the
         target). Made on first use and kept."""
-        alg = self.algebra
+        alg, phi, unis = self.algebra, self.phi, self.unitaries
         plan = []
         for d, mem in zip(alg.sizes, alg.members):
-            moves = [(alg.where[self.phi[j]][1], p, j) for p, j in enumerate(mem) if j in self.phi]
-            if not moves:
+            n = len(mem)
+            gather, mats = [n] * n, [np.zeros((d, d), dtype=complex)] * n
+            for p, j in enumerate(mem):
+                if j in phi:
+                    q = alg.where[phi[j]][1]
+                    gather[q], mats[q] = p, unis[j]
+            outside = gather.count(n)
+            if outside == n:
                 plan.append(None)
                 continue
-            n = len(mem)
-            gather = np.full(n, n)
-            u = np.zeros((n, d, d), dtype=complex)
-            for q, p, j in moves:
-                gather[q] = p
-                u[q] = self.unitaries[j]
+            u = np.array(mats, dtype=complex)
             if d <= _KRON_MAX:
                 u = np.einsum("nik,njl->nijkl", u, u.conj()).reshape(n, d * d, d * d)
-            plan.append((gather, u, len(moves) < n))
+            plan.append((np.array(gather), u, outside > 0))
         return tuple(plan)
 
     @property
@@ -644,19 +652,10 @@ class IdealIso:
         alg = self.algebra
         return IdealIso(Ideal(alg, src_blocks), Ideal(alg, set(phi.values())), phi, unis)
 
-    def restricted(self, src_blocks: Iterable[int]) -> "IdealIso":
-        sb = set(src_blocks) & set(self.phi)
-        phi = {j: self.phi[j] for j in sb}
-        unis = {j: self.unitaries[j] for j in sb}
-        alg = self.algebra
-        return IdealIso(Ideal(alg, sb), Ideal(alg, set(phi.values())), phi, unis)
-
     def map_distance(self, other: "IdealIso") -> float:
         """How far apart two isos are as maps; infinite block structure
         mismatch is reported as inf."""
-        if set(self.phi) != set(other.phi) or any(
-            self.phi[j] != other.phi[j] for j in self.phi
-        ):
+        if dict(self.phi) != dict(other.phi):
             return float("inf")
         if not self.phi:
             return 0.0
@@ -914,16 +913,13 @@ def translation_action(group: FiniteGroup, base: FdAlgebra) -> PartialAction:
     nb = base.nblocks
     algebra = FdAlgebra(base.blocks * n)
     full = algebra.full_ideal()
+    # every block unitary is an identity, one matrix per base block shared
+    eyes = [np.eye(d, dtype=complex) for d in base.blocks] * n
 
     def fn(s: Elem) -> IdealIso:
-        phi = {}
-        unis = {}
-        for t_idx in range(n):
-            shifted = group.table[s.data][t_idx]
-            for j in range(nb):
-                phi[t_idx * nb + j] = shifted * nb + j
-                unis[t_idx * nb + j] = np.eye(base.blocks[j], dtype=complex)
-        return IdealIso(full, full, phi, unis)
+        row = group.table[s.data]
+        phi = {t * nb + j: row[t] * nb + j for t in range(n) for j in range(nb)}
+        return IdealIso(full, full, phi, dict(enumerate(eyes)))
 
     return PartialAction(group, algebra, fn)
 
@@ -942,11 +938,11 @@ def pullback_action(
 def conjugate_action(pa: PartialAction, w: FdElement) -> PartialAction:
     """Conjugate every alpha_t by a fixed unitary w of the algebra."""
 
+    ws = list(w.mats)
+    ws_star = [m.conj().T for m in ws]
+
     def conjugated(iso: IdealIso) -> IdealIso:
-        unis = {
-            j: w.mats[iso.phi[j]] @ iso.unitaries[j] @ w.mats[j].conj().T
-            for j in iso.phi
-        }
+        unis = {j: ws[k] @ iso.unitaries[j] @ ws_star[j] for j, k in iso.phi.items()}
         return IdealIso(iso.source, iso.target, dict(iso.phi), unis)
 
     return PartialAction.batched(
@@ -968,12 +964,12 @@ def restrict_action(pa: PartialAction, J: Ideal) -> PartialAction:
     sub = FdAlgebra([pa.algebra.blocks[j] for j in old_blocks])
 
     def restricted(iso: IdealIso) -> IdealIso:
-        kept = [j for j in iso.phi if j in J.block_set and iso.phi[j] in J.block_set]
-        phi = {new_index[j]: new_index[iso.phi[j]] for j in kept}
-        unis = {new_index[j]: iso.unitaries[j] for j in kept}
-        return IdealIso(
-            Ideal(sub, phi.keys()), Ideal(sub, phi.values()), phi, unis
-        )
+        phi, unis = {}, {}
+        for j, k in iso.phi.items():
+            if j in new_index and k in new_index:
+                phi[new_index[j]] = new_index[k]
+                unis[new_index[j]] = iso.unitaries[j]
+        return IdealIso(Ideal(sub, phi.keys()), Ideal(sub, phi.values()), phi, unis)
 
     return PartialAction.batched(
         pa.group, sub, lambda ts: [restricted(iso) for iso in pa.isos(ts)]
@@ -1092,26 +1088,25 @@ def globalize_finite(pa: PartialAction) -> GlobalizationResult:
     A = pa.algebra
     if A.nblocks == 0:
         raise ValueError("cannot globalize an action on the zero algebra")
-    els = g.elements()
-    pos = {t: i for i, t in enumerate(els)}
-    e = g.identity
-    nb = A.nblocks
+    # Elements are read by position, their index in the group table.
+    els, tab = g.elements(), g.table
+    e, inv, nb = g.identity.data, [g.inv(t).data for t in els], A.nblocks
+    isos = pa.isos(els)
 
     # K[j]: the pairs (t^-1, alpha_t(j)) as (position, block)
     K = [[] for _ in range(nb)]
-    for t, iso in zip(els, pa.isos(els)):
-        t_inv = pos[g.inv(t)]
+    for t, iso in enumerate(isos):
         for j, k in iso.phi.items():
-            K[j].append((t_inv, k))
+            K[j].append((inv[t], k))
 
     class_of: dict[tuple[int, int], int] = {}
-    reps: list[tuple[Elem, int]] = []
+    reps: list[tuple[int, int]] = []
     lowest: list[int] = []
-    for r in [e] + [t for t in els if t != e]:
+    for r in [e] + [t for t in range(len(els)) if t != e]:
         for j in range(nb):
-            if (pos[r], j) in class_of:
+            if (r, j) in class_of:
                 continue
-            members = [(pos[g.mul(r, els[p])], k) for p, k in K[j]]
+            members = [(tab[r][p], k) for p, k in K[j]]
             for m in members:
                 class_of[m] = len(reps)
             reps.append((r, j))
@@ -1123,20 +1118,17 @@ def globalize_finite(pa: PartialAction) -> GlobalizationResult:
     full = n_alg.full_ideal()
 
     iso_table: dict[Elem, IdealIso] = {}
-    for s in els:
-        phi = {}
-        unis = {}
+    for s, row in zip(els, tab):
+        phi, unis = {}, {}
         for i, c in enumerate(order):
             r, j = reps[c]
-            sr = g.mul(s, r)
-            target = class_of[(pos[sr], j)]
-            r2, _ = reps[target]
+            target = class_of[(row[r], j)]
             phi[i] = index[target]
-            unis[i] = pa.iso(g.mul(g.inv(r2), sr)).unitaries[j]
+            unis[i] = isos[tab[inv[reps[target][0]]][row[r]]].unitaries[j]
         iso_table[s] = IdealIso(full, full, phi, unis)
     global_action = PartialAction(g, n_alg, iso_table)
 
-    block_of = {j: index[class_of[(pos[e], j)]] for j in range(nb)}
+    block_of = {j: index[class_of[(e, j)]] for j in range(nb)}
     # Envelope blocks have the sizes of their input blocks, so size class c
     # of A and of the envelope hold blocks of one size; dest[c] gives the
     # envelope position of each input block of the class.

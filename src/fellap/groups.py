@@ -99,7 +99,8 @@ class FiniteGroup(Group):
     exist, every row/column must be a permutation (Latin square), every
     element must have a two-sided inverse, and associativity is checked
     exhaustively. Ball enumeration returns the whole group in index order
-    regardless of the radius, since no generating set is declared.
+    regardless of the radius, since no generating set is declared. The |G|
+    elements are made once, and every method returns the stored objects.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], label: str = "finite"):
@@ -131,6 +132,7 @@ class FiniteGroup(Group):
                 raise ValueError(f"element {a} has no unique two-sided inverse")
             inv[a] = matches[0]
         self._inv = tuple(inv)
+        self._elems = tuple(Elem(self, i) for i in range(n))
 
         for a in range(n):
             for b in range(n):
@@ -161,26 +163,26 @@ class FiniteGroup(Group):
 
     @property
     def identity(self) -> Elem:
-        return Elem(self, self._id)
+        return self._elems[self._id]
 
     def elem(self, index: int) -> Elem:
         if not (0 <= index < self._n):
             raise ValueError(f"index {index} out of range for group of order {self._n}")
-        return Elem(self, index)
+        return self._elems[index]
 
     def elements(self) -> list[Elem]:
-        return [Elem(self, i) for i in range(self._n)]
+        return list(self._elems)
 
     def mul(self, a: Elem, b: Elem) -> Elem:
         if a.group is not self or b.group is not self:
             self.check(a)
             self.check(b)
-        return Elem(self, self._table[a.data][b.data])
+        return self._elems[self._table[a.data][b.data]]
 
     def inv(self, a: Elem) -> Elem:
         if a.group is not self:
             self.check(a)
-        return Elem(self, self._inv[a.data])
+        return self._elems[self._inv[a.data]]
 
     def ball(self, radius: int) -> list[Elem]:
         return self.elements()
