@@ -100,7 +100,7 @@ class FiniteGroup(Group):
     element must have a two-sided inverse, and associativity is checked
     exhaustively. Ball enumeration returns the whole group in index order
     regardless of the radius, since no generating set is declared. The |G|
-    elements are made once, and every method returns the stored objects.
+    elements are made once; the methods hand out those stored objects.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], label: str = "finite"):

@@ -1,4 +1,5 @@
-"""Batched action checks against their references.
+"""Batched action checks and the partial-action layer against their
+references.
 
 ``pair_unit_identity_residual``, ``block_unitarity_residual`` and
 ``list_embed`` are the per-pair unit law, the per-block unitarity residual
@@ -6,6 +7,15 @@ and the list-based envelope embedding that the batched routes of
 ``fellap.algebra`` replaced, kept here as independent routes. The batched
 routes must give the same values bit for bit: ``==`` on every residual,
 ``np.array_equal`` on every embedded block.
+
+``ref_translation_action``, ``ref_conjugate_action`` and
+``ref_restrict_action`` build the fixture chain block by block, with a
+fresh identity per block and w's blocks read per iso; ``ref_envelope_isos``
+is the envelope's block maps made through group-element arithmetic, and
+``ref_plan`` an iso plan filled move by move. The library's isos must be
+the same bit for bit: phi in the same order, every unitary with the same
+bytes (the envelope's the very object of the input action), and every
+plan stack the same bytes.
 
 The chunk tests cut the unit law into several chunks by patching its term
 budget and count the batched calls; the large case (Z64 acting on 64 blocks,
@@ -21,12 +31,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fellap import algebra, bundles
+from fellap import algebra, bundles, testing
 from fellap.algebra import (
     ActionReport,
     FdAlgebra,
     batch_norms,
+    conjugate_action,
     FdElement,
+    Ideal,
     IdealIso,
     PartialAction,
     globalize_finite,
@@ -40,10 +52,18 @@ from fellap.algebra import (
     validate_partial_action,
 )
 from fellap.bundles import TwistedBundle, validate_bundle, validate_twist
-from fellap.groups import FreeGroup, LatticeGroup, UnsupportedGroupError, cyclic_group
+from fellap.groups import (
+    FreeGroup,
+    LatticeGroup,
+    UnsupportedGroupError,
+    cyclic_group,
+    symmetric_group,
+)
 from fellap.testing import (
+    random_block_unitary,
     random_element,
     random_fell_bundle,
+    random_global_action,
     random_infinite_partial_action,
     random_partial_action,
 )
@@ -270,3 +290,244 @@ class TestChunks:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+
+def ref_translation_action(group, base: FdAlgebra) -> PartialAction:
+    """``translation_action`` block by block, a fresh identity per block."""
+    n, nb = group.order, base.nblocks
+    alg = FdAlgebra(base.blocks * n)
+    full = alg.full_ideal()
+
+    def fn(s):
+        phi, unis = {}, {}
+        for t in range(n):
+            shifted = group.table[s.data][t]
+            for j in range(nb):
+                phi[t * nb + j] = shifted * nb + j
+                unis[t * nb + j] = np.eye(base.blocks[j], dtype=complex)
+        return IdealIso(full, full, phi, unis)
+
+    return PartialAction(group, alg, fn)
+
+
+def ref_conjugate_action(pa: PartialAction, w: FdElement) -> PartialAction:
+    """``conjugate_action`` reading w's blocks anew for every block."""
+
+    def conjugated(iso):
+        unis = {
+            j: w.mats[iso.phi[j]] @ iso.unitaries[j] @ w.mats[j].conj().T for j in iso.phi
+        }
+        return IdealIso(iso.source, iso.target, dict(iso.phi), unis)
+
+    return PartialAction.batched(
+        pa.group, pa.algebra, lambda ts: [conjugated(iso) for iso in pa.isos(ts)]
+    )
+
+
+def ref_restrict_action(pa: PartialAction, J: Ideal) -> PartialAction:
+    """``restrict_action`` listing the kept blocks first."""
+    old_blocks = sorted(J.block_set)
+    new_index = {j: i for i, j in enumerate(old_blocks)}
+    sub = FdAlgebra([pa.algebra.blocks[j] for j in old_blocks])
+
+    def restricted(iso):
+        kept = [j for j in iso.phi if j in J.block_set and iso.phi[j] in J.block_set]
+        phi = {new_index[j]: new_index[iso.phi[j]] for j in kept}
+        unis = {new_index[j]: iso.unitaries[j] for j in kept}
+        return IdealIso(Ideal(sub, phi.keys()), Ideal(sub, phi.values()), phi, unis)
+
+    return PartialAction.batched(
+        pa.group, sub, lambda ts: [restricted(iso) for iso in pa.isos(ts)]
+    )
+
+
+def ref_envelope_isos(pa: PartialAction) -> dict:
+    """(phi, unitaries) of every envelope iso, by the construction of
+    ``globalize_finite`` run on group elements (``mul``, ``inv`` and
+    ``pa.iso``) instead of table positions."""
+    g, A = pa.group, pa.algebra
+    els, nb, e = g.elements(), A.nblocks, g.identity
+    pos = {t: i for i, t in enumerate(els)}
+    K = [[] for _ in range(nb)]
+    for t in els:
+        for j, k in pa.iso(t).phi.items():
+            K[j].append((pos[g.inv(t)], k))
+    class_of, reps, lowest = {}, [], []
+    for r in [e] + [t for t in els if t != e]:
+        for j in range(nb):
+            if (pos[r], j) in class_of:
+                continue
+            members = [(pos[g.mul(r, els[p])], k) for p, k in K[j]]
+            for m in members:
+                class_of[m] = len(reps)
+            reps.append((r, j))
+            lowest.append(min(p * nb + k for p, k in members))
+    order = sorted(range(len(reps)), key=lambda c: (A.blocks[reps[c][1]], -lowest[c]))
+    index = {c: i for i, c in enumerate(order)}
+    out = {}
+    for s in els:
+        phi, unis = {}, {}
+        for i, c in enumerate(order):
+            r, j = reps[c]
+            sr = g.mul(s, r)
+            target = class_of[(pos[sr], j)]
+            phi[i] = index[target]
+            unis[i] = pa.iso(g.mul(g.inv(reps[target][0]), sr)).unitaries[j]
+        out[s] = (phi, unis)
+    return out
+
+
+def ref_plan(iso: IdealIso) -> tuple:
+    """``IdealIso._plan`` filled move by move into preallocated stacks; the
+    Kronecker matrices of Ad(U) come from the same ``np.einsum``."""
+    alg = iso.algebra
+    plan = []
+    for d, mem in zip(alg.sizes, alg.members):
+        moves = [(alg.where[iso.phi[j]][1], p, j) for p, j in enumerate(mem) if j in iso.phi]
+        if not moves:
+            plan.append(None)
+            continue
+        n = len(mem)
+        gather = np.full(n, n)
+        u = np.zeros((n, d, d), dtype=complex)
+        for q, p, j in moves:
+            gather[q] = p
+            u[q] = iso.unitaries[j]
+        if d <= algebra._KRON_MAX:
+            u = np.einsum("nik,njl->nijkl", u, u.conj()).reshape(n, d * d, d * d)
+        plan.append((gather, u, len(moves) < n))
+    return tuple(plan)
+
+
+def same_bits(a: IdealIso, b: IdealIso) -> bool:
+    """Equal ideals, phi in the same order, and unitaries of equal bytes."""
+    return (
+        a.source == b.source
+        and a.target == b.target
+        and list(a.phi.items()) == list(b.phi.items())
+        and list(a.unitaries) == list(b.unitaries)
+        and all(
+            a.unitaries[j].dtype == b.unitaries[j].dtype
+            and a.unitaries[j].tobytes() == b.unitaries[j].tobytes()
+            for j in a.phi
+        )
+    )
+
+
+def same_plan(got: tuple, want: tuple) -> bool:
+    """Equal plans: the same gathers, pads and conjugation stack bytes."""
+    return len(got) == len(want) and all(
+        (x is None and y is None)
+        or (
+            x is not None
+            and y is not None
+            and x[0].dtype == y[0].dtype
+            and np.array_equal(x[0], y[0])
+            and x[1].shape == y[1].shape
+            and x[1].tobytes() == y[1].tobytes()
+            and x[2] == y[2]
+        )
+        for x, y in zip(got, want)
+    )
+
+
+def through_references(monkeypatch, make):
+    """``make()`` with ``fellap.testing`` building its chains by the
+    reference constructors."""
+    with monkeypatch.context() as m:
+        m.setattr(testing, "translation_action", ref_translation_action)
+        m.setattr(testing, "conjugate_action", ref_conjugate_action)
+        m.setattr(testing, "restrict_action", ref_restrict_action)
+        return make()
+
+
+def assert_chain_matches(monkeypatch, make) -> list[IdealIso]:
+    """The isos of ``make()``'s action, its envelope and the restricted
+    envelope equal the reference routes'; returns them all."""
+    pa, want = make(), through_references(monkeypatch, make)
+    els = pa.group.elements()
+    isos = pa.isos(els)
+    assert all(same_bits(a, b) for a, b in zip(isos, want.isos(els)))
+    glob = globalize_finite(pa)
+    envelope = glob.action.isos(els)
+    ref_envelope = ref_envelope_isos(pa)
+    for s, iso in zip(els, envelope):
+        phi, unis = ref_envelope[s]
+        assert list(iso.phi.items()) == list(phi.items())
+        assert list(iso.unitaries) == list(unis)
+        assert all(iso.unitaries[i] is unis[i] for i in unis)
+    image = glob.image_ideal()
+    restricted = restrict_action(glob.action, image).isos(els)
+    want = ref_restrict_action(glob.action, image).isos(els)
+    assert all(same_bits(a, b) for a, b in zip(restricted, want))
+    return isos + envelope + restricted
+
+
+# The shapes of the benchmark's envelope workload: (group, base blocks,
+# most blocks kept).
+ENVELOPE_SHAPES = [
+    (cyclic_group(m), base, kept)
+    for m, base, kept in [
+        (2, (1,), 1), (2, (2,), 1), (3, (1,), 2), (3, (2,), 2), (4, (1,), 2),
+        (4, (2,), 2), (4, (1, 2), 3), (5, (1,), 2), (5, (1,), 3), (6, (1,), 2),
+        (6, (1,), 3), (3, (1, 2), 3), (3, (1, 2), 4),
+    ]
+] + [(symmetric_group(3), (1,), 2), (symmetric_group(3), (1, 1), 3)]
+
+
+class TestChainReferences:
+    def test_criterion_2_fixtures(self, monkeypatch):
+        for seed in range(200):
+            rng = lambda: np.random.default_rng(seed)
+            assert_chain_matches(monkeypatch, lambda: random_global_action(rng()))
+            assert_chain_matches(monkeypatch, lambda: random_partial_action(rng()))
+
+    @pytest.mark.parametrize("group, base, kept", ENVELOPE_SHAPES)
+    def test_envelope_shapes(self, monkeypatch, group, base, kept):
+        for seed in range(4):
+            rng = lambda: np.random.default_rng(100 + seed)
+            assert_chain_matches(
+                monkeypatch, lambda: random_partial_action(rng(), group, base, kept)
+            )
+
+    def test_conjugating_a_partial_action(self):
+        """Unitaries other than the identity, so the order of the two
+        products in a conjugated unitary shows."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            pa = random_partial_action(rng)
+            w = random_block_unitary(rng, pa.algebra)
+            els = pa.group.elements()
+            got = conjugate_action(pa, w).isos(els)
+            want = ref_conjugate_action(pa, w).isos(els)
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    def test_translation_shares_one_identity_per_base_block(self):
+        base = FdAlgebra([1, 2])
+        pa = translation_action(cyclic_group(3), base)
+        unis = [u for t in pa.group.elements() for u in pa.iso(t).unitaries.values()]
+        assert len({id(u) for u in unis}) == base.nblocks
+        assert all(np.array_equal(u, np.eye(len(u))) for u in unis)
+
+
+class TestPlanPins:
+    """Iso plans equal the einsum formula bit for bit. A Kronecker matrix
+    made by a broadcast multiply instead differs in the last bit on most
+    stacks, and would move residuals the criteria print."""
+
+    def test_fixture_plans(self, monkeypatch):
+        for seed in range(40):
+            make = lambda: random_partial_action(np.random.default_rng(seed))
+            for iso in assert_chain_matches(monkeypatch, make):
+                assert same_plan(iso._plan, ref_plan(iso))
+
+    def test_mixed_sizes_partial_and_empty(self):
+        """Classes of sizes 1, 2, 3 (Kronecker) and 5 (two products), isos
+        defined on some blocks of a class, none, or all."""
+        rng = np.random.default_rng(64)
+        alg = FdAlgebra([2, 1, 5, 2, 1, 3])
+        w = random_block_unitary(rng, alg)
+        for phi in ({0: 3, 2: 2, 4: 1}, {0: 3, 3: 0, 1: 4, 4: 1, 2: 2, 5: 5}, {1: 4}, {}):
+            unis = {j: w.mats[j] for j in phi}
+            iso = IdealIso(Ideal(alg, phi), Ideal(alg, phi.values()), phi, unis)
+            assert same_plan(iso._plan, ref_plan(iso))

@@ -143,6 +143,30 @@ class TestIdealsAndIsos:
                 {0: np.eye(1, dtype=complex)},
             )
 
+    def test_unitaries_must_sit_on_the_source_blocks(self):
+        """A unitary for a block outside phi, even one the algebra does not
+        have, is refused, and a missing one is a ValueError, not a KeyError."""
+        alg = FdAlgebra([1, 1])
+        full, one = alg.full_ideal(), np.eye(1, dtype=complex)
+        phi = {0: 1, 1: 0}
+        for unis, says in (
+            ({0: one, 1: one, 5: 2 * one}, r"outside the source blocks, at \[5\]"),
+            ({0: one}, "no entry 1"),
+        ):
+            with pytest.raises(ValueError, match=says):
+                IdealIso(full, full, phi, unis)
+        first = Ideal(alg, [0])
+        with pytest.raises(ValueError, match="outside the source blocks"):
+            IdealIso(first, first, {0: 0}, {0: one, 1: one})
+
+    def test_ideal_blocks_must_exist(self):
+        alg = FdAlgebra([1, 2, 1])
+        for blocks in ([-1], [0, 3], [2, 7, 1]):
+            with pytest.raises(ValueError, match="block index out of range"):
+                Ideal(alg, blocks)
+        assert Ideal(alg, []).block_set == frozenset()
+        assert Ideal(alg, (np.int64(j) for j in (2, 0))).block_set == frozenset({0, 2})
+
 
 # Blocks of sizes 1, 2, 3 and 5: several size classes, and both ways
 # IdealIso.apply conjugates a class (through the Kronecker matrix, and by

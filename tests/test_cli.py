@@ -167,8 +167,13 @@ class TestConfigErrors:
             ({"unitaries": {"0": [[[1, 0], [0, 0]]], "1": [[[1, 0]]]}}, "unitary shape"),
             ({"phi": {"0": 1, "1": 2}}, "block index out of range"),
             ({"unitaries": {"0": [[[1, 0]]]}}, "no entry 1"),
+            # block 5 does not exist; the unitary would be checked as a stray
+            (
+                {"unitaries": {"0": [[[1, 0]]], "1": [[[1, 0]]], "5": [[[2, 0]]]}},
+                "unitaries given outside the source blocks, at [5]",
+            ),
         ],
-        ids=["nan", "1e400", "shape", "phi-range", "missing-unitary"],
+        ids=["nan", "1e400", "shape", "phi-range", "missing-unitary", "stray-unitary"],
     )
     @pytest.mark.parametrize("command", ["validate", "globalize"])
     def test_malformed_explicit_action(self, tmp_path, one, says, command):

@@ -245,3 +245,30 @@ class TestOwnershipFastPath:
                 g.mul(other, g.identity)
             with pytest.raises(ContextMismatchError):
                 g.inv(other)
+
+
+class TestStoredElements:
+    """A finite group makes its elements once; every method hands out the
+    stored objects, also for elements of an equal twin group."""
+
+    @pytest.mark.parametrize("make", [lambda: cyclic_group(6), lambda: symmetric_group(3)])
+    def test_methods_return_stored_elements(self, make):
+        g = make()
+        els = g.elements()
+        assert [e.data for e in els] == list(range(g.order))
+        assert g.identity is els[g.identity.data]
+        assert all(x is y for x, y in zip(g.elements(), els))
+        assert all(x is y for x, y in zip(g.ball(2), els))
+        for a in els:
+            assert g.elem(a.data) is a
+            assert g.inv(a) is els[g.inv(a).data]
+            assert all(g.mul(a, b) is els[g.table[a.data][b.data]] for b in els)
+        twin = make()
+        a, b = twin.elem(1), twin.elem(g.order - 1)
+        assert g.mul(a, b) is els[g.table[1][g.order - 1]]
+        assert g.inv(a) is els[g.inv(g.elem(1)).data]
+
+    def test_elements_is_a_fresh_list(self):
+        g = cyclic_group(3)
+        g.elements().clear()
+        assert len(g.elements()) == 3
