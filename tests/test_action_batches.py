@@ -441,9 +441,9 @@ def through_references(monkeypatch, make):
         return make()
 
 
-def assert_chain_matches(monkeypatch, make) -> list[IdealIso]:
+def assert_chain_matches(monkeypatch, make) -> None:
     """The isos of ``make()``'s action, its envelope and the restricted
-    envelope equal the reference routes'; returns them all."""
+    envelope, and the plans of them all, equal the reference routes'."""
     pa, want = make(), through_references(monkeypatch, make)
     els = pa.group.elements()
     isos = pa.isos(els)
@@ -460,7 +460,7 @@ def assert_chain_matches(monkeypatch, make) -> list[IdealIso]:
     restricted = restrict_action(glob.action, image).isos(els)
     want = ref_restrict_action(glob.action, image).isos(els)
     assert all(same_bits(a, b) for a, b in zip(restricted, want))
-    return isos + envelope + restricted
+    assert all(same_plan(iso._plan, ref_plan(iso)) for iso in isos + envelope + restricted)
 
 
 # The shapes of the benchmark's envelope workload: (group, base blocks,
@@ -478,11 +478,14 @@ ENVELOPE_SHAPES = [
 class TestChainReferences:
     def test_criterion_2_fixtures(self, monkeypatch):
         for seed in range(200):
-            rng = lambda: np.random.default_rng(seed)
-            assert_chain_matches(monkeypatch, lambda: random_global_action(rng()))
-            assert_chain_matches(monkeypatch, lambda: random_partial_action(rng()))
+            for fixture in (random_global_action, random_partial_action):
+                assert_chain_matches(monkeypatch, lambda: fixture(np.random.default_rng(seed)))
 
-    @pytest.mark.parametrize("group, base, kept", ENVELOPE_SHAPES)
+    @pytest.mark.parametrize(
+        "group, base, kept",
+        ENVELOPE_SHAPES,
+        ids=[f"{g.label}-{'+'.join(map(str, b))}-{k}" for g, b, k in ENVELOPE_SHAPES],
+    )
     def test_envelope_shapes(self, monkeypatch, group, base, kept):
         for seed in range(4):
             rng = lambda: np.random.default_rng(100 + seed)
@@ -511,15 +514,10 @@ class TestChainReferences:
 
 
 class TestPlanPins:
-    """Iso plans equal the einsum formula bit for bit. A Kronecker matrix
-    made by a broadcast multiply instead differs in the last bit on most
-    stacks, and would move residuals the criteria print."""
-
-    def test_fixture_plans(self, monkeypatch):
-        for seed in range(40):
-            make = lambda: random_partial_action(np.random.default_rng(seed))
-            for iso in assert_chain_matches(monkeypatch, make):
-                assert same_plan(iso._plan, ref_plan(iso))
+    """Iso plans equal the einsum formula bit for bit (the fixtures' plans
+    in ``TestChainReferences``). A Kronecker matrix made by a broadcast
+    multiply instead differs in the last bit on most stacks, and would move
+    residuals the criteria print."""
 
     def test_mixed_sizes_partial_and_empty(self):
         """Classes of sizes 1, 2, 3 (Kronecker) and 5 (two products), isos
