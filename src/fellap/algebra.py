@@ -295,6 +295,66 @@ def split_batch(algebra: FdAlgebra, batch: Sequence[np.ndarray], m: int) -> list
     return [_packed(algebra, tuple(p[i] for p in batch)) for i in range(m)]
 
 
+class _Rows:
+    """Values of keys kept as the rows of one batch: ``row[key]`` is the
+    position of a key's value in ``packs``, one array per size class whose
+    first ``n`` rows are filled. ``rows`` sends the keys it finds without a
+    row to a batch function, together, and appends their batch; a full
+    array is replaced by one twice as long, so appending is amortized
+    constant time per row. A store made without its algebra learns it from
+    ``start`` before the first batch is appended."""
+
+    __slots__ = ("algebra", "row", "packs", "n")
+
+    def __init__(self, algebra: FdAlgebra | None = None):
+        self.row: dict = {}
+        self.n = 0
+        self.algebra = self.packs = None
+        if algebra is not None:
+            self.start(algebra)
+
+    def start(self, algebra: FdAlgebra) -> None:
+        self.algebra = algebra
+        self.packs = tuple(
+            np.empty((8, len(m), d, d), dtype=complex) for d, m in zip(algebra.sizes, algebra.members)
+        )
+
+    def rows(self, keys: Sequence, fill: Callable[[list], Sequence[np.ndarray]]) -> list[int]:
+        """The row of every key's value. The distinct keys without a row go
+        to ``fill`` in one list, and it returns their values as a batch."""
+        row = self.row
+        got = [row.get(key) for key in keys]
+        if None not in got:
+            return got
+        missing = [key for key, r in zip(keys, got) if r is None]
+        if len(missing) > 1:
+            missing = list(dict.fromkeys(missing))
+        batch = fill(missing)
+        n, k, packs = self.n, len(missing), self.packs
+        if len(batch) != len(packs) or any(
+            x.shape != (k,) + p.shape[1:] for x, p in zip(batch, packs)
+        ):
+            raise ValueError("the batch function returned the wrong number of values")
+        if packs and n + k > len(packs[0]):
+            self.packs = packs = tuple(_grown(p, n, max(n + k, 2 * n)) for p in packs)
+        for p, x in zip(packs, batch):
+            p[n : n + k] = x
+        row.update(zip(missing, range(n, n + k)))
+        self.n = n + k
+        return [row[key] for key in keys]
+
+    def take(self, rows) -> tuple[np.ndarray, ...]:
+        """The batch of the values in ``rows``, a fresh copy."""
+        return tuple(p[rows] for p in self.packs)
+
+
+def _grown(p: np.ndarray, n: int, cap: int) -> np.ndarray:
+    """An array of ``cap`` rows that starts with the first n rows of p."""
+    q = np.empty((cap,) + p.shape[1:], dtype=complex)
+    q[:n] = p[:n]
+    return q
+
+
 def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
     """``op_norm`` of every term of a batch: the largest modulus for a class
     of 1 x 1 blocks, otherwise one batched SVD per class, over the blocks
@@ -510,10 +570,13 @@ def apply_many(
     Per size class this is one gather of the source blocks into target
     position (a zero block where a target position lies outside the iso's
     target) and one batched conjugation, with the stacks of each iso's
-    class plan (see ``IdealIso._plan``), so the isos may all differ.
+    class plan (see ``IdealIso._plan``), so the isos may all differ. An iso
+    listed more than once (one object: the isos of a pullback action are
+    shared by every element with the same image) has its plan stacked once.
     """
-    plans = [iso._plan for iso in isos]
-    slot = np.arange(len(isos)) if slot is None else np.asarray(slot, dtype=int)
+    distinct, at = _distinct(isos)
+    plans = [iso._plan for iso in distinct]
+    slot = at if slot is None else at[np.asarray(slot, dtype=int)]
     m = len(slot)
     out = []
     for c, x in enumerate(batch):
@@ -683,22 +746,25 @@ def unitarity_residuals(isos: Sequence[IdealIso]) -> list[float]:
     and dtype; every value is the one ``np.linalg.norm(U*U - 1, ord=2)``
     gives for that block alone.
     """
-    # (size, dtype) -> (unitaries, their position by id, owner iso and
-    # position of every block unitary)
-    groups: dict = {}
+    at: dict[int, int] = {}  # id of a distinct unitary -> its position in mats
+    mats, owners, where = [], [], []
     for i, iso in enumerate(isos):
         for u in iso.unitaries.values():
-            mats, at, owners, where = groups.setdefault((u.shape[0], u.dtype), ([], {}, [], []))
             p = at.setdefault(id(u), len(mats))
             if p == len(mats):
                 mats.append(u)
             owners.append(i)
             where.append(p)
+    # the distinct unitaries by (size, dtype): their positions in mats
+    groups: dict = {}
+    for p, u in enumerate(mats):
+        groups.setdefault((u.shape[0], u.dtype), []).append(p)
+    res = np.zeros(len(mats))
+    for (d, _), ps in groups.items():
+        u = np.array([mats[p] for p in ps])
+        res[ps] = np.linalg.svd(_adjoint(u) @ u - np.eye(d), compute_uv=False).max(axis=1)
     out = np.zeros(len(isos))
-    for (d, _), (mats, _, owners, where) in groups.items():
-        u = np.array(mats)
-        res = np.linalg.svd(_adjoint(u) @ u - np.eye(d), compute_uv=False).max(axis=1)
-        np.maximum.at(out, owners, res[where])
+    np.maximum.at(out, owners, res[where])
     return out.tolist()
 
 

@@ -388,7 +388,7 @@ def convexify(
     clash = {g.mul(y_inv, x) for y_inv in map(g.inv, fprime) for x in fprime}
     chosen: List[Elem] = []
     chosen_inv: List[Elem] = []
-    for c in g.ball(search_radius):
+    for c in g.walk(search_radius):
         if any(g.mul(c, r_inv) in clash for r_inv in chosen_inv):
             continue
         chosen.append(c)

@@ -43,6 +43,7 @@ from .algebra import (
     Ideal,
     IdealIso,
     PartialAction,
+    _Rows,
     _adjoint,
     _chunks,
     _distinct,
@@ -93,72 +94,115 @@ class Twist:
     underlying family; validate_twist checks that together with the cocycle
     laws.
 
+    The values are kept as the rows of one batch (see
+    ``fellap.algebra.stack_elements``): ``rows(pairs)`` gives the row of
+    each pair's value and ``take(rows)`` the batch of those rows, which is
+    how the products, the validator and other batched readers gather them.
+    The pairs a call finds missing go to the twist's batch function
+    together, in one call, and their values are appended to the batch.
     ``omega(s, t)`` returns one value and ``omegas(pairs)`` the values of a
-    list of pairs. Values are cached per pair; the pairs a call finds
-    missing go to the twist's batch function together, in one call. A twist
-    is built from a function of one pair, ``Twist(fn)``, which is run in a
-    loop as the batch function, or from a function of a list of distinct
-    pairs, ``Twist.batched(fn_many)``.
+    list of pairs, as views into the rows, made on first read and kept, so
+    a repeated read returns the same object. A twist is built from a
+    function of one pair, ``Twist(fn)``, whose values are stacked once per
+    fill, or from a function of a list of distinct pairs that returns their
+    values as one batch of the algebra, ``Twist.batched(algebra, fn_many)``.
     """
 
     def __init__(self, fn: Callable[[Elem, Elem], FdElement]):
-        self._many = lambda pairs: [fn(s, t) for s, t in pairs]
-        self._cache: dict[tuple[Elem, Elem], FdElement] = {}
+        def many(pairs: list) -> tuple[np.ndarray, ...]:
+            values = [fn(s, t) for s, t in pairs]
+            if self._rows.algebra is None:
+                self._rows.start(values[0].algebra)
+            return stack_elements(self._rows.algebra, values)
+
+        self._many = many
+        self._rows = _Rows()
+        self._views: dict[tuple[Elem, Elem], FdElement] = {}
 
     @classmethod
-    def batched(cls, fn_many: Callable[[list], list[FdElement]]) -> "Twist":
+    def batched(
+        cls, algebra: FdAlgebra, fn_many: Callable[[list], tuple[np.ndarray, ...]]
+    ) -> "Twist":
         """The twist whose values ``fn_many`` makes for a list of distinct
-        pairs (s, t) at a time."""
+        pairs (s, t) at a time, as a batch of ``algebra``."""
         tw = cls(None)
         tw._many = fn_many
+        tw._rows.start(algebra)
         return tw
 
     def omega(self, s: Elem, t: Elem) -> FdElement:
         key = (s, t)
-        got = self._cache.get(key)
+        got = self._views.get(key)
         if got is None:
-            self._fill([key])
-            got = self._cache[key]
+            (r,) = self._rows.rows([key], self._many)
+            got = self._views[key] = self._view(r)
         return got
 
-    def omegas(self, pairs) -> list[FdElement]:
-        """``omega(s, t)`` for every pair (s, t), filling the cache in one
-        batch."""
-        cache = self._cache
-        missing = [key for key in pairs if key not in cache]
-        if missing:
-            self._fill(list(dict.fromkeys(missing)) if len(missing) > 1 else missing)
-        return [cache[key] for key in pairs]
+    def omegas(self, pairs: list) -> list[FdElement]:
+        """``omega(s, t)`` for every pair (s, t) of a list, filling the rows
+        in one batch."""
+        views = self._views
+        out = [views.get(key) for key in pairs]
+        if None not in out:
+            return out
+        for key, r in zip(pairs, self._rows.rows(pairs, self._many)):
+            if key not in views:
+                views[key] = self._view(r)
+        return [views[key] for key in pairs]
 
-    def _fill(self, missing: list) -> None:
-        """Make and cache the values of distinct pairs missing from the cache."""
-        got = self._many(missing)
-        if len(got) != len(missing):
-            raise ValueError("the twist returned the wrong number of values")
-        self._cache.update(zip(missing, got))
+    def _view(self, r: int) -> FdElement:
+        """The value in row r, as a view into the rows."""
+        return _packed(self._rows.algebra, tuple(p[r] for p in self._rows.packs))
+
+    def rows(self, pairs: list) -> np.ndarray:
+        """The row of every pair's value, filling the missing ones in one
+        batch."""
+        return np.array(self._rows.rows(pairs, self._many), dtype=int)
+
+    def take(self, rows) -> tuple[np.ndarray, ...]:
+        """The batch of the values in ``rows`` (see ``rows``), a fresh copy."""
+        return self._rows.take(rows)
+
+
+def _corner_units(pa: PartialAction) -> Callable[[list, list], tuple[np.ndarray, ...]]:
+    """The function of two lists of elements s and u that gives the batch of
+    the units of the corners A_s n A_u. The corners are read from the
+    ``isos`` lists of the two lists; a unit is made once per pair of iso
+    objects (and shared by equal corners), and the distinct units of a call
+    are stacked once."""
+    alg = pa.algebra
+    by_isos: dict[tuple[IdealIso, IdealIso], FdElement] = {}
+    by_blocks: dict[frozenset[int], FdElement] = {}
+
+    def units(ss: list, us: list) -> tuple[np.ndarray, ...]:
+        isos = pa.isos(ss + us)
+        seen: dict = {}
+        slot = [seen.setdefault(key, len(seen)) for key in zip(isos[: len(ss)], isos[len(ss) :])]
+        values = []
+        for key in seen:
+            unit = by_isos.get(key)
+            if unit is None:
+                blocks = key[0].target.block_set & key[1].target.block_set
+                unit = by_blocks.get(blocks)
+                if unit is None:
+                    unit = by_blocks[blocks] = Ideal(alg, blocks).unit()
+                by_isos[key] = unit
+            values.append(unit)
+        stacked = stack_elements(alg, values)
+        return stacked if len(seen) == len(slot) else _take(stacked, slot)
+
+    return units
 
 
 def trivial_twist(pa: PartialAction) -> Twist:
-    """The twist whose every value is the unit of the relevant corner.
-
-    Corners with the same blocks share one unit element; the corners are
-    read from the ``isos`` lists of the pairs' first elements and products."""
-    units: dict[frozenset[int], FdElement] = {}
+    """The twist whose every value is the unit of the relevant corner
+    A_s n A_st, gathered from the distinct corner units of a fill (see
+    ``_corner_units``)."""
+    units = _corner_units(pa)
     mul = pa.group.mul
-
-    def fn_many(pairs: list) -> list[FdElement]:
-        out = []
-        left = pa.isos([s for s, _ in pairs])
-        right = pa.isos([mul(s, t) for s, t in pairs])
-        for a, b in zip(left, right):
-            blocks = a.target.block_set & b.target.block_set
-            unit = units.get(blocks)
-            if unit is None:
-                unit = units[blocks] = Ideal(pa.algebra, blocks).unit()
-            out.append(unit)
-        return out
-
-    return Twist.batched(fn_many)
+    return Twist.batched(
+        pa.algebra, lambda pairs: units([s for s, _ in pairs], [mul(s, t) for s, t in pairs])
+    )
 
 
 class TwistedBundle:
@@ -236,13 +280,14 @@ class TwistedBundle:
         return tuple(_adjoint(w) @ y for w, y in zip(omegas, moved))
 
     def _omegas(self, pairs: list, slot: np.ndarray) -> tuple[np.ndarray, ...]:
-        """omega(pairs[slot[i]]) for every term, as a batch, or as the class
-        arrays of the one value when there is one pair (they broadcast)."""
-        values = self.twist.omegas(pairs)
+        """omega(pairs[slot[i]]) for every term, as a batch gathered from
+        the twist's rows, or as the class arrays of the one value when there
+        is one pair (they broadcast)."""
         if len(pairs) == 1:
-            return values[0].packs
-        stacked = stack_elements(self.coeff_algebra, values)
-        return tuple(p[slot] for p in stacked)
+            return self.twist.omega(*pairs[0]).packs
+        if not pairs:
+            return stack_elements(self.coeff_algebra, [])
+        return self.twist.take(self.twist.rows(pairs)[slot])
 
 
 def _one_term(a: FdElement) -> tuple[np.ndarray, ...]:
@@ -397,11 +442,11 @@ def validate_twist(
         return _concat(*(bases[blocks] for blocks in domains))
 
     def values(keys: list, repeat=None) -> tuple[np.ndarray, ...]:
-        """omega(*key) for every key, ``repeat[i]`` times for key i, as a batch."""
+        """omega(*key) for every key, ``repeat[i]`` times for key i, as a
+        batch gathered from the twist's rows."""
         distinct, slot = _distinct(keys)
-        if repeat is not None:
-            slot = np.repeat(slot, repeat)
-        return _take(stack_elements(alg, twist.omegas(distinct)), slot)
+        rows = twist.rows(distinct)[slot]
+        return twist.take(rows if repeat is None else np.repeat(rows, repeat))
 
     def moved(elems: list, repeat, batch) -> tuple[np.ndarray, ...]:
         """The iso of ``elems[i]`` on the next ``repeat[i]`` terms of the batch."""

@@ -236,13 +236,15 @@ class ConfigStore:
             phase = complex(np.exp(1j * float(perturb.get("scale", 1e-3))))
             base = tw
 
-            def fn_many(pairs: list) -> list:
-                return [
-                    phase * w if key == (s0, t0) else w
-                    for key, w in zip(pairs, base.omegas(pairs))
-                ]
+            def fn_many(pairs: list) -> tuple:
+                batch = base.take(base.rows(pairs))
+                if (s0, t0) in pairs:
+                    i = pairs.index((s0, t0))
+                    for p in batch:
+                        p[i] = phase * p[i]
+                return batch
 
-            tw = Twist.batched(fn_many)
+            tw = Twist.batched(pa.algebra, fn_many)
         self.twists[name] = (pa, tw)
         return pa, tw
 

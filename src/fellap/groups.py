@@ -14,8 +14,9 @@ a ball is byte-reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "ContextMismatchError",
@@ -77,6 +78,11 @@ class Group:
     def ball(self, radius: int) -> list[Elem]:
         """All elements of word length <= radius, deterministically ordered."""
         raise NotImplementedError
+
+    def walk(self, radius: int) -> Iterator[Elem]:
+        """The elements of ``ball(radius)`` one at a time, in its order, for
+        a caller that may stop early."""
+        return iter(self.ball(radius))
 
     def word_length(self, a: Elem) -> int:
         raise NotImplementedError
@@ -286,19 +292,33 @@ class FreeGroup(Group):
     def ball(self, radius: int) -> list[Elem]:
         if radius < 0:
             raise ValueError("radius must be >= 0")
+        out = [self.identity]
+        for layer in self._layers(radius):
+            out.extend(Elem(self, w) for w in layer)
+        return out
+
+    def walk(self, radius: int) -> Iterator[Elem]:
+        """The words of ``ball(radius)`` in its order, a layer made only
+        when the caller reads past the one before."""
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        yield self.identity
+        for layer in self._layers(radius):
+            for w in layer:
+                yield Elem(self, w)
+
+    def _layers(self, radius: int) -> Iterator[list[tuple[int, ...]]]:
+        """The reduced words of lengths 1..radius, one sorted layer at a
+        time: extending a sorted layer by the sorted letters gives the next
+        layer sorted, since words of one length compare letter by letter."""
         letters = sorted(
             [i for i in range(1, self.rank + 1)] + [-i for i in range(1, self.rank + 1)],
             key=_letter_sort_key,
         )
-        out = [self.identity]
         frontier: list[tuple[int, ...]] = [()]
         for _ in range(radius):
-            # Extending a sorted layer by the sorted letters gives the next
-            # layer sorted: words of one length compare letter by letter.
-            nxt = [w + (l,) for w in frontier for l in letters if not (w and w[-1] == -l)]
-            out.extend(Elem(self, w) for w in nxt)
-            frontier = nxt
-        return out
+            frontier = [w + (l,) for w in frontier for l in letters if not (w and w[-1] == -l)]
+            yield frontier
 
     def format_elem(self, a: Elem) -> str:
         if not a.data:
@@ -346,7 +366,7 @@ class LatticeGroup(Group):
         if a.group is not self or b.group is not self:
             self.check(a)
             self.check(b)
-        return Elem(self, tuple(x + y for x, y in zip(a.data, b.data)))
+        return Elem(self, tuple(map(operator.add, a.data, b.data)))
 
     def inv(self, a: Elem) -> Elem:
         if a.group is not self:

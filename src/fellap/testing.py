@@ -20,17 +20,24 @@ from .algebra import (
     Ideal,
     IdealIso,
     PartialAction,
+    _Rows,
     _adjoint,
     _distinct,
     apply_many,
     conjugate_action,
     pullback_action,
     restrict_action,
-    split_batch,
-    stack_elements,
     translation_action,
 )
-from .bundles import Section, Twist, TwistedBundle, make_semidirect, make_twisted, trivial_twist
+from .bundles import (
+    Section,
+    Twist,
+    TwistedBundle,
+    _corner_units,
+    _one_term,
+    make_semidirect,
+    make_twisted,
+)
 from .kernels import Kernel, Window
 from .groups import (
     Elem,
@@ -205,14 +212,15 @@ def scalar_coboundary_twist(pa: PartialAction, salt: int = 0) -> Twist:
     deterministic pseudo-random phase function b with b(e) = 1.
 
     Coboundaries satisfy the cocycle laws for any valid partial action, so
-    these fixtures are exactly valid by construction. A batch of values is
-    the vector of phases times the stacked corner units, which are the
-    values of ``trivial_twist(pa)``.
+    these fixtures are exactly valid by construction. A fill forms each
+    product st once; its batch is the vector of phases, each a product of
+    Python complex numbers, times the batch of the corner units of A_s n
+    A_st, read from ``pa.isos`` and stacked once per distinct unit (the
+    values of ``trivial_twist(pa)``).
     """
     g = pa.group
-    alg = pa.algebra
     phases: dict[Elem, complex] = {g.identity: 1.0 + 0.0j}
-    corners = trivial_twist(pa)
+    units = _corner_units(pa)
 
     def b(t: Elem) -> complex:
         got = phases.get(t)
@@ -220,12 +228,13 @@ def scalar_coboundary_twist(pa: PartialAction, salt: int = 0) -> Twist:
             got = phases[t] = _hash_phase(salt, f"{g.label}|{g.format_elem(t)}")
         return got
 
-    def fn_many(pairs: list) -> list[FdElement]:
-        phase = np.array([b(s) * b(t) * np.conj(b(g.mul(s, t))) for s, t in pairs])
-        units = stack_elements(alg, corners.omegas(pairs))
-        return split_batch(alg, tuple(phase[:, None, None, None] * p for p in units), len(pairs))
+    def fn_many(pairs: list) -> tuple[np.ndarray, ...]:
+        ss = [s for s, _ in pairs]
+        sts = [g.mul(s, t) for s, t in pairs]
+        phase = np.array([b(s) * b(t) * np.conj(b(st)) for (s, t), st in zip(pairs, sts)])
+        return tuple(phase[:, None, None, None] * p for p in units(ss, sts))
 
-    return Twist.batched(fn_many)
+    return Twist.batched(pa.algebra, fn_many)
 
 
 def matrix_twist(glob: PartialAction, salt: int = 0) -> tuple[PartialAction, Twist]:
@@ -237,52 +246,48 @@ def matrix_twist(glob: PartialAction, salt: int = 0) -> tuple[PartialAction, Twi
     v's do not form a cocycle, which makes these fixtures the sharp test of
     the twisted product and involution conventions.
 
-    Both are filled in batches. Each missing v_t is drawn from its own
-    generator, seeded by the salt, the group and t, and the draws of a
-    batch are orthonormalized with one QR per block-size class (the values
-    ``random_block_unitary`` gives one element at a time); the v's are kept.
-    A batch of twist values is two batched products, with every alpha_s in
-    one ``apply_many`` call.
+    Both are filled in batches. The v's are kept as the rows of one batch.
+    Each missing v_t draws its Gaussian row from its own generator, seeded
+    by the salt, the group and t; the rows of a fill are laid out as one
+    batch and orthonormalized with one QR per block-size class (the values
+    ``random_block_unitary`` gives one element at a time). A batch of twist
+    values gathers the v_s, v_t and v_st by row and is two batched
+    products, with every alpha_s in one ``apply_many`` call.
     """
     g = glob.group
     alg = glob.algebra
-    cache: dict[Elem, FdElement] = {g.identity: alg.one()}
+    vs = _Rows(alg)
+    vs.rows([g.identity], lambda ts: _one_term(alg.one()))
 
-    def v(ts: list) -> list[FdElement]:
-        missing = [t for t in ts if t not in cache]
-        if missing:
-            missing = list(dict.fromkeys(missing))
-            draws = [
-                alg.gaussian_many(
-                    np.random.default_rng(
-                        zlib.crc32(f"{salt}|{g.label}|{g.format_elem(t)}".encode())
-                    ),
-                    1,
-                )
-                for t in missing
-            ]
-            packs = tuple(_haar(np.concatenate(z)) for z in zip(*draws))
-            cache.update(zip(missing, split_batch(alg, packs, len(missing))))
-        return [cache[t] for t in ts]
+    def draw(ts: list) -> tuple[np.ndarray, ...]:
+        z = np.empty((len(ts), 2 * alg.dim))
+        for i, t in enumerate(ts):
+            seed = zlib.crc32(f"{salt}|{g.label}|{g.format_elem(t)}".encode())
+            z[i] = np.random.default_rng(seed).normal(size=2 * alg.dim)
+        return tuple(_haar(p) for p in alg.gaussian_layout(z))
 
     def fam_many(ts: list) -> list[IdealIso]:
         out = []
-        for iso, vt in zip(glob.isos(ts), v(ts)):
-            unis = {j: vt.mats[iso.phi[j]] @ iso.unitaries[j] for j in iso.phi}
+        rows = vs.rows(ts, draw)
+        packs, where = vs.packs, alg.where
+        for iso, r in zip(glob.isos(ts), rows):
+            unis = {}
+            for j, k in iso.phi.items():
+                c, p = where[k]
+                unis[j] = packs[c][r, p] @ iso.unitaries[j]
             out.append(IdealIso(iso.source, iso.target, dict(iso.phi), unis))
         return out
 
-    def tw_many(pairs: list) -> list[FdElement]:
-        # one batch of the v_s, then the v_t, then the v_st
+    def tw_many(pairs: list) -> tuple[np.ndarray, ...]:
+        # one gather of the v_s, then the v_t, then the v_st
         m = len(pairs)
         ss = [s for s, _ in pairs]
-        vs = stack_elements(alg, v(ss + [t for _, t in pairs] + [g.mul(s, t) for s, t in pairs]))
+        v = vs.take(vs.rows(ss + [t for _, t in pairs] + [g.mul(s, t) for s, t in pairs], draw))
         elems, slot = _distinct(ss)
-        moved = apply_many(glob.isos(elems), tuple(p[m : 2 * m] for p in vs), slot)
-        packs = tuple(p[:m] @ q @ _adjoint(p[2 * m :]) for p, q in zip(vs, moved))
-        return split_batch(alg, packs, m)
+        moved = apply_many(glob.isos(elems), tuple(p[m : 2 * m] for p in v), slot)
+        return tuple(p[:m] @ q @ _adjoint(p[2 * m :]) for p, q in zip(v, moved))
 
-    return PartialAction.batched(g, alg, fam_many), Twist.batched(tw_many)
+    return PartialAction.batched(g, alg, fam_many), Twist.batched(alg, tw_many)
 
 
 def random_group(rng: np.random.Generator, kinds: Sequence[str] = ("finite", "free", "lattice")) -> Group:

@@ -101,6 +101,16 @@ class TestFreeGroup:
             assert len(set(words)) == len(words) == free_ball_size(n, 5)
             assert words == sorted(words, key=lambda w: (len(w), [(abs(l), l < 0) for l in w]))
 
+    def test_walk_is_the_ball_read_lazily(self):
+        for n in (1, 2, 3):
+            g = FreeGroup(n)
+            for radius in range(5):
+                assert list(g.walk(radius)) == g.ball(radius)
+        # a walk of radius 40 has about 3^40 words; reading five makes five
+        assert [w.data for w in itertools.islice(F2.walk(40), 5)] == [(), (1,), (-1,), (2,), (-2,)]
+        with pytest.raises(ValueError):
+            F2.ball(-1)
+
     def test_positive_words(self):
         assert F2.is_positive(F2.word([1, 2]))
         assert not F2.is_positive(F2.word([1, -2]))
@@ -146,6 +156,10 @@ class TestLattice:
         assert len(Z.ball(3)) == 7
         # l1 ball in Z^2: 1 + 4 + 8 = 13 points at radius 2
         assert len(Z2.ball(2)) == 13
+
+    def test_walk_is_the_ball(self):
+        for g in (Z, Z2, cyclic_group(4)):
+            assert list(g.walk(3)) == g.ball(3)
 
     @given(
         st.tuples(st.integers(-9, 9), st.integers(-9, 9)),

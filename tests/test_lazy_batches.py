@@ -9,6 +9,15 @@ verbatim as reference routes: every value of the batched fixtures must be
 refuses isos over the wrong algebra and elements of another group, and
 that per-pair twists (``Twist(fn)``, the CLI's perturbed twist) give the
 same values through ``omegas`` as through ``omega``.
+
+A twist keeps its values as the rows of one batch, and so does
+``matrix_twist`` its v's. The row caches are checked on the shapes of the
+benchmark's certify-sweep: the gathered twist batches, the v's (through
+the family isos) and the product batches of ``mul_many`` and
+``star_many`` against the per-pair values restacked on every call, as the
+product route read them before the rows; then the edge cases of the rows
+themselves (empty lists, one pair, repeated reads, fills of the wrong
+length).
 """
 
 import zlib
@@ -22,12 +31,17 @@ from fellap.algebra import (
     Ideal,
     IdealIso,
     PartialAction,
+    _distinct,
+    apply_many,
     identity_action,
     pullback_action,
+    restrict_action,
+    stack_elements,
 )
 from fellap.bundles import (
     Twist,
     TwistedBundle,
+    central_partial_action,
     restrict_to_subgroup,
     trivial_twist,
     validate_bundle,
@@ -274,7 +288,7 @@ class TestBatchFillChecks:
         pa = PartialAction.batched(g, alg, lambda ts: [])
         with pytest.raises(ValueError, match="wrong number"):
             pa.isos(g.elements())
-        tw = Twist.batched(lambda pairs: [])
+        tw = Twist.batched(alg, lambda pairs: ())
         with pytest.raises(ValueError, match="wrong number"):
             tw.omegas([(g.identity, g.identity)])
 
@@ -307,3 +321,203 @@ class TestPerPairTwists:
         s0, t0 = g.parse_elem("1"), g.parse_elem("2")
         plain = scalar_coboundary_twist(pa, 7).omega(s0, t0)
         assert not same_element(many.omega(s0, t0), plain)
+
+
+# ---------------------------------------------------------------------------
+# Row caches on the certify-sweep shapes, and their edge cases.
+# ---------------------------------------------------------------------------
+
+# The shapes of the benchmark's certify-sweep: (group, base blocks, kept
+# blocks, finite image of an infinite group).
+SWEEP = [
+    (cyclic_group(2), (2,), 1, None),
+    (cyclic_group(3), (1, 2), 2, None),
+    (cyclic_group(4), (2,), 2, None),
+    (cyclic_group(5), (1,), 3, None),
+    (cyclic_group(6), (1,), 3, None),
+    (symmetric_group(3), (1,), 2, None),
+    (symmetric_group(3), (2,), 3, None),
+    (FreeGroup(2), (1,), 2, cyclic_group(3)),
+    (LatticeGroup(1), (2,), 2, cyclic_group(4)),
+    (LatticeGroup(2), (1,), 1, cyclic_group(2)),
+]
+SWEEP_IDS = [f"{g.label}-{'x'.join(map(str, base))}" for g, base, *_ in SWEEP]
+
+
+def sweep_build(shape, flavor, seed, reference):
+    """(family, twist) of a certify-sweep shape: a conjugated translation
+    action of the finite group (restricted to ``kept`` blocks unless the
+    flavor is matrix-twist), pulled back along a fixed homomorphism for an
+    infinite group."""
+    group, base, kept, image = shape
+    finite = image or group
+    rng = np.random.default_rng(seed)
+    act = random_global_action(rng, finite, base)
+    if flavor != "matrix-twist":
+        nb = len(base)
+        blocks = [
+            int(t) * nb + j
+            for j in range(nb)
+            for t in rng.choice(finite.order, size=len(range(j, kept, nb)), replace=False)
+        ]
+        act = restrict_action(act, Ideal(act.algebra, blocks))
+    if image is not None:
+        hom = random_hom_to_finite(np.random.default_rng(3), group, image)
+        act = pullback_action(act, hom, group)
+    salt = int(rng.integers(2**31))
+    if flavor == "matrix-twist":
+        return (reference_matrix_twist if reference else matrix_twist)(act, salt)
+    if flavor == "semidirect":
+        return act, (reference_trivial_twist if reference else trivial_twist)(act)
+    return act, (reference_scalar_twist if reference else scalar_coboundary_twist)(act, salt)
+
+
+def restacked_mul_many(bundle, ss, xs, ts, ys):
+    """The product route before the row caches: the per-pair values of the
+    distinct pairs stacked on every call (the class arrays of the one value
+    when there is one pair)."""
+    pairs, slot = _distinct(zip(ss, ts))
+    moved = apply_many(bundle.family.isos([s for s, _ in pairs]), ys, slot)
+    values = [bundle.twist.omega(s, t) for s, t in pairs]
+    if len(pairs) == 1:
+        omegas = values[0].packs
+    else:
+        omegas = tuple(p[slot] for p in stack_elements(bundle.coeff_algebra, values))
+    return tuple(x @ y @ w for x, y, w in zip(xs, moved, omegas))
+
+
+def restacked_star_many(bundle, ts, xs):
+    elems, slot = _distinct(ts)
+    pairs = [(bundle.group.inv(t), t) for t in elems]
+    moved = apply_many(
+        bundle.family.isos([u for u, _ in pairs]), tuple(p.conj().swapaxes(-1, -2) for p in xs), slot
+    )
+    values = stack_elements(bundle.coeff_algebra, [bundle.twist.omega(*key) for key in pairs])
+    return tuple(p[slot].conj().swapaxes(-1, -2) @ y for p, y in zip(values, moved))
+
+
+def same_batch(x, y) -> bool:
+    return len(x) == len(y) and all(
+        p.shape == q.shape and np.array_equal(p, q) for p, q in zip(x, y)
+    )
+
+
+class TestRowCaches:
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("shape", SWEEP, ids=SWEEP_IDS)
+    def test_twist_v_and_product_batches_bit_identical(self, shape, flavor):
+        g = shape[0]
+        ball = g.ball(2)
+        pairs = [(s, t) for s in ball for t in ball]
+        for seed in range(2):
+            family, twist = sweep_build(shape, flavor, seed, reference=False)
+            ref_family, ref_twist = sweep_build(shape, flavor, seed, reference=True)
+            alg = family.algebra
+            # twist values: gathered by row, with repeats, in a scrambled order
+            order = scrambled(pairs + pairs[: len(pairs) // 3], seed)
+            want = stack_elements(alg, [ref_twist.omega(s, t) for s, t in order])
+            assert same_batch(twist.take(twist.rows(order)), want)
+            views = twist.omegas(order)
+            assert all(same_element(w, ref_twist.omega(*key)) for key, w in zip(order, views))
+            # the v's of matrix_twist, through the family's unitaries
+            elems = scrambled(g.ball(3), seed)
+            assert all(same_iso(a, ref_family.iso(t)) for t, a in zip(elems, family.isos(elems)))
+            # product batches of a fresh bundle against the restacked route
+            family, twist = sweep_build(shape, flavor, seed, reference=False)
+            bundle = TwistedBundle(family, twist)
+            ref = TwistedBundle(ref_family, ref_twist)
+            rng = np.random.default_rng(seed)
+            m = 3 * len(ball)
+            ss = [ball[i] for i in rng.integers(len(ball), size=m)]
+            ts = [ball[i] for i in rng.integers(len(ball), size=m)]
+            xs, ys = alg.gaussian_many(rng, m), alg.gaussian_many(rng, m)
+            assert same_batch(bundle.mul_many(ss, xs, ts, ys), restacked_mul_many(ref, ss, xs, ts, ys))
+            assert same_batch(bundle.star_many(ts, xs), restacked_star_many(ref, ts, xs))
+
+    @pytest.mark.parametrize("flavor", FLAVORS + ("per-pair",))
+    def test_empty_pair_lists(self, flavor):
+        """Empty lists on fresh bundles, before any value is filled: the
+        twist's rows, the products, and the central action at a fiber that
+        is zero (whose generated ideals are empty)."""
+        z4 = cyclic_group(4)
+        if flavor == "per-pair":
+            pa, base = build(z4, "scalar-twist", 9, reference=False)
+            family, twist = pa, Twist(base.omega)
+        else:
+            family, twist = build(z4, flavor, 9, reference=False)
+        alg = family.algebra
+        empty = stack_elements(alg, [])
+        assert twist.omegas([]) == [] and twist.rows([]).shape == (0,)
+        bundle = TwistedBundle(family, twist)
+        for got in (bundle.mul_many([], empty, [], empty), bundle.star_many([], empty)):
+            assert [p.shape for p in got] == [p.shape for p in empty]
+        sub = restrict_to_subgroup(bundle, lambda t: t.data % 2 == 0)
+        assert central_partial_action(sub).iso(z4.elem(1)).phi == {}
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_one_pair_broadcast(self, flavor):
+        """One distinct pair: its value's class arrays broadcast over the
+        terms, bit for bit the terms of one-term products."""
+        g = FreeGroup(2)
+        family, twist = build(g, flavor, 4, reference=False)
+        bundle = TwistedBundle(family, twist)
+        alg = family.algebra
+        rng = np.random.default_rng(4)
+        s, t = g.generator(1), g.inv(g.generator(2))
+        xs, ys = alg.gaussian_many(rng, 6), alg.gaussian_many(rng, 6)
+        got = bundle.mul_many([s] * 6, xs, [t] * 6, ys)
+        for i in range(6):
+            one = bundle.mul_many([s], tuple(p[i : i + 1] for p in xs), [t], tuple(p[i : i + 1] for p in ys))
+            assert same_batch(tuple(p[i : i + 1] for p in got), one)
+        stars = bundle.star_many([t] * 6, xs)
+        assert same_batch(stars, restacked_star_many(bundle, [t] * 6, xs))
+
+    def test_repeated_reads_return_the_same_object(self):
+        g = FreeGroup(2)
+        family, twist = build(g, "matrix-twist", 6, reference=False)
+        _, ref_twist = build(g, "matrix-twist", 6, reference=True)
+        first = [(g.identity, g.generator(1)), (g.generator(2), g.generator(1))]
+        views = twist.omegas(first)
+        assert twist.omega(*first[1]) is views[1] and twist.omegas(first)[0] is views[0]
+        # more fills, which grow the rows; the earlier views stay and keep their values
+        ball = g.ball(2)
+        for s in ball:
+            twist.omegas([(s, t) for t in ball])
+        assert twist.omegas(first) == views
+        assert all(same_element(w, ref_twist.omega(*key)) for key, w in zip(first, views))
+
+    def test_wrong_length_fill_raises(self):
+        g = cyclic_group(3)
+        alg = FdAlgebra([1, 2])
+        pairs = [(g.identity, t) for t in g.elements()]
+        good = stack_elements(alg, [alg.one()] * 3)
+        wrong = {
+            "one row too many": tuple(np.concatenate([p, p[:1]]) for p in good),
+            "a class missing": good[:1],
+            "one value, unbatched": alg.one().packs,
+            "blocks of the wrong size": (good[1], good[0]),
+        }
+        for batch in wrong.values():
+            tw = Twist.batched(alg, lambda keys, batch=batch: batch)
+            with pytest.raises(ValueError, match="wrong number"):
+                tw.omegas(pairs)
+            with pytest.raises(ValueError, match="wrong number"):
+                tw.omega(*pairs[0])  # nothing of the failed fill stayed
+        tw = Twist.batched(alg, lambda keys: stack_elements(alg, [alg.one()] * len(keys)))
+        assert all(same_element(w, alg.one()) for w in tw.omegas(pairs))
+
+    @pytest.mark.parametrize("name", ["F2", "Z2"])
+    def test_apply_many_shares_repeated_isos(self, name):
+        """A pullback hands one iso to many elements; apply_many plans it
+        once, bit for bit the values of one slot per element."""
+        g = GROUPS[name]
+        rng = np.random.default_rng(12)
+        finite = cyclic_group(4) if name == "Z2" else cyclic_group(3)
+        base = random_partial_action(rng, finite)
+        pa = pullback_action(base, random_hom_to_finite(rng, g, finite), g)
+        elems = g.ball(3)
+        isos = pa.isos(elems)
+        assert len({id(iso) for iso in isos}) < len(isos)
+        batch = pa.algebra.gaussian_many(rng, len(elems))
+        copies = [IdealIso(a.source, a.target, a.phi, a.unitaries) for a in isos]
+        assert same_batch(apply_many(isos, batch), apply_many(copies, batch))
