@@ -316,7 +316,8 @@ class _Rows:
     def start(self, algebra: FdAlgebra) -> None:
         self.algebra = algebra
         self.packs = tuple(
-            np.empty((8, len(m), d, d), dtype=complex) for d, m in zip(algebra.sizes, algebra.members)
+            np.empty((8, len(m), d, d), dtype=complex)
+            for d, m in zip(algebra.sizes, algebra.members)
         )
 
     def rows(self, keys: Sequence, fill: Callable[[list], Sequence[np.ndarray]]) -> list[int]:
@@ -336,7 +337,11 @@ class _Rows:
         ):
             raise ValueError("the batch function returned the wrong number of values")
         if packs and n + k > len(packs[0]):
-            self.packs = packs = tuple(_grown(p, n, max(n + k, 2 * n)) for p in packs)
+            cap = max(n + k, 2 * n)
+            grown = tuple(np.empty((cap,) + p.shape[1:], dtype=complex) for p in packs)
+            for q, p in zip(grown, packs):
+                q[:n] = p[:n]
+            self.packs = packs = grown
         for p, x in zip(packs, batch):
             p[n : n + k] = x
         row.update(zip(missing, range(n, n + k)))
@@ -346,13 +351,6 @@ class _Rows:
     def take(self, rows) -> tuple[np.ndarray, ...]:
         """The batch of the values in ``rows``, a fresh copy."""
         return tuple(p[rows] for p in self.packs)
-
-
-def _grown(p: np.ndarray, n: int, cap: int) -> np.ndarray:
-    """An array of ``cap`` rows that starts with the first n rows of p."""
-    q = np.empty((cap,) + p.shape[1:], dtype=complex)
-    q[:n] = p[:n]
-    return q
 
 
 def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:

@@ -389,9 +389,8 @@ def restacked_mul_many(bundle, ss, xs, ts, ys):
 def restacked_star_many(bundle, ts, xs):
     elems, slot = _distinct(ts)
     pairs = [(bundle.group.inv(t), t) for t in elems]
-    moved = apply_many(
-        bundle.family.isos([u for u, _ in pairs]), tuple(p.conj().swapaxes(-1, -2) for p in xs), slot
-    )
+    adjoints = tuple(p.conj().swapaxes(-1, -2) for p in xs)
+    moved = apply_many(bundle.family.isos([u for u, _ in pairs]), adjoints, slot)
     values = stack_elements(bundle.coeff_algebra, [bundle.twist.omega(*key) for key in pairs])
     return tuple(p[slot].conj().swapaxes(-1, -2) @ y for p, y in zip(values, moved))
 
@@ -431,7 +430,8 @@ class TestRowCaches:
             ss = [ball[i] for i in rng.integers(len(ball), size=m)]
             ts = [ball[i] for i in rng.integers(len(ball), size=m)]
             xs, ys = alg.gaussian_many(rng, m), alg.gaussian_many(rng, m)
-            assert same_batch(bundle.mul_many(ss, xs, ts, ys), restacked_mul_many(ref, ss, xs, ts, ys))
+            want = restacked_mul_many(ref, ss, xs, ts, ys)
+            assert same_batch(bundle.mul_many(ss, xs, ts, ys), want)
             assert same_batch(bundle.star_many(ts, xs), restacked_star_many(ref, ts, xs))
 
     @pytest.mark.parametrize("flavor", FLAVORS + ("per-pair",))
@@ -467,8 +467,8 @@ class TestRowCaches:
         xs, ys = alg.gaussian_many(rng, 6), alg.gaussian_many(rng, 6)
         got = bundle.mul_many([s] * 6, xs, [t] * 6, ys)
         for i in range(6):
-            one = bundle.mul_many([s], tuple(p[i : i + 1] for p in xs), [t], tuple(p[i : i + 1] for p in ys))
-            assert same_batch(tuple(p[i : i + 1] for p in got), one)
+            x, y = (tuple(p[i : i + 1] for p in batch) for batch in (xs, ys))
+            assert same_batch(tuple(p[i : i + 1] for p in got), bundle.mul_many([s], x, [t], y))
         stars = bundle.star_many([t] * 6, xs)
         assert same_batch(stars, restacked_star_many(bundle, [t] * 6, xs))
 
