@@ -111,9 +111,6 @@ class FdAlgebra:
             ),
         )
 
-    def element(self, mats: Sequence[np.ndarray]) -> "FdElement":
-        return FdElement(self, [np.asarray(m, dtype=complex) for m in mats])
-
     def gaussian(self, rng: np.random.Generator) -> "FdElement":
         """Element with independent complex Gaussian entries.
 
@@ -192,8 +189,9 @@ class _Blocks:
 class FdElement:
     """One complex matrix per block of an :class:`FdAlgebra`.
 
-    Arithmetic is blockwise; ``*`` is the algebra product, ``star()`` the
-    adjoint, and ``norm()`` the operator norm (max block spectral norm).
+    Arithmetic is blockwise; ``*`` is the algebra product and ``star()``
+    the adjoint; ``op_norm`` gives the operator norm (max block spectral
+    norm).
     Instances are treated as immutable after construction.
 
     The blocks are stored packed by size class: ``packs[c]`` is an array of
@@ -248,20 +246,8 @@ class FdElement:
     def star(self) -> "FdElement":
         return self._like([a.conj().transpose(0, 2, 1) for a in self.packs])
 
-    def norm(self) -> float:
-        return op_norm(self)
-
-    def flat(self) -> np.ndarray:
-        """All block entries concatenated into one vector (fixed order)."""
-        if not self.packs:
-            return np.zeros(0, dtype=complex)
-        return np.concatenate([a.ravel() for a in self.mats])
-
-    def copy(self) -> "FdElement":
-        return self._like([a.copy() for a in self.packs])
-
     def __repr__(self) -> str:
-        return f"FdElement(blocks={self.algebra.blocks}, norm={self.norm():.4g})"
+        return f"FdElement(blocks={self.algebra.blocks}, norm={op_norm(self):.4g})"
 
 
 def _packed(algebra: FdAlgebra, packs: tuple[np.ndarray, ...]) -> FdElement:
@@ -350,7 +336,7 @@ class _Rows:
 
     def take(self, rows) -> tuple[np.ndarray, ...]:
         """The batch of the values in ``rows``, a fresh copy."""
-        return tuple(p[rows] for p in self.packs)
+        return _take(self.packs, rows)
 
 
 def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
@@ -375,6 +361,37 @@ def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
 
 def _adjoint(p: np.ndarray) -> np.ndarray:
     return p.conj().swapaxes(-1, -2)
+
+
+def _one_term(a: FdElement) -> tuple[np.ndarray, ...]:
+    """The batch whose one term is ``a``."""
+    return tuple(p[None] for p in a.packs)
+
+
+def _take(batch, idx) -> tuple[np.ndarray, ...]:
+    """The terms of a batch at ``idx`` (an index array or a slice)."""
+    return tuple(p[idx] for p in batch)
+
+
+def _concat(*batches) -> tuple[np.ndarray, ...]:
+    return tuple(np.concatenate(packs) for packs in zip(*batches))
+
+
+def _parts(batch, k: int, m: int) -> list[tuple[np.ndarray, ...]]:
+    """A batch of k * m terms cut into k batches of m."""
+    return [_take(batch, slice(i * m, (i + 1) * m)) for i in range(k)]
+
+
+def _minus(x, y) -> tuple[np.ndarray, ...]:
+    return tuple(p - q for p, q in zip(x, y))
+
+
+def _mul(x, y) -> tuple[np.ndarray, ...]:
+    return tuple(p @ q for p, q in zip(x, y))
+
+
+def _adjoints(x) -> tuple[np.ndarray, ...]:
+    return tuple(_adjoint(p) for p in x)
 
 
 def _distinct(keys) -> tuple[list, np.ndarray]:
@@ -502,9 +519,6 @@ class Ideal:
 
     def dim(self) -> int:
         return sum(self.algebra.blocks[j] ** 2 for j in self.block_set)
-
-    def __le__(self, other: "Ideal") -> bool:
-        return self.block_set <= other.block_set
 
 
 def _inside_masks(ideals: Sequence[Ideal], c: int, n: int) -> np.ndarray:
@@ -705,14 +719,6 @@ class IdealIso:
             object.__setattr__(self, "_inverse", inv)
         return inv
 
-    def compose(self, other: "IdealIso") -> "IdealIso":
-        """self after other, restricted to where the chain is defined."""
-        src_blocks = {j for j in other.phi if other.phi[j] in self.phi}
-        phi = {j: self.phi[other.phi[j]] for j in src_blocks}
-        unis = {j: self.unitaries[other.phi[j]] @ other.unitaries[j] for j in src_blocks}
-        alg = self.algebra
-        return IdealIso(Ideal(alg, src_blocks), Ideal(alg, set(phi.values())), phi, unis)
-
     def map_distance(self, other: "IdealIso") -> float:
         """How far apart two isos are as maps; infinite block structure
         mismatch is reported as inf."""
@@ -724,10 +730,6 @@ class IdealIso:
             conjugation_distance(self.unitaries[j], other.unitaries[j]) for j in self.phi
         )
 
-    def unitarity_residual(self) -> float:
-        """The largest ||U*U - 1|| over the block unitaries (0.0 for none)."""
-        return unitarity_residuals([self])[0]
-
     @staticmethod
     def identity_on(ideal: Ideal) -> "IdealIso":
         phi = {j: j for j in ideal.block_set}
@@ -736,8 +738,8 @@ class IdealIso:
 
 
 def unitarity_residuals(isos: Sequence[IdealIso]) -> list[float]:
-    """``unitarity_residual`` of each iso: the largest ||U*U - 1|| over its
-    block unitaries, 0.0 for an iso without any.
+    """The largest ||U*U - 1|| over the block unitaries of each iso, 0.0
+    for an iso without any.
 
     Each distinct unitary (by identity: the isos of an envelope share those
     of the input action) is checked once, in one batched SVD per block size
@@ -840,10 +842,6 @@ class PartialAction:
 
     def apply(self, t: Elem, x: FdElement) -> FdElement:
         return self.iso(t).apply(x)
-
-    def unit(self, t: Elem) -> FdElement:
-        """The unit projection 1_t of the ideal A_t."""
-        return self.domain(t).unit()
 
 
 @dataclass

@@ -32,7 +32,9 @@ from .algebra import (
     FdElement,
     Ideal,
     PartialAction,
+    _adjoints,
     _distinct,
+    _take,
     apply_many,
     batch_norms,
     op_norm,
@@ -49,7 +51,8 @@ class TranslateSearchError(RuntimeError):
 
 
 class APWitness:
-    """Finitely supported map from the group into the unit fiber."""
+    """Finitely supported map from the group into the unit fiber: ``data``
+    maps each element of the support to its nonzero value."""
 
     __slots__ = ("bundle", "data")
 
@@ -68,13 +71,6 @@ class APWitness:
     @staticmethod
     def zero(bundle: TwistedBundle) -> "APWitness":
         return APWitness(bundle, {})
-
-    def value(self, r: Elem) -> FdElement:
-        got = self.data.get(r)
-        return got if got is not None else self.bundle.coeff_algebra.zero()
-
-    def support(self) -> List[Elem]:
-        return list(self.data.keys())
 
     def translated(self, r: Elem) -> "APWitness":
         """Right translate s -> a(s r^{-1})."""
@@ -126,10 +122,8 @@ def _defect_sums(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) -> Tup
     values = stack_elements(alg, list(a.data.values()))
     bs = stack_elements(alg, [b for _, b in targets])
     es = [e] * len(ts)
-    mid = bundle.mul_many(
-        es, tuple(p[left].conj().swapaxes(-1, -2) for p in values), ts, tuple(p[owner] for p in bs)
-    )
-    terms = bundle.mul_many(ts, mid, es, tuple(p[right] for p in values))
+    mid = bundle.mul_many(es, _adjoints(_take(values, left)), ts, _take(bs, owner))
+    terms = bundle.mul_many(ts, mid, es, _take(values, right))
     # The terms of a target are consecutive. With the targets ordered by
     # their number of terms, most first, the targets that have a k-th term
     # are a prefix, and adding the k-th terms of that prefix at once,

@@ -45,9 +45,16 @@ from .algebra import (
     PartialAction,
     _Rows,
     _adjoint,
+    _adjoints,
     _chunks,
+    _concat,
     _distinct,
+    _minus,
+    _mul,
+    _one_term,
     _packed,
+    _parts,
+    _take,
     apply_many,
     batch_norms,
     center_basis,
@@ -75,7 +82,6 @@ __all__ = [
     "fiber_norm",
     "central_partial_action",
     "restrict_to_subgroup",
-    "full_sub_bundle",
     "subgroup_sub_bundle",
     "mask_sub_bundle",
     "trace_sub_bundle",
@@ -100,12 +106,12 @@ class Twist:
     how the products, the validator and other batched readers gather them.
     The pairs a call finds missing go to the twist's batch function
     together, in one call, and their values are appended to the batch.
-    ``omega(s, t)`` returns one value and ``omegas(pairs)`` the values of a
-    list of pairs, as views into the rows, made on first read and kept, so
-    a repeated read returns the same object. A twist is built from a
-    function of one pair, ``Twist(fn)``, whose values are stacked once per
-    fill, or from a function of a list of distinct pairs that returns their
-    values as one batch of the algebra, ``Twist.batched(algebra, fn_many)``.
+    ``omega(s, t)`` returns one value, as a view into the rows, made on
+    first read and kept, so a repeated read returns the same object. A
+    twist is built from a function of one pair, ``Twist(fn)``, whose values
+    are stacked once per fill, or from a function of a list of distinct
+    pairs that returns their values as one batch of the algebra,
+    ``Twist.batched(algebra, fn_many)``.
     """
 
     def __init__(self, fn: Callable[[Elem, Elem], FdElement]):
@@ -137,18 +143,6 @@ class Twist:
             (r,) = self._rows.rows([key], self._many)
             got = self._views[key] = self._view(r)
         return got
-
-    def omegas(self, pairs: list) -> list[FdElement]:
-        """``omega(s, t)`` for every pair (s, t) of a list, filling the rows
-        in one batch."""
-        views = self._views
-        out = [views.get(key) for key in pairs]
-        if None not in out:
-            return out
-        for key, r in zip(pairs, self._rows.rows(pairs, self._many)):
-            if key not in views:
-                views[key] = self._view(r)
-        return [views[key] for key in pairs]
 
     def _view(self, r: int) -> FdElement:
         """The value in row r, as a view into the rows."""
@@ -288,11 +282,6 @@ class TwistedBundle:
         if not pairs:
             return stack_elements(self.coeff_algebra, [])
         return self.twist.take(self.twist.rows(pairs)[slot])
-
-
-def _one_term(a: FdElement) -> tuple[np.ndarray, ...]:
-    """The batch whose one term is ``a``."""
-    return tuple(p[None] for p in a.packs)
 
 
 def make_semidirect(pa: PartialAction) -> TwistedBundle:
@@ -558,31 +547,6 @@ def validate_twist(
     return rep
 
 
-def _take(batch, idx) -> tuple[np.ndarray, ...]:
-    return tuple(p[idx] for p in batch)
-
-
-def _concat(*batches) -> tuple[np.ndarray, ...]:
-    return tuple(np.concatenate(packs) for packs in zip(*batches))
-
-
-def _minus(x, y) -> tuple[np.ndarray, ...]:
-    return tuple(p - q for p, q in zip(x, y))
-
-
-def _mul(x, y) -> tuple[np.ndarray, ...]:
-    return tuple(p @ q for p, q in zip(x, y))
-
-
-def _adjoints(x) -> tuple[np.ndarray, ...]:
-    return tuple(_adjoint(p) for p in x)
-
-
-def _parts(batch, k: int, m: int) -> list[tuple[np.ndarray, ...]]:
-    """A batch of k * m terms cut into k batches of m."""
-    return [_take(batch, slice(i * m, (i + 1) * m)) for i in range(k)]
-
-
 def _lowest_eigenvalues(batch, m: int) -> list[float]:
     """Smallest eigenvalue over all blocks of each term (0.0 for the zero
     algebra), read from the lower triangles as ``eigvalsh`` does."""
@@ -733,8 +697,8 @@ def validate_bundle(
 class Section:
     """Finitely supported section of a bundle: one coefficient per element.
 
-    Entries are expected to lie in their fibers; nothing is projected
-    silently.
+    ``data`` maps each element of the support to its coefficient. Entries
+    are expected to lie in their fibers; nothing is projected silently.
     """
 
     __slots__ = ("bundle", "data")
@@ -742,25 +706,6 @@ class Section:
     def __init__(self, bundle: TwistedBundle, data: Mapping[Elem, FdElement]):
         self.bundle = bundle
         self.data = dict(data)
-
-    def value(self, t: Elem) -> FdElement:
-        got = self.data.get(t)
-        return got if got is not None else self.bundle.coeff_algebra.zero()
-
-    def support(self) -> list[Elem]:
-        return list(self.data.keys())
-
-    def __add__(self, other: "Section") -> "Section":
-        data = dict(self.data)
-        for t, a in other.data.items():
-            data[t] = data[t] + a if t in data else a
-        return Section(self.bundle, data)
-
-    def __sub__(self, other: "Section") -> "Section":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "Section":
-        return Section(self.bundle, {t: complex(scalar) * a for t, a in self.data.items()})
 
     def right_mul(self, b: FdElement) -> "Section":
         """Right action of a unit-fiber element: (f b)(t) = f(t) b, every
@@ -793,9 +738,6 @@ class Section:
         )
         return _packed(alg, tuple(p.sum(axis=0) for p in terms))
 
-    def sup_norm(self) -> float:
-        return max((op_norm(a) for a in self.data.values()), default=0.0)
-
 
 @dataclass
 class SubBundle:
@@ -806,7 +748,7 @@ class SubBundle:
     their projections; it must be idempotent, contractive, and a bimodule
     map over the surviving fibers, and the standard examples below all
     qualify.  ``expect_many`` applies it together with the membership
-    mask, and ``expect`` is its one-term view.
+    mask.
     """
 
     bundle: TwistedBundle
@@ -821,14 +763,6 @@ class SubBundle:
         if keep.all():
             return tuple(out)
         return tuple(np.where(keep[:, None, None, None], p, 0) for p in out)
-
-    def expect(self, t: Elem, a: FdElement) -> FdElement:
-        got = self.expect_many([t], _one_term(a))
-        return split_batch(self.bundle.coeff_algebra, got, 1)[0]
-
-
-def full_sub_bundle(bundle: TwistedBundle) -> SubBundle:
-    return SubBundle(bundle, lambda t: True, lambda batch: batch)
 
 
 def subgroup_sub_bundle(bundle: TwistedBundle, member: Callable[[Elem], bool]) -> SubBundle:

@@ -72,17 +72,6 @@ class CylFun:
         reps = self.n ** (depth - self.depth)
         return CylFun(self.n, depth, np.repeat(self.table, reps))
 
-    def canonical(self) -> "CylFun":
-        """Collapse exactly constant sibling blocks down to minimal depth."""
-        tbl, d = self.table, self.depth
-        while d > 0:
-            grouped = tbl.reshape(-1, self.n)
-            if not (grouped == grouped[:, :1]).all():
-                break
-            tbl = grouped[:, 0].copy()
-            d -= 1
-        return CylFun(self.n, d, tbl)
-
     def _pair(self, other: "CylFun") -> Tuple[np.ndarray, np.ndarray, int]:
         if not isinstance(other, CylFun):
             raise TypeError("expected a cylinder function")
@@ -91,10 +80,6 @@ class CylFun:
         d = max(self.depth, other.depth)
         return self.refine_to(d).table, other.refine_to(d).table, d
 
-    def __add__(self, other: "CylFun") -> "CylFun":
-        x, y, d = self._pair(other)
-        return CylFun(self.n, d, x + y)
-
     def __sub__(self, other: "CylFun") -> "CylFun":
         x, y, d = self._pair(other)
         return CylFun(self.n, d, x - y)
@@ -102,12 +87,6 @@ class CylFun:
     def __mul__(self, other: "CylFun") -> "CylFun":
         x, y, d = self._pair(other)
         return CylFun(self.n, d, x * y)
-
-    def __rmul__(self, scalar) -> "CylFun":
-        return CylFun(self.n, self.depth, complex(scalar) * self.table)
-
-    def conj(self) -> "CylFun":
-        return CylFun(self.n, self.depth, self.table.conj())
 
     def sup_norm(self) -> float:
         return float(np.abs(self.table).max(initial=0.0))
@@ -140,9 +119,6 @@ class PartialSymbol:
     pos: Word
     neg: Word
     domain_zero: bool
-
-    def inverse(self) -> "PartialSymbol":
-        return partial_symbol(self.group, self.group.inv(self.elem))
 
 
 def partial_symbol(group: FreeGroup, g: Elem) -> PartialSymbol:
@@ -206,23 +182,18 @@ class CuntzWitness:
     i: int
     include_identity: bool = False
 
-    @property
-    def scale(self) -> float:
-        return 1.0 / float(np.sqrt(self.i))
-
     def min_length(self) -> int:
         return 0 if self.include_identity else 1
 
-    def is_eligible(self, word: Word) -> bool:
-        if any(l <= 0 for l in word):
-            return False
-        return self.min_length() <= len(word) <= self.i
-
     def value(self, g: Elem) -> CylFun:
+        """1/sqrt(i) times the indicator of X_g on a positive word g of
+        admissible length, zero elsewhere."""
         self.group.check(g)
-        if not self.is_eligible(g.data):
-            return CylFun.constant(self.group.rank, 0.0)
-        return self.scale * cyl_indicator(self.group.rank, g.data)
+        n, word = self.group.rank, g.data
+        if any(l <= 0 for l in word) or not self.min_length() <= len(word) <= self.i:
+            return CylFun.constant(n, 0.0)
+        scale = 1.0 / float(np.sqrt(self.i))
+        return CylFun(n, len(word), scale * cyl_indicator(n, word).table)
 
     def support_size(self) -> int:
         n = self.group.rank
@@ -382,7 +353,7 @@ def validate_cantor_action(
         label = grp.format_elem(sym.elem)
         for _ in range(samples):
             f = random_in(sym.neg)
-            back = theta_apply(sym.inverse(), theta_apply(sym, f))
+            back = theta_apply(partial_symbol(grp, grp.inv(sym.elem)), theta_apply(sym, f))
             report.add("inverse-map", label, (back - f).sup_norm(), tol)
 
     for s_g in syms:
@@ -393,7 +364,7 @@ def validate_cantor_action(
             label = f"{grp.format_elem(s_g.elem)}∘{grp.format_elem(s_h.elem)}"
             for _ in range(samples):
                 mid = random_in(meet)
-                f = theta_apply(s_h.inverse(), mid)
+                f = theta_apply(partial_symbol(grp, grp.inv(s_h.elem)), mid)
                 lhs = theta_apply(s_g, mid)
                 gh = partial_symbol(grp, grp.mul(s_g.elem, s_h.elem))
                 rhs = theta_apply(gh, f)
@@ -413,21 +384,21 @@ class Arrow:
 class GroupoidTable:
     """The arrows of a truncated boundary groupoid, with lazy symbol data.
 
-    Each distinct element g met by ``symbol``, ``range_word``, ``label``,
-    ``invert`` or ``compose`` is parsed into its ``PartialSymbol`` once,
-    with its shift (a, |b|) for g = a b^{-1}; its label is formatted once,
-    and each product g h is formed once.  The caches take any element of
-    the group, since a product may leave ball(radius).  They are filled on
-    first use and sit outside equality, hashing and repr, so a table that
-    has been validated equals a fresh one built from the same arguments.
+    Each distinct element g met by ``range_word``, ``invert`` or
+    ``compose`` is parsed once into its shift (a, |b|) for g = a b^{-1};
+    its label is formatted once, and each product g h is formed once.  The
+    caches take any element of the group, since a product may leave
+    ball(radius).  They are filled on first use and sit outside equality,
+    hashing and repr, so a table that has been validated equals a fresh one
+    built from the same arguments.
     """
 
     group: FreeGroup
     depth: int
     radius: int
     arrows: Tuple[Arrow, ...]
-    # g -> (symbol, a, |b|)
-    _symbols: Dict[Elem, Tuple[PartialSymbol, Word, int]] = field(
+    # g -> (a, |b|)
+    _shifts: Dict[Elem, Tuple[Word, int]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
     _labels: Dict[Elem, str] = field(
@@ -437,18 +408,12 @@ class GroupoidTable:
         default_factory=dict, init=False, compare=False, repr=False
     )
 
-    def _symbol_data(self, g: Elem) -> Tuple[PartialSymbol, Word, int]:
-        data = self._symbols.get(g)
-        if data is None:
-            sym = partial_symbol(self.group, g)
-            data = self._symbols[g] = (sym, sym.pos, len(sym.neg))
-        return data
-
-    def symbol(self, arrow: Arrow) -> PartialSymbol:
-        return self._symbol_data(arrow.g)[0]
-
     def range_word(self, arrow: Arrow) -> Word:
-        _, pos, cut = self._symbol_data(arrow.g)
+        shift = self._shifts.get(arrow.g)
+        if shift is None:
+            sym = partial_symbol(self.group, arrow.g)
+            shift = self._shifts[arrow.g] = (sym.pos, len(sym.neg))
+        pos, cut = shift
         return pos + arrow.source[cut:]
 
     @cached_property

@@ -18,6 +18,7 @@ import cmath
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -79,6 +80,57 @@ from .testing import (
 
 class ConfigError(ValueError):
     """Anything wrong with the config document or a reference into it."""
+
+
+# The work of ``validate`` and ``kernels`` grows with the ball they walk, and
+# that of ``groupoid`` with its ball and its arrows; larger requests are
+# refused (exit 2) before anything is built.
+BALL_CAP = 200
+ARROW_CAP = 2**16
+
+
+def _check_ball(g: Group, radius: int) -> None:
+    """Refuse a ball of more than BALL_CAP elements, counted from the group's
+    shape: layers of 2n (2n - 1)^(k - 1) words in a free group of rank n,
+    sum_k 2^k C(d, k) C(radius, k) points in Z^d."""
+    if isinstance(g, FreeGroup):
+        size, layer = 1, 2 * g.rank
+        for _ in range(radius):
+            if size > BALL_CAP:
+                break
+            size, layer = size + layer, layer * (2 * g.rank - 1)
+    elif isinstance(g, LatticeGroup):
+        ks = range(min(g.dim, radius) + 1)
+        size = sum(2**k * math.comb(g.dim, k) * math.comb(radius, k) for k in ks)
+    else:
+        size = len(g.ball(radius))
+    if size > BALL_CAP:
+        raise ConfigError(f"the ball of radius {radius} in {g.label} has over {BALL_CAP} elements")
+
+
+def _arrow_count(n: int, depth: int, radius: int) -> int:
+    """The arrows of ``spectral_groupoid(n, depth, radius)``: a reduced
+    a b^-1 with |a| = i and |b| = j <= depth acts on the n^(depth - j)
+    depth-d words inside X_b, and of the n^(i + j) pairs (a, b) the
+    n^(i + j - 1) whose last letters cancel are not reduced when i, j > 0."""
+    total = 0
+    for j in range(min(depth, radius) + 1):
+        for i in range(radius - j + 1):
+            pairs = n ** (i + j) - (n ** (i + j - 1) if i and j else 0)
+            total += pairs * n ** (depth - j)
+    return total
+
+
+def _parse_elems(g: Group, text: str) -> List[Elem]:
+    """The elements of a comma-separated list; a token the group cannot
+    read is a config error."""
+    out = []
+    for token in text.split(","):
+        try:
+            out.append(g.parse_elem(token.strip()))
+        except ValueError as exc:
+            raise ConfigError(f"cannot read {token.strip()!r} in {g.label}: {exc}") from None
+    return out
 
 
 def _fval(x: float) -> str:
@@ -353,14 +405,17 @@ def validate(ctx, target, window, samples):
         raw = store.raw
         if target in raw.get("bundles", {}):
             kind, obj = "bundle", store.bundle(target)
+            _check_ball(obj.group, window)
             rep = validate_bundle(obj, window=window, samples=samples, seed=store.seed, tol=tol)
         elif target in raw.get("twists", {}):
             kind = "twist"
             pa, tw = store.twist(target)
+            _check_ball(pa.group, window)
             rep = validate_twist(pa, tw, window=window, tol=tol)
         elif target in raw.get("actions", {}):
-            kind = "action"
-            rep = validate_partial_action(store.action(target), window=window, tol=tol)
+            kind, pa = "action", store.action(target)
+            _check_ball(pa.group, window)
+            rep = validate_partial_action(pa, window=window, tol=tol)
         else:
             raise ConfigError(f"no bundle, twist, or action named {target!r}")
         rows = [
@@ -519,8 +574,7 @@ def _parse_targets(bundle: TwistedBundle, text: Optional[str]) -> List[Target]:
         return default_targets(bundle, radius=1)
     g = bundle.group
     out: List[Target] = []
-    for token in text.split(","):
-        t = g.parse_elem(token.strip())
+    for t in _parse_elems(g, text):
         basis = bundle.fiber_ideal(t).basis()
         for i, b in enumerate(basis):
             out.append(Target(t, b, f"{g.format_elem(t)}#b{i}"))
@@ -557,8 +611,10 @@ def ap_check(ctx, bundle_ref, witness_spec, targets_text):
             else:
                 raise ConfigError(f"unknown witness family kind {kind!r}")
         parts = spec.split(":")
-        if parts[1] in ("cuntz", "folner") and (len(parts) != 3 or not parts[2].isdigit()):
-            raise ConfigError(f"witness {spec!r} needs a numeric parameter, e.g. builtin:{parts[1]}:4")
+        if parts[1] in ("cuntz", "folner") and (
+            len(parts) != 3 or not parts[2].isdigit() or int(parts[2]) < 1
+        ):
+            raise ConfigError(f"witness {spec!r} needs a parameter of 1 or more, e.g. builtin:{parts[1]}:4")
         if parts[1] == "cuntz":
             _ap_check_cuntz(ctx, store, b, bundle_ref, witness_spec, int(parts[2]), targets_text, tol)
             return
@@ -597,10 +653,7 @@ def _ap_check_cuntz(ctx, store, b, bundle_ref, witness_spec, imax, targets_text,
     g = b.group
     if not isinstance(g, FreeGroup):
         raise UnsupportedGroupError("the boundary witness net needs a free group")
-    if targets_text is None:
-        targets = [g.generator(1)]
-    else:
-        targets = [g.parse_elem(tok.strip()) for tok in targets_text.split(",")]
+    targets = [g.generator(1)] if targets_text is None else _parse_elems(g, targets_text)
     for t in targets:
         if partial_symbol(g, t).domain_zero:
             raise ConfigError(f"target {g.format_elem(t)} acts nowhere")
@@ -643,6 +696,7 @@ def kernels(ctx, bundle_ref, window, samples):
         tol = ctx.obj["tol"]
         b = store.bundle(bundle_ref)
         g = b.group
+        _check_ball(g, window)
         win = Window.ball(g, window)
         dim = mf_dim(b, win)
         rng = np.random.default_rng([store.seed, 101])
@@ -758,6 +812,10 @@ def groupoid(ctx, n, depth, radius):
         store = _store(ctx)
         if n < 2:
             raise ConfigError("the boundary action needs at least two letters")
+        _check_ball(FreeGroup(n), radius)
+        # the identity alone acts on n^depth >= 2^depth cylinders
+        if depth >= ARROW_CAP.bit_length() or _arrow_count(n, depth, radius) > ARROW_CAP:
+            raise ConfigError(f"the groupoid would have over {ARROW_CAP} arrows")
         table = spectral_groupoid(n, depth, radius)
         rep = validate_groupoid(table)
         rows: List[Tuple[str, ...]] = []

@@ -20,9 +20,8 @@ values as one read-only batch (``batch``, one (m, n_c, d_c, d_c) array per
 size class, row i for ``keys[i]``).  The operations read and write that
 batch directly: products gather their factors by row for one
 ``mul_many`` call, the involution stars the batch at ``elems``, beta moves
-only the keys, and sums are one scatter per class.  ``Kernel.data``, a
-mapping from key to element, is a read-only view built on first use.
-The windowed conditional expectation runs on the batch too, through
+only the keys, and differences are one scatter per class.  The windowed
+conditional expectation runs on the batch too, through
 ``SubBundle.expect_many``.
 
 Every kernel supported in a finite window F of the group lives in the matrix
@@ -35,7 +34,6 @@ C*-algebra norm of pi(k) it is a lower bound that grows with the window.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
@@ -43,11 +41,14 @@ import numpy as np
 from .algebra import (
     DEFAULT_TOL,
     FdElement,
+    _concat,
     _inside_masks,
+    _minus,
+    _parts,
+    _take,
     batch_norms,
     outside_mass,
     project_batch,
-    split_batch,
     stack_elements,
 )
 from .bundles import Section, SubBundle, TwistedBundle
@@ -86,15 +87,6 @@ class Window:
     def __iter__(self) -> Iterator[Elem]:
         return iter(self.elements)
 
-    def __contains__(self, t: Elem) -> bool:
-        return t in self._index
-
-    def index(self, t: Elem) -> int:
-        try:
-            return self._index[t]
-        except KeyError:
-            raise KeyError(f"{self.group.format_elem(t)} not in window") from None
-
     def __repr__(self) -> str:
         names = ", ".join(self.group.format_elem(t) for t in self.elements)
         return f"Window[{names}]"
@@ -108,8 +100,7 @@ class Kernel:
     batch (see ``fellap.algebra.stack_elements``): row i of every class
     array belongs to ``keys[i]``.  The batch is read-only, since kernels
     share it (``beta_act`` and ``cond_expectation_pf`` may pass it on as it
-    is).  ``data`` is a read-only mapping from key to element, built from
-    the batch on first use.
+    is).
 
     Fiber membership of every entry is checked at construction, by either
     constructor; exact zero entries are dropped so that support bookkeeping
@@ -117,7 +108,7 @@ class Kernel:
     their fibers instead of checked.
     """
 
-    __slots__ = ("bundle", "keys", "elems", "batch", "_data")
+    __slots__ = ("bundle", "keys", "elems", "batch")
 
     def __init__(
         self,
@@ -160,33 +151,13 @@ class Kernel:
             keep = [i for i, x in enumerate(live) if x]
             keys = [keys[i] for i in keep]
             elems = [elems[i] for i in keep]
-            batch = tuple(p[keep] for p in batch)
+            batch = _take(batch, keep)
         for p in batch:
             p.flags.writeable = False
         self.bundle = bundle
         self.keys = tuple(keys)
         self.elems = tuple(elems)
         self.batch = tuple(batch)
-        self._data = None
-
-    @property
-    def data(self) -> Mapping[Tuple[Elem, Elem], FdElement]:
-        """The entries as a read-only mapping; its elements are views into
-        the batch."""
-        if self._data is None:
-            alg = self.bundle.coeff_algebra
-            self._data = MappingProxyType(
-                dict(zip(self.keys, split_batch(alg, self.batch, len(self.keys))))
-            )
-        return self._data
-
-    @staticmethod
-    def zero(bundle: TwistedBundle) -> "Kernel":
-        return Kernel(bundle, {})
-
-    @staticmethod
-    def single(bundle: TwistedBundle, s: Elem, t: Elem, a: FdElement) -> "Kernel":
-        return Kernel(bundle, {(s, t): a})
 
     @staticmethod
     def diagonal_unit(bundle: TwistedBundle, window: Window) -> "Kernel":
@@ -200,21 +171,14 @@ class Kernel:
             tuple(np.repeat(p[None], n, axis=0) for p in one.packs),
         )
 
-    def value(self, s: Elem, t: Elem) -> FdElement:
-        got = self.data.get((s, t))
-        return got if got is not None else self.bundle.coeff_algebra.zero()
-
     def support(self) -> set:
         return set(self.keys)
 
-    def _combine(self, other: "Kernel", sign: float) -> "Kernel":
-        """self + sign * other for sign = 1 or -1: the rows of self, then
-        those keys of other that self lacks, in other's order; a shared key
-        gets one addition, and x + (-y) is x - y bit for bit."""
+    def __sub__(self, other: "Kernel") -> "Kernel":
+        """The rows of self, then those keys of other that self lacks, in
+        other's order, negated; a shared key gets one subtraction."""
         if self.keys == other.keys:
-            batch = tuple(
-                p + q if sign > 0 else p - q for p, q in zip(self.batch, other.batch)
-            )
+            batch = _minus(self.batch, other.batch)
             return Kernel._of(self.bundle, self.keys, self.elems, batch)
         at = dict(zip(self.keys, range(len(self.keys))))
         shared, theirs, fresh = [], [], []
@@ -227,23 +191,12 @@ class Kernel:
                 theirs.append(j)
         batch = []
         for p, q in zip(self.batch, other.batch):
-            q = q if sign > 0 else -q
-            out = np.concatenate((p, q[fresh]))
-            out[shared] += q[theirs]
+            out = np.concatenate((p, -q[fresh]))
+            out[shared] -= q[theirs]
             batch.append(out)
         keys = self.keys + tuple(other.keys[j] for j in fresh)
         elems = self.elems + tuple(other.elems[j] for j in fresh)
         return Kernel._of(self.bundle, keys, elems, tuple(batch))
-
-    def __add__(self, other: "Kernel") -> "Kernel":
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other: "Kernel") -> "Kernel":
-        return self._combine(other, -1.0)
-
-    def __rmul__(self, scalar) -> "Kernel":
-        lam = complex(scalar)
-        return Kernel._of(self.bundle, self.keys, self.elems, tuple(lam * p for p in self.batch))
 
 
 def k_mul(h: Kernel, k: Kernel) -> Kernel:
@@ -285,9 +238,9 @@ def k_mul(h: Kernel, k: Kernel) -> Kernel:
                 right.append(j)
     terms = bundle.mul_many(
         [k.elems[i] for i in left],
-        tuple(p[left] for p in k.batch),
+        _take(k.batch, left),
         [h.elems[j] for j in right],
-        tuple(p[right] for p in h.batch),
+        _take(h.batch, right),
     )
     sums = tuple(np.zeros((len(elems),) + p.shape[1:], dtype=complex) for p in terms)
     for total, p in zip(sums, terms):
@@ -347,9 +300,9 @@ def rank_one(xi: Section, eta: Section) -> Kernel:
     ts = [invs[c] for c in col.tolist()]
     terms = bundle.mul_many(
         ss,
-        tuple(p[row] for p in stack_elements(alg, list(xi.data.values()))),
+        _take(stack_elements(alg, list(xi.data.values())), row),
         ts,
-        tuple(p[col] for p in stars),
+        _take(stars, col),
     )
     return Kernel._of(bundle, keys, [g.mul(s, u) for s, u in zip(ss, ts)], terms)
 
@@ -472,17 +425,17 @@ class _WindowRep:
                 ti.append(j)
         if not rows:
             return None
-        values = k.batch if len(rows) == len(k.keys) else tuple(p[rows] for p in k.batch)
+        values = k.batch if len(rows) == len(k.keys) else _take(k.batch, rows)
         srow, tcol = np.array(si, dtype=int), np.array(ti, dtype=int)
         moved = self.bundle.mul_many(
             [k.elems[r] for r in rows],
             values,
             [k.keys[r][1] for r in rows],
-            tuple(p[tcol] for p in self.units),
+            _take(self.units, tcol),
         )
         inner = self.bundle.mul_many(
             [self.inverses[i] for i in si],
-            tuple(p[srow] for p in self.unit_stars),
+            _take(self.unit_stars, srow),
             [k.keys[r][0] for r in rows],
             moved,
         )
@@ -552,7 +505,7 @@ class _WindowRep:
         ti = np.array(slots, dtype=int)
         inner = self.bundle.mul_many(
             [self.inverses[i] for i in slots],
-            tuple(p[ti] for p in self.unit_stars),
+            _take(self.unit_stars, ti),
             list(f.data),
             stack_elements(alg, list(f.data.values())),
         )
@@ -662,13 +615,19 @@ def validate_sub_expectation(
         rand_fiber(n + i, hh)
         gs.append(gg)
         hs.append(hh)
-    draws = alg.gaussian_layout(rows)
-    bs = _rows(draws, 0, n)
+    bs, raw = _parts(alg.gaussian_layout(rows), 2, n)
     pbs = sub.expect_many(gs, bs)
-    As = sub.expect_many(hs, _rows(draws, n, 2 * n))
-    stars = bundle.star_many(gs + gs, _cat(bs, pbs))
-    prods = bundle.mul_many(
-        gs + gs + hs + hs, _cat(bs, pbs, As, As), hs + hs + gs + gs, _cat(As, As, bs, pbs)
+    As = sub.expect_many(hs, raw)
+    stars = _parts(bundle.star_many(gs + gs, _concat(bs, pbs)), 2, n)
+    prods = _parts(
+        bundle.mul_many(
+            gs + gs + hs + hs,
+            _concat(bs, pbs, As, As),
+            hs + hs + gs + gs,
+            _concat(As, As, bs, pbs),
+        ),
+        4,
+        n,
     )
     # the four laws, one block of n terms each: idempotence, star
     # compatibility, and the two module laws
@@ -676,24 +635,13 @@ def validate_sub_expectation(
     ghs = [g.mul(x, y) for x, y in zip(gs, hs)]
     hgs = [g.mul(y, x) for x, y in zip(gs, hs)]
     fibers = gs + ginvs + ghs + hgs
-    lhs = sub.expect_many(
-        fibers, _cat(pbs, _rows(stars, 0, n), _rows(prods, 0, n), _rows(prods, 2 * n, 3 * n))
-    )
-    rhs = _cat(pbs, _rows(stars, n, 2 * n), _rows(prods, n, 2 * n), _rows(prods, 3 * n, 4 * n))
-    gaps = tuple(p - q for p, q in zip(lhs, rhs))
+    lhs = sub.expect_many(fibers, _concat(pbs, stars[0], prods[0], prods[2]))
+    gaps = _minus(lhs, _concat(pbs, stars[1], prods[1], prods[3]))
     ideals = bundle.fiber_ideals(fibers)
     worst = 0.0
     for v in batch_norms(project_batch(ideals, gaps), len(ideals)).tolist():
         worst = max(worst, v)
     return worst
-
-
-def _rows(batch, lo: int, hi: int) -> tuple:
-    return tuple(p[lo:hi] for p in batch)
-
-
-def _cat(*batches) -> tuple:
-    return tuple(np.concatenate(ps) for ps in zip(*batches))
 
 
 def cond_expectation_pf(
@@ -721,5 +669,5 @@ def cond_expectation_pf(
     inside = window._index
     rows = [i for i, (s, t) in enumerate(k.keys) if s in inside and t in inside]
     ts = [k.elems[i] for i in rows]
-    values = k.batch if len(rows) == len(k.keys) else tuple(p[rows] for p in k.batch)
+    values = k.batch if len(rows) == len(k.keys) else _take(k.batch, rows)
     return Kernel._of(sub.bundle, [k.keys[i] for i in rows], ts, sub.expect_many(ts, values))

@@ -23,6 +23,8 @@ from .algebra import (
     _Rows,
     _adjoint,
     _distinct,
+    _one_term,
+    _take,
     apply_many,
     conjugate_action,
     pullback_action,
@@ -34,7 +36,6 @@ from .bundles import (
     Twist,
     TwistedBundle,
     _corner_units,
-    _one_term,
     make_semidirect,
     make_twisted,
 )
@@ -284,7 +285,7 @@ def matrix_twist(glob: PartialAction, salt: int = 0) -> tuple[PartialAction, Twi
         ss = [s for s, _ in pairs]
         v = vs.take(vs.rows(ss + [t for _, t in pairs] + [g.mul(s, t) for s, t in pairs], draw))
         elems, slot = _distinct(ss)
-        moved = apply_many(glob.isos(elems), tuple(p[m : 2 * m] for p in v), slot)
+        moved = apply_many(glob.isos(elems), _take(v, slice(m, 2 * m)), slot)
         return tuple(p[:m] @ q @ _adjoint(p[2 * m :]) for p, q in zip(v, moved))
 
     return PartialAction.batched(g, alg, fam_many), Twist.batched(alg, tw_many)

@@ -77,11 +77,14 @@ def pair_unit_identity_residual(pa: PartialAction, elements=None) -> float:
             raise UnsupportedGroupError("provide a window for infinite groups")
         elements = g.ball(0)
     res = 0.0
+    def unit(t):
+        return pa.iso(t).target.unit()
+
     for t in elements:
-        u_tinv = pa.unit(g.inv(t))
+        u_tinv = unit(g.inv(t))
         for s in elements:
-            lhs = pa.apply(t, u_tinv * pa.unit(s))
-            rhs = pa.unit(t) * pa.unit(g.mul(t, s))
+            lhs = pa.apply(t, u_tinv * unit(s))
+            rhs = unit(t) * unit(g.mul(t, s))
             res = max(res, op_norm(lhs - rhs))
     return res
 

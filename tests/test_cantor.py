@@ -60,6 +60,16 @@ from fellap.cantor import (
 from fellap.groups import FreeGroup
 
 
+def plus(f, g):
+    """f + g at their common depth."""
+    d = max(f.depth, g.depth)
+    return CylFun(f.n, d, f.refine_to(d).table + g.refine_to(d).table)
+
+
+def scaled(lam, f):
+    return CylFun(f.n, f.depth, lam * f.table)
+
+
 def brute_cuntz_defect(i, g, grp, include_identity=False):
     """Pointwise reference route: materialize the support, evaluate the
     displayed sum term by term with cylinder arithmetic, and take the sup
@@ -80,7 +90,7 @@ def brute_cuntz_defect(i, g, grp, include_identity=False):
         xi_s = w.value(s)
         if xi_s.sup_norm() == 0.0:
             continue
-        total = total + w.value(h) * theta_apply(sym, dom * xi_s)
+        total = plus(total, w.value(h) * theta_apply(sym, dom * xi_s))
     target = (
         cyl_indicator(n, sym.pos) if sym.pos else CylFun.constant(n, 1.0)
     )
@@ -181,7 +191,7 @@ class TestCylinders:
     def test_fixed_length_partition(self, n, k):
         total = CylFun.constant(n, 0.0)
         for word in positive_words(n, k):
-            total = total + cyl_indicator(n, word)
+            total = plus(total, cyl_indicator(n, word))
         assert (total - CylFun.constant(n, 1.0)).sup_norm() == 0.0
 
     def test_prefix_product(self):
@@ -197,7 +207,7 @@ class TestCylinders:
         assert cyl_indicator(3, (2, 1, 3)).sup_norm() == 1.0
 
     def test_refine_preserves_values(self):
-        f = cyl_indicator(2, (1,)) + 2.0 * cyl_indicator(2, (2, 1))
+        f = plus(cyl_indicator(2, (1,)), scaled(2.0, cyl_indicator(2, (2, 1))))
         g = f.refine_to(4)
         assert g.depth == 4
         assert (g - f).sup_norm() == 0.0
@@ -205,21 +215,9 @@ class TestCylinders:
             want = 1.0 if word[0] == 1 else 2.0 if word[:2] == (2, 1) else 0.0
             assert g.table[_word_index(2, word)] == want
 
-    def test_canonical_minimizes_depth(self):
-        f = cyl_indicator(2, (1,)).refine_to(5)
-        assert f.canonical().depth == 1
-        assert CylFun.constant(3, 2.5).refine_to(3).canonical().depth == 0
-        g = cyl_indicator(2, (1, 2))
-        assert g.canonical().depth == 2
-
-    def test_conj_and_scale(self):
-        f = (1 + 2j) * cyl_indicator(2, (2,))
-        assert f.conj().table[_word_index(2, (2,))] == 1 - 2j
-        assert f.sup_norm() == pytest.approx(abs(1 + 2j), abs=1e-15)
-
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cyl_indicator(2, (1,)) + cyl_indicator(3, (1,))
+            cyl_indicator(2, (1,)) - cyl_indicator(3, (1,))
         with pytest.raises(ValueError):
             cyl_indicator(2, (3,))
 
@@ -245,7 +243,7 @@ class TestSymbols:
     def test_inverse_swaps_parts(self):
         grp = FreeGroup(2)
         sym = partial_symbol(grp, grp.word([1, 1, -2]))
-        inv = sym.inverse()
+        inv = partial_symbol(grp, grp.inv(sym.elem))
         assert inv.pos == sym.neg and inv.neg == sym.pos
 
     def test_identity_symbol(self):
@@ -264,7 +262,7 @@ class TestTheta:
     def test_identity_is_identity(self):
         grp = FreeGroup(2)
         sym = partial_symbol(grp, grp.identity)
-        f = cyl_indicator(2, (1, 2)) + 0.5j * cyl_indicator(2, (2,))
+        f = plus(cyl_indicator(2, (1, 2)), scaled(0.5j, cyl_indicator(2, (2,))))
         assert cyl_close(theta_apply(sym, f), f, 0.0)
 
     def test_depth_shift(self):
@@ -310,7 +308,7 @@ class TestTheta:
             data.draw(st.integers(1, 2), label=f"tail{j}") for j in range(2)
         )
         mid = cyl_indicator(2, longer + tail)
-        f = theta_apply(s_h.inverse(), mid)
+        f = theta_apply(partial_symbol(grp, grp.inv(h)), mid)
         lhs = theta_apply(s_g, mid)
         gh = partial_symbol(grp, grp.mul(g, h))
         assert not gh.domain_zero
@@ -343,7 +341,7 @@ class TestWitness:
         w = xi_witness(4, 2)
         g = grp.word([1, 2, 1])
         val = w.value(g)
-        assert cyl_close(val, 0.5 * cyl_indicator(2, (1, 2, 1)), 1e-15)
+        assert cyl_close(val, scaled(0.5, cyl_indicator(2, (1, 2, 1))), 1e-15)
         assert w.value(grp.identity).sup_norm() == 0.0
         assert w.value(grp.word([1] * 5)).sup_norm() == 0.0
         assert w.value(grp.word([1, -2])).sup_norm() == 0.0
@@ -604,7 +602,6 @@ class TestCachedGroupoidTable:
             expected = sym.pos + arrow.source[len(sym.neg) :]
             assert rng == expected
             assert table.range_word(arrow) == expected
-            assert table.symbol(arrow) == sym
             assert table.label(arrow.g) == table.group.format_elem(arrow.g)
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -628,7 +625,6 @@ class TestCachedGroupoidTable:
                     assert out == Arrow(second.source, want)
                     assert out.g == grp.mul(g, h)
                 sym = partial_symbol(grp, want)
-                assert table.symbol(out) == sym
                 assert table.range_word(out) == sym.pos + out.source[len(sym.neg) :]
                 checked += 1
         assert checked > 0

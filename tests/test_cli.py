@@ -15,7 +15,8 @@ import zlib
 import pytest
 from click.testing import CliRunner
 
-from fellap.cli import main
+from fellap.cantor import spectral_groupoid
+from fellap.cli import ARROW_CAP, BALL_CAP, _arrow_count, main
 from test_acceptance import CLI_CONFIG
 
 
@@ -413,6 +414,48 @@ class TestApCheck:
                 "--witness", "builtin:cuntz:3")
         assert r.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("ap-check", "--bundle", "bf2", "--witness", "builtin:cuntz:0"),
+            ("ap-check", "--bundle", "bf2", "--witness", "builtin:cuntz:00"),
+            ("ap-check", "--bundle", "bline", "--witness", "builtin:folner:0"),
+            ("ap-check", "--bundle", "bz", "--witness", "builtin:uniform", "--targets", ""),
+            ("ap-check", "--bundle", "bz", "--witness", "builtin:uniform", "--targets", "9"),
+            ("ap-check", "--bundle", "bf2", "--witness", "builtin:cuntz:3", "--targets", "zz"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_witness_index_or_target(self, conf, args):
+        """A witness index below 1 or a target the group cannot read is a
+        config error, never a traceback or a pass over an empty table."""
+        r = run("--config", conf, *args)
+        assert r.exit_code == 2, r.stderr
+        assert "config error" in r.stderr
+        assert isinstance(r.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("validate", "bf2", "--window", "5"),
+            ("validate", "bline", "--window", "100"),
+            ("validate", "trivline", "--window", "1000000000"),
+            ("kernels", "--bundle", "bf2", "--window", "5"),
+            ("groupoid", "--n", "2", "--depth", "0", "--radius", "5"),
+            ("groupoid", "--n", "2", "--depth", "16"),
+            ("groupoid", "--n", "2", "--depth", "1000000000"),
+            ("groupoid", "--n", "1000000", "--depth", "1", "--radius", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_oversized_request(self, conf, args):
+        """A ball of over BALL_CAP elements, or a groupoid of over ARROW_CAP
+        arrows, is refused before anything is built."""
+        r = run("--config", conf, *args)
+        assert r.exit_code == 2, r.stderr
+        cap = ARROW_CAP if "arrows" in r.stderr else BALL_CAP
+        assert f"over {cap} " in r.stderr
+
     def test_malformed_witness_spec(self, conf):
         r = run("--config", conf, "ap-check", "--bundle", "bz",
                 "--witness", "builtin:folner")
@@ -519,6 +562,16 @@ class TestCuntzAp:
 
 
 class TestGroupoid:
+    def test_arrow_count_matches_the_table(self):
+        for n, depth, radius in [(2, 0, 0), (2, 2, 1), (2, 4, 2), (3, 2, 3), (4, 3, 2)]:
+            want = len(spectral_groupoid(n, depth, radius).arrows)
+            assert _arrow_count(n, depth, radius) == want
+        assert _arrow_count(2, 14, 1) == ARROW_CAP
+
+    def test_largest_ball_under_the_cap(self):
+        r = run("groupoid", "--n", "2", "--depth", "1", "--radius", "4")
+        assert r.exit_code == 0, r.stderr
+
     def test_frozen_table(self, tmp_path):
         out = tmp_path / "g.csv"
         r = run("--out", str(out), "groupoid", "--n", "2", "--depth", "2",

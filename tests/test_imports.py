@@ -1,43 +1,98 @@
-"""Every imported name is used, and every definition of the library.
+"""Every imported name is used, and every definition of the library is reached.
 
-No linter runs over the repository, so these scans stand in for one.  The
-first parses each module of the library, the tests and the demos, and fails
-on any name an import statement binds that the module never references.  A
-name listed in ``__all__`` counts as referenced; ``__future__`` imports are
-exempt.  The second fails on a ``_``-prefixed function, method or class of
-the library that nothing in the library references, by name, attribute or
-import; dunder names are exempt.  The third fails on a public function,
-method or class of the library that only the tests use: nothing in
-``src/``, ``demos/`` or ``perfbench/`` references it and README never names
-it.  Click commands are exempt, and the names kept on purpose are listed,
-each with its reason, in ``KEPT``.
+No linter runs over the repository, so these checks stand in for one.
+
+The import scan parses each module of the library, the tests and the demos,
+and fails on any name an import statement binds that the module never
+references.  A name listed in ``__all__`` counts as referenced;
+``__future__`` imports are exempt.
+
+The reachability test runs the library's traffic under ``sys.setprofile``
+and records the code objects that run from ``src/fellap``.  The traffic is
+every demo, in process, with demo 06's ``python -m fellap.cli`` calls
+routed through click's runner, and one round of each benchmark workload of
+``perfbench/workloads.py``, run inside the benchmark's tracer from
+``perfbench/tracing.py`` (so a method the tracer wraps must still exist).
+Every item of a round must find no mismatch.  A code object maps to its
+definition by file and first line, a decorated definition starting at its
+first decorator; the names are qualified as ``module.Class.method``.  The
+test judges the top-level functions and the methods of top-level classes:
+it fails on one that the traffic never reaches unless ``KEPT`` names it
+with its reason, and on a ``KEPT`` entry that is reached or no longer
+exists.  Unlike a scan of names it cannot be fooled by a method that shares
+its name with a used one.
 """
 
 import ast
+import contextlib
+import importlib.util
+import io
+import os
 import pathlib
-import re
+import runpy
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from click.testing import CliRunner
+
+from fellap import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted(
     p for d in ("src/fellap", "tests", "demos") for p in (ROOT / d).glob("*.py")
 )
 LIBRARY = sorted((ROOT / "src/fellap").glob("*.py"))
-USERS = sorted(p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-# Public names of the library that only the tests use, kept on purpose.
+ORACLE = "oracle route: "
+FIXTURE = "a fellap.testing fixture: "
+PROTOCOL = "Group protocol default"
+
+# Definitions of the library that the traffic does not reach, kept on purpose.
 KEPT = {
-    "ap_defect_partial": "oracle route: the AP defect through the partial action alone",
-    "cyl_close": "oracle route: equality of cylinder functions",
-    "validate_cantor_action": "oracle route: the boundary action's laws on cylinder functions",
-    "diagonal_unit": "the unit of M_F(B), for a Stinespring check of witness multipliers",
-    "single": "the kernel with one entry, the basic element of M_F(B)",
-    "section_vector": "the vector side of the window representation, for pi of a section",
-    "restrict_to_subgroup": "the Fell bundle restricted to a subgroup",
-    "full_sub_bundle": "the identity expectation, beside the subgroup, mask and trace ones",
-    "trace_sub_bundle": "the trace expectation onto scalars (acceptance criterion 8)",
-    "random_unitary": "a fixture of fellap.testing, a random unitary of one block",
+    "approx.ap_defect_partial": ORACLE + "the AP defect through the partial action alone",
+    "cantor.cyl_close": ORACLE + "equality of cylinder functions",
+    "cantor.validate_cantor_action": ORACLE + "the boundary action's laws on cylinder functions",
+    "cantor.CuntzWitness.value": ORACLE + "the net one word at a time, as the brute-force defect sums it",
+    "kernels.section_vector": ORACLE + "the vector side of the window representation, for pi of a section",
+    "kernels._WindowRep.vector": ORACLE + "the coordinates section_vector returns",
+    "kernels.Kernel.diagonal_unit": "the unit of M_F(B), for a Stinespring check of witness multipliers",
+    "bundles.restrict_to_subgroup": "the Fell bundle restricted to a subgroup",
+    "bundles.trace_sub_bundle": "the trace expectation onto scalars (acceptance criterion 8)",
+    "testing.random_unitary": FIXTURE + "a random unitary of one block",
+    "testing.random_group": FIXTURE + "a random group of one of the three kinds",
+    "testing.random_fell_bundle": FIXTURE + "a random bundle, also the config's 'random' bundle kind",
+    "groups.Group.identity": PROTOCOL,
+    "groups.Group.mul": PROTOCOL,
+    "groups.Group.inv": PROTOCOL,
+    "groups.Group.ball": PROTOCOL,
+    "groups.Group.walk": PROTOCOL + ", for the groups without a lazy walk",
+    "groups.Group.word_length": PROTOCOL,
+    "groups.Group.format_elem": PROTOCOL,
+    "groups.Group.parse_elem": PROTOCOL,
+    "groups.FiniteGroup.word_length": "Group protocol: the word length of a table group",
+    "groups.LatticeGroup.word_length": "Group protocol: the l1 word length of Z^d",
+    "groups.Elem.__repr__": "repr",
+    "groups.FiniteGroup.__repr__": "repr",
+    "groups.FreeGroup.__repr__": "repr",
+    "groups.LatticeGroup.__repr__": "repr",
+    "algebra.FdElement.__repr__": "repr",
+    "kernels.Window.__repr__": "repr",
+    "groups.FiniteGroup.__eq__": "dunder protocol: equality of table groups",
+    "groups.LatticeGroup.__eq__": "dunder protocol: equality of lattices",
+    "algebra.FdElement.__neg__": "dunder protocol: unary minus of the element arithmetic",
+    "algebra._Blocks.__getitem__": "dunder protocol: reading block j of x.mats",
+    "kernels.Kernel.__init__": "dunder protocol: the constructor from a mapping of entries",
+    "cli.ConfigStore.twist": "documented CLI config feature: the twists section of a config",
+    "bundles.TwistedBundle.star": "perfbench/tracing.py wraps it for bundles.star.calls",
+    "groups.FreeGroup.generator": "called by cli's ap-check: the default builtin:cuntz target",
+    "groups.LatticeGroup.parse_elem": "called by cli's ap-check: --targets on a lattice bundle",
+    "algebra.PartialAction.domain": "called by ap_defect_partial",
+    "algebra.Ideal.contains": "called by ap_defect_partial",
+    "cantor._cylinder_meet": "called by validate_cantor_action",
 }
 
 
@@ -71,98 +126,108 @@ def test_scan_flags_an_unused_name():
     assert unused_imports(source) == [(1, "os"), (2, "Dict")]
 
 
-def references(tree: ast.AST) -> set:
-    """The names a module references: by name, attribute or import."""
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            used.update(alias.name for alias in node.names)
-    return used
+def definitions(paths: list) -> dict:
+    """(file, first line) -> ``module.name`` or ``module.Class.method`` of
+    every top-level function and every method of a top-level class in the
+    given files; a decorated definition starts at its first decorator, as
+    its code object does."""
+    found = {}
+    for path in paths:
+        module = path.stem
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, DEFS):
+                nodes = [(top, top.name)]
+            elif isinstance(top, ast.ClassDef):
+                nodes = [(n, f"{top.name}.{n.name}") for n in top.body if isinstance(n, DEFS)]
+            else:
+                nodes = []
+            for node, name in nodes:
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                found[(os.path.realpath(path), first)] = f"{module}.{name}"
+    return found
 
 
-def unreferenced_private(sources: dict) -> list:
-    """(module, line, name) of every private function, method or class
-    defined in ``sources`` (module name -> source text) that none of them
-    references."""
-    defined = []
-    used = set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = node.name
-                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                    defined.append((module, node.lineno, name))
-        used |= references(tree)
-    return sorted(d for d in defined if d[2] not in used)
+def reached(traffic) -> set:
+    """(file, first line) of every code object that runs while ``traffic()``
+    does."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        traffic()
+    finally:
+        sys.setprofile(previous)
+    return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
 
 
-def test_no_unreferenced_private_definitions():
-    sources = {p.name: p.read_text() for p in LIBRARY}
-    assert unreferenced_private(sources) == []
+def audit(defined: dict, hit: set, kept: dict) -> tuple:
+    """The unreached definitions that ``kept`` does not list, and the
+    entries of ``kept`` that are reached or not defined."""
+    unreached = {name for key, name in defined.items() if key not in hit}
+    return sorted(unreached - set(kept)), sorted(set(kept) - unreached)
 
 
-def test_private_scan_flags_an_unreferenced_definition():
-    sources = {
-        "a.py": "def _kept():\n    pass\n\ndef _dropped():\n    pass\n\n"
-        "class _Rep:\n    def __init__(self):\n        pass\n"
-        "    def _dense(self):\n        pass\n",
-        "b.py": "from a import _kept\nx = _Rep()\n",
-    }
-    assert unreferenced_private(sources) == [("a.py", 4, "_dropped"), ("a.py", 10, "_dense")]
+def _cli_in_process(argv, **kwargs):
+    """``subprocess.run`` for ``python -m fellap.cli ...``, through click's runner."""
+    assert argv[1:3] == ["-m", "fellap.cli"], argv
+    res = CliRunner().invoke(cli.main, argv[3:], prog_name="fellap")
+    return subprocess.CompletedProcess(argv, res.exit_code, res.stdout, res.stderr)
 
 
-def _is_command(node: ast.AST) -> bool:
-    """Decorated as a click command or group (``@main.command()``, ...)."""
-    for dec in node.decorator_list:
-        fn = dec.func if isinstance(dec, ast.Call) else dec
-        if getattr(fn, "attr", getattr(fn, "id", None)) in ("command", "group"):
-            return True
-    return False
+def _load_perfbench(name: str, monkeypatch):
+    """A fresh copy of ``perfbench/<name>.py``; the file is only read."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
-def unreferenced_public(library: dict, users: dict, text: str) -> list:
-    """(module, line, name) of every public function or class at the top
-    level of a module of ``library`` (module name -> source text), and every
-    public method of its top-level classes, that no source of ``users``
-    references and ``text`` never names as a word. Click commands are
-    exempt."""
-    defined = []
-    for module, source in library.items():
-        for top in ast.parse(source).body:
-            for node in [top] + (top.body if isinstance(top, ast.ClassDef) else []):
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and not _is_command(node)
-                ):
-                    defined.append((module, node.lineno, node.name))
-    used = set(re.findall(r"\w+", text))
-    for source in users.values():
-        used |= references(ast.parse(source))
-    return sorted(d for d in defined if d[2] not in used)
+def test_every_definition_is_reached_or_kept(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+    def traffic():
+        with monkeypatch.context() as patch:
+            patch.setattr(subprocess, "run", _cli_in_process)
+            for demo in DEMOS:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    runpy.run_path(str(demo), run_name="__main__")
+        workloads = _load_perfbench("workloads", monkeypatch)
+        tracing = _load_perfbench("tracing", monkeypatch)
+        with tracing.Tracer().installed():
+            for name in workloads.ROUNDS:
+                for item in workloads.build_round(name, 0, 0, str(tmp_path)):
+                    assert item.run() == [], item.label
+
+    missing, stale = audit(definitions(LIBRARY), reached(traffic), KEPT)
+    assert missing == [], "reached by no demo or workload round: delete, or keep with a reason"
+    assert stale == [], "KEPT lists a reached or deleted definition"
 
 
-def test_no_public_definitions_used_only_by_tests():
-    library = {p.name: p.read_text() for p in LIBRARY}
-    users = {str(p.relative_to(ROOT)): p.read_text() for p in USERS}
-    found = unreferenced_public(library, users, (ROOT / "README.md").read_text())
-    assert [d for d in found if d[2] not in KEPT] == []
-    assert sorted({name for *_, name in found}) == sorted(KEPT), "KEPT lists a used name"
+def test_reachability_flags_an_unreached_method_and_a_stale_entry(tmp_path, monkeypatch):
+    path = tmp_path / "toy.py"
+    path.write_text(
+        "import functools\n\n"
+        "def used():\n    return Rep().dense()\n\n"
+        "def dropped():\n    pass\n\n"
+        "class Rep:\n"
+        "    @functools.cached_property\n    def size(self):\n        return 1\n\n"
+        "    def dense(self):\n        return self.size\n\n"
+        "    def flat(self):\n        pass\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "toy", raising=False)
+    import toy
 
-
-def test_public_scan_flags_a_definition_only_tests_use():
-    library = {
-        "a.py": "def kept():\n    pass\n\ndef dropped():\n    pass\n\n"
-        "class Rep:\n    def dense(self):\n        pass\n"
-        "    def shown(self):\n        pass\n\n"
-        "@main.command()\ndef run():\n    pass\n",
-    }
-    users = {"demo.py": "from a import kept\nRep()\n", **library}
-    text = "Call `Rep.shown` for a picture."
-    found = unreferenced_public(library, users, text)
-    assert found == [("a.py", 4, "dropped"), ("a.py", 8, "dense")]
+    defined = definitions([path])
+    assert sorted(defined.values()) == [
+        "toy.Rep.dense", "toy.Rep.flat", "toy.Rep.size", "toy.dropped", "toy.used"
+    ]
+    hit = reached(toy.used)
+    kept = {"toy.dropped": "kept", "toy.used": "stale: reached", "toy.gone": "stale: deleted"}
+    assert audit(defined, hit, kept) == (["toy.Rep.flat"], ["toy.gone", "toy.used"])

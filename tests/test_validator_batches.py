@@ -28,6 +28,7 @@ from fellap.algebra import (
     IdealIso,
     PartialAction,
     op_norm,
+    unitarity_residuals,
 )
 from fellap.bundles import (
     Twist,
@@ -88,7 +89,7 @@ def row_validate_twist(
 
     for s in ball:
         iso_s = family.iso(s)
-        rep.add("unitarity", g.format_elem(s), iso_s.unitarity_residual(), tol)
+        rep.add("unitarity", g.format_elem(s), unitarity_residuals([iso_s])[0], tol)
         for t in ball:
             st = g.mul(s, t)
             ctx = f"(s={g.format_elem(s)}, t={g.format_elem(t)})"
