@@ -19,8 +19,10 @@ first decorator; the names are qualified as ``module.Class.method``.  The
 test judges the top-level functions and the methods of top-level classes:
 it fails on one that the traffic never reaches unless ``KEPT`` names it
 with its reason, and on a ``KEPT`` entry that is reached or no longer
-exists.  Unlike a scan of names it cannot be fooled by a method that shares
-its name with a used one.
+exists.  It judges the public definitions and the private ones (a name
+with a ``_``-prefixed part that is not a dunder) in two tests that share
+one run of the traffic.  Unlike a scan of names it cannot be fooled by a
+method that shares its name with a used one.
 """
 
 import ast
@@ -188,46 +190,99 @@ def _load_perfbench(name: str, monkeypatch):
     return module
 
 
-def test_every_definition_is_reached_or_kept(tmp_path, monkeypatch):
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+def is_private(name: str) -> bool:
+    """A ``module.name`` or ``module.Class.method`` with a ``_``-prefixed
+    part that is not a dunder."""
+    return any(
+        part.startswith("_") and not part.endswith("__") for part in name.split(".")[1:]
+    )
 
-    def traffic():
-        with monkeypatch.context() as patch:
-            patch.setattr(subprocess, "run", _cli_in_process)
-            for demo in DEMOS:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    runpy.run_path(str(demo), run_name="__main__")
-        workloads = _load_perfbench("workloads", monkeypatch)
-        tracing = _load_perfbench("tracing", monkeypatch)
-        with tracing.Tracer().installed():
-            for name in workloads.ROUNDS:
-                for item in workloads.build_round(name, 0, 0, str(tmp_path)):
-                    assert item.run() == [], item.label
 
-    missing, stale = audit(definitions(LIBRARY), reached(traffic), KEPT)
+def split_audit(defined: dict, hit: set, kept: dict, private: bool) -> tuple:
+    """``audit`` cut to the private definitions and ``KEPT`` entries, or to
+    the public ones."""
+    defined = {key: name for key, name in defined.items() if is_private(name) == private}
+    kept = {name: why for name, why in kept.items() if is_private(name) == private}
+    return audit(defined, hit, kept)
+
+
+@pytest.fixture(scope="module")
+def library_hits(tmp_path_factory):
+    """(file, first line) of every code object that the demos and one round
+    of each workload run, traced once for the module."""
+    tmp = tmp_path_factory.mktemp("traffic")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+
+        def traffic():
+            with monkeypatch.context() as patch:
+                patch.setattr(subprocess, "run", _cli_in_process)
+                for demo in DEMOS:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        runpy.run_path(str(demo), run_name="__main__")
+            workloads = _load_perfbench("workloads", monkeypatch)
+            tracing = _load_perfbench("tracing", monkeypatch)
+            with tracing.Tracer().installed():
+                for name in workloads.ROUNDS:
+                    for item in workloads.build_round(name, 0, 0, str(tmp)):
+                        assert item.run() == [], item.label
+
+        return reached(traffic)
+
+
+def test_no_public_definitions_used_only_by_tests(library_hits):
+    missing, stale = split_audit(definitions(LIBRARY), library_hits, KEPT, private=False)
     assert missing == [], "reached by no demo or workload round: delete, or keep with a reason"
     assert stale == [], "KEPT lists a reached or deleted definition"
 
 
-def test_reachability_flags_an_unreached_method_and_a_stale_entry(tmp_path, monkeypatch):
+def test_no_unreferenced_private_definitions(library_hits):
+    missing, stale = split_audit(definitions(LIBRARY), library_hits, KEPT, private=True)
+    assert missing == [], "reached by no demo or workload round: delete, or keep with a reason"
+    assert stale == [], "KEPT lists a reached or deleted definition"
+
+
+TOY = (
+    "import functools\n\n"
+    "def used():\n    _kept()\n    return Rep().dense() + _Rep().size\n\n"
+    "def dropped():\n    pass\n\n"
+    "def _kept():\n    pass\n\n"
+    "def _dropped():\n    pass\n\n"
+    "class Rep:\n"
+    "    @functools.cached_property\n    def size(self):\n        return 1\n\n"
+    "    def dense(self):\n        return self.size\n\n"
+    "    def flat(self):\n        pass\n\n"
+    "class _Rep:\n"
+    "    size = 1\n\n"
+    "    def _dense(self):\n        pass\n"
+)
+
+
+def _toy(tmp_path, monkeypatch) -> tuple:
+    """The definitions of a toy module and what a call of its ``used`` reaches."""
     path = tmp_path / "toy.py"
-    path.write_text(
-        "import functools\n\n"
-        "def used():\n    return Rep().dense()\n\n"
-        "def dropped():\n    pass\n\n"
-        "class Rep:\n"
-        "    @functools.cached_property\n    def size(self):\n        return 1\n\n"
-        "    def dense(self):\n        return self.size\n\n"
-        "    def flat(self):\n        pass\n"
-    )
+    path.write_text(TOY)
     monkeypatch.syspath_prepend(str(tmp_path))
     monkeypatch.delitem(sys.modules, "toy", raising=False)
     import toy
 
     defined = definitions([path])
     assert sorted(defined.values()) == [
-        "toy.Rep.dense", "toy.Rep.flat", "toy.Rep.size", "toy.dropped", "toy.used"
+        "toy.Rep.dense", "toy.Rep.flat", "toy.Rep.size", "toy._Rep._dense",
+        "toy._dropped", "toy._kept", "toy.dropped", "toy.used",
     ]
-    hit = reached(toy.used)
-    kept = {"toy.dropped": "kept", "toy.used": "stale: reached", "toy.gone": "stale: deleted"}
-    assert audit(defined, hit, kept) == (["toy.Rep.flat"], ["toy.gone", "toy.used"])
+    return defined, reached(toy.used)
+
+
+def test_public_scan_flags_a_definition_only_tests_use(tmp_path, monkeypatch):
+    defined, hit = _toy(tmp_path, monkeypatch)
+    kept = {"toy.dropped": "kept", "toy.used": "stale: reached", "toy.gone": "stale: deleted",
+            "toy._kept": "private, reached"}
+    assert split_audit(defined, hit, kept, private=False) == (["toy.Rep.flat"], ["toy.gone", "toy.used"])
+
+
+def test_private_scan_flags_an_unreferenced_definition(tmp_path, monkeypatch):
+    defined, hit = _toy(tmp_path, monkeypatch)
+    kept = {"toy._dropped": "kept", "toy._kept": "stale: reached", "toy._gone": "stale: deleted",
+            "toy.used": "public, reached"}
+    assert split_audit(defined, hit, kept, private=True) == (["toy._Rep._dense"], ["toy._gone", "toy._kept"])
