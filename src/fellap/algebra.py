@@ -402,10 +402,16 @@ def _distinct(keys) -> tuple[list, np.ndarray]:
     return list(seen), np.array(slot, dtype=int)
 
 
-# The batched checks (the unit law of ``unit_identity_residual`` here, the
-# validators of ``fellap.bundles``) run in chunks of consecutive rows holding
-# at most a budget of terms each, which bounds their batches and memory with
-# them. This is the budget of the unit law, whose terms are its (t, s) pairs.
+# The batched checks run in chunks of consecutive rows holding at most this
+# many terms each (cut by ``_chunks``; a row larger than that is a chunk
+# alone), which bounds their batches and memory with them. In the unit law of
+# ``unit_identity_residual`` here a row is one t and a term one (t, s) pair. In
+# the validators of ``fellap.bundles`` a row is a pass (validate_bundle: one
+# per s in the ball; validate_twist: one per s, then one per r of the cocycle
+# loop), and a term one (s, t, sample) of validate_bundle (five fiber elements
+# and three products per product step) or one basis element of
+# validate_twist. The balls of the benchmark and of the acceptance criteria fit
+# one chunk (F2's ball of radius 2 at one sample has 289 terms).
 _TERM_BUDGET = 512
 
 

@@ -44,6 +44,7 @@ from .algebra import (
     IdealIso,
     PartialAction,
     _Rows,
+    _TERM_BUDGET,
     _adjoint,
     _adjoints,
     _chunks,
@@ -315,18 +316,6 @@ def restrict_to_subgroup(bundle: TwistedBundle, member: Callable[[Elem], bool]) 
         return [next(kept) if i else zero_iso for i in inside]
 
     return TwistedBundle(PartialAction.batched(family.group, alg, isos), bundle.twist)
-
-
-# The validators evaluate their passes (validate_bundle: one per s in the
-# ball; validate_twist: one per s, then one per r of the cocycle loop) in
-# chunks of consecutive passes holding at most this many terms, a pass larger
-# than that being a chunk alone. A term is one (s, t, sample) of
-# validate_bundle, five fiber elements and three products per product step,
-# or one basis element of validate_twist. The balls of the benchmark and of
-# the acceptance criteria fit one chunk (F2's ball of radius 2 at one sample
-# has 289 terms); on larger balls the budget bounds the batches, and memory
-# with them. The chunks are cut by ``fellap.algebra._chunks``.
-_TERM_BUDGET = 512
 
 
 class _Checks:

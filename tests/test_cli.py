@@ -188,6 +188,136 @@ class TestConfigErrors:
         assert isinstance(r.exception, SystemExit)  # no uncaught error behind the exit
 
 
+def one_block_config(tmp_path, section=None, name=None, block=None):
+    """A config with a group bundle ``b`` over Z2 and a uniform witness
+    family ``w``, with ``section.name`` set to ``block`` when given."""
+    doc = {
+        "groups": {"g": {"kind": "cyclic", "order": 2}},
+        "algebras": {"a": {"blocks": [1]}},
+        "bundles": {"b": {"kind": "group", "group": "g", "algebra": "a"}},
+        "witness_families": {"w": {"kind": "uniform"}},
+    }
+    if section is not None:
+        doc[section][name] = block
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_refused(r, starts: str):
+    """Exit 2 with one stderr line, and no uncaught error behind the exit."""
+    assert r.exit_code == 2, r.stderr
+    lines = r.stderr.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith(starts), lines
+    assert isinstance(r.exception, SystemExit)
+
+
+class TestRefusedInputs:
+    """A value a constructor refuses, an output path that cannot be written,
+    a tolerance no residual can be judged against, and a request over a cap
+    all exit 2, never 1 with a traceback or a verdict."""
+
+    @pytest.mark.parametrize(
+        "section, name, block",
+        [
+            ("groups", "g", {"kind": "symmetric", "n": 5}),
+            ("groups", "g", {"kind": "cyclic", "order": 0}),
+            ("groups", "g", {"kind": "cyclic"}),
+            ("groups", "g", {"kind": "cyclic", "order": BALL_CAP + 1}),
+            ("groups", "g", {"kind": "free", "rank": 0}),
+            ("algebras", "a", {"blocks": [0]}),
+            ("bundles", "b", {"kind": "semidirect"}),
+            ("witness_families", "w", {"kind": "folner"}),
+            ("witness_families", "w", {"kind": "folner", "n": "x"}),
+        ],
+        ids=[
+            "symmetric-5", "cyclic-0", "cyclic-no-order", "cyclic-over-cap", "free-0",
+            "block-0", "semidirect-no-action", "folner-no-n", "folner-n-x",
+        ],
+    )
+    def test_refused_value_names_its_block(self, tmp_path, section, name, block):
+        conf = one_block_config(tmp_path, section, name, block)
+        r = run("--config", conf, "ap-check", "--bundle", "b", "--witness", "w")
+        assert_refused(r, f"config error: {section}.{name}: ")
+
+    @pytest.mark.parametrize("section", ["bundles", "actions"])
+    def test_section_that_is_not_an_object(self, tmp_path, section):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"bundles": {"b": {"kind": "semidirect", "action": "a"}}, section: 5}))
+        r = run("--config", str(path), "validate", "b")
+        assert_refused(r, "config error: config must be an object of sections")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--out", "{missing}/v.csv", "validate", "bz"),
+            ("globalize", "trivc", "--emit-config", "{missing}/env.json"),
+        ],
+        ids=["out", "emit-config"],
+    )
+    def test_unwritable_output(self, conf, tmp_path, args):
+        missing = tmp_path / "missing"
+        r = run("--config", conf, *(a.format(missing=missing) for a in args))
+        assert_refused(r, f"config error: cannot write {missing}/")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize(
+        "args",
+        [("validate", "bad"), ("ap-check", "--bundle", "bs3", "--witness", "builtin:uniform")],
+        ids=" ".join,
+    )
+    def test_tolerance_is_finite_and_not_negative(self, conf, tol, args):
+        """At a NaN or infinite tolerance the corrupted cocycle would pass."""
+        r = run("--config", conf, "--tol", tol, *args)
+        assert r.exit_code == 2
+        assert "Invalid value" in r.stderr and "--tol" in r.stderr
+        assert isinstance(r.exception, SystemExit)
+
+    # Z4's ball of radius 1 is the whole group: 4 elements times 5 BALL_CAP / 4
+    # samples is at the cap of 5 BALL_CAP (element, sample) pairs
+    SAMPLES_AT_CAP = str(5 * BALL_CAP // 4)
+    SAMPLES_OVER = str(5 * BALL_CAP // 4 + 1)
+
+    @pytest.mark.parametrize(
+        "lattice, head, edge, over",
+        [
+            (False, ("validate", "bz", "--window", "1", "--samples"), SAMPLES_AT_CAP, SAMPLES_OVER),
+            (False, ("kernels", "--bundle", "bz", "--window", "1", "--samples"), SAMPLES_AT_CAP, SAMPLES_OVER),
+            (
+                False,
+                ("--tol", "1", "ap-check", "--bundle", "bline", "--targets", "1", "--witness"),
+                f"builtin:folner:{BALL_CAP}",
+                f"builtin:folner:{BALL_CAP + 1}",
+            ),
+            # 14^2 = 196 and 15^2 = 225 points in Z^2
+            (
+                True,
+                ("--tol", "1", "ap-check", "--bundle", "b", "--witness"),
+                "builtin:folner:14",
+                "builtin:folner:15",
+            ),
+        ],
+        ids=["validate-samples", "kernels-samples", "folner-line", "folner-plane"],
+    )
+    def test_admitted_at_the_cap_refused_past_it(self, conf, tmp_path, lattice, head, edge, over):
+        if lattice:
+            conf = one_block_config(tmp_path, "groups", "g", {"kind": "lattice", "dim": 2})
+        r = run("--config", conf, *head, edge)
+        assert r.exit_code == 0, r.stderr
+        r = run("--config", conf, *head, over)
+        assert_refused(r, "config error: ")
+        assert f"over {5 * BALL_CAP if '--samples' in head else BALL_CAP} " in r.stderr
+
+    def test_cyclic_order_at_the_cap(self, tmp_path):
+        """A table group is checked over all order^3 triples when it is
+        built: the largest admitted order builds in about a second."""
+        for order, code in ((BALL_CAP, 0), (BALL_CAP + 1, 2)):
+            conf = one_block_config(tmp_path, "groups", "g", {"kind": "cyclic", "order": order})
+            r = run("--config", conf, "ap-check", "--bundle", "b", "--witness", "w", "--targets", "1")
+            assert r.exit_code == code, r.stderr
+        assert r.stderr.startswith(f"config error: groups.g: a cyclic group of order {BALL_CAP + 1} ")
+
+
 class TestValidate:
     def test_bundle_passes(self, conf, tmp_path):
         out = tmp_path / "v.csv"
@@ -419,6 +549,8 @@ class TestApCheck:
         [
             ("ap-check", "--bundle", "bf2", "--witness", "builtin:cuntz:0"),
             ("ap-check", "--bundle", "bf2", "--witness", "builtin:cuntz:00"),
+            # a digit that int() cannot read
+            ("ap-check", "--bundle", "bf2", "--witness", "builtin:cuntz:\u00b2"),
             ("ap-check", "--bundle", "bline", "--witness", "builtin:folner:0"),
             ("ap-check", "--bundle", "bz", "--witness", "builtin:uniform", "--targets", ""),
             ("ap-check", "--bundle", "bz", "--witness", "builtin:uniform", "--targets", "9"),

@@ -89,6 +89,7 @@ KEPT = {
     "algebra._Blocks.__getitem__": "dunder protocol: reading block j of x.mats",
     "kernels.Kernel.__init__": "dunder protocol: the constructor from a mapping of entries",
     "cli.ConfigStore.twist": "documented CLI config feature: the twists section of a config",
+    "cli.command": "runs at import time only: it registers each subcommand with cli.main",
     "bundles.TwistedBundle.star": "perfbench/tracing.py wraps it for bundles.star.calls",
     "groups.FreeGroup.generator": "called by cli's ap-check: the default builtin:cuntz target",
     "groups.LatticeGroup.parse_elem": "called by cli's ap-check: --targets on a lattice bundle",
