@@ -470,13 +470,14 @@ class Ideal:
         object.__setattr__(self, "block_set", bs)
 
     @cached_property
-    def _by_class(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def _by_class(self) -> tuple[tuple[np.ndarray, np.ndarray, bytes], ...]:
         """Per size class: membership of its blocks as a mask of shape
-        (n_c, 1, 1), and the positions of the blocks outside the ideal."""
+        (n_c, 1, 1), the positions of the blocks outside the ideal, and the
+        mask's bytes (one bool each)."""
         got = []
         for m in self.algebra.members:
             inside = np.array([j in self.block_set for j in m])
-            got.append((inside[:, None, None], np.flatnonzero(~inside)))
+            got.append((inside[:, None, None], np.flatnonzero(~inside), inside.tobytes()))
         return tuple(got)
 
     def unit(self) -> FdElement:
@@ -485,7 +486,7 @@ class Ideal:
             alg,
             tuple(
                 np.where(inside, np.eye(d, dtype=complex), 0)
-                for (inside, _), d in zip(self._by_class, alg.sizes)
+                for (inside, _, _), d in zip(self._by_class, alg.sizes)
             ),
         )
 
@@ -493,11 +494,11 @@ class Ideal:
         """Compression of ``x`` to the ideal (kill blocks outside it)."""
         return _packed(
             self.algebra,
-            tuple(np.where(inside, p, 0) for p, (inside, _) in zip(x.packs, self._by_class)),
+            tuple(np.where(inside, p, 0) for p, (inside, _, _) in zip(x.packs, self._by_class)),
         )
 
     def contains(self, x: FdElement, tol: float = DEFAULT_TOL) -> bool:
-        for p, (_, outside) in zip(x.packs, self._by_class):
+        for p, (_, outside, _) in zip(x.packs, self._by_class):
             if len(outside) and not float(np.abs(p[outside]).max()) <= tol:
                 return False
         return True
@@ -528,8 +529,10 @@ class Ideal:
 
 
 def _inside_masks(ideals: Sequence[Ideal], c: int, n: int) -> np.ndarray:
-    """Membership masks of the n blocks of class c, per term: (m, n, 1, 1)."""
-    return np.array([ideal._by_class[c][0] for ideal in ideals], dtype=bool).reshape(-1, n, 1, 1)
+    """Membership masks of the n blocks of class c, per term: (m, n, 1, 1),
+    read only."""
+    raw = b"".join([ideal._by_class[c][2] for ideal in ideals])
+    return np.frombuffer(raw, dtype=bool).reshape(-1, n, 1, 1)
 
 
 def project_batch(ideals: Sequence[Ideal], batch: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:

@@ -22,10 +22,12 @@ from __future__ import annotations
 import cmath
 import contextlib
 import csv
+import errno
 import functools
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -133,10 +135,11 @@ def _arrow_count(n: int, depth: int, radius: int) -> int:
 
 
 def _parse_elems(g: Group, text: str) -> List[Elem]:
-    """The elements of a comma-separated list; a token the group cannot
-    read is a config error."""
+    """The elements of a list separated by semicolons, or by commas when the
+    text has no semicolon: ``1,0;0,-1`` names two elements of Z^2 and
+    ``1,0;`` one. A token the group cannot read is a config error."""
     out = []
-    for token in text.split(","):
+    for token in text.removesuffix(";").split(";") if ";" in text else text.split(","):
         with _naming(f"cannot read {token.strip()!r} in {g.label}"):
             out.append(g.parse_elem(token.strip()))
     return out
@@ -382,16 +385,36 @@ def main(ctx: click.Context, config, seed, out, tol):
     ctx.obj = {"config": config, "seed": seed, "out": out, "tol": tol}
 
 
+def _refuse_unwritable(path: Optional[str]) -> None:
+    """Raise the OSError that writing ``path`` would meet, before anything
+    runs: the path is a directory, or its parent is missing or not
+    writable. Nothing is opened, so an existing file keeps its bytes."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def command(name: Optional[str] = None):
     """Register ``body`` (its options declared by click decorators on it) as a
-    subcommand that loads the config, runs ``body``, writes the report to
-    ``--out``, echoes its summary and exits 0 on a pass, 1 on a fail."""
+    subcommand that checks ``--out`` can be written, loads the config, runs
+    ``body``, writes the report to ``--out``, echoes its summary and exits 0
+    on a pass, 1 on a fail."""
 
     def register(body: Callable[..., Report]) -> click.Command:
         @functools.wraps(body)
         def run(**options):
             ctx = click.get_current_context()
             try:
+                _refuse_unwritable(ctx.obj["out"])
                 store = load_config(ctx.obj["config"], ctx.obj["seed"])
                 report = body(store, ctx.obj["tol"], **options)
                 report.write(ctx.obj["out"], store)
@@ -591,7 +614,7 @@ def _acting(g: FreeGroup, targets: List[Elem]) -> List[Elem]:
     required=True,
     help="Family ref, or builtin:uniform | builtin:folner:N | builtin:cuntz:I.",
 )
-@click.option("--targets", "targets_text", default=None, help="Comma-separated group elements; default: ball(1) basis targets.")
+@click.option("--targets", "targets_text", default=None, help="Group elements split on ';', or on ',' when there is no ';'; default: ball(1) basis targets.")
 def ap_check(store: ConfigStore, tol: float, bundle_ref, witness_spec, targets_text) -> Report:
     """Defect table of a witness family against fiber targets."""
     b = store.bundle(bundle_ref)

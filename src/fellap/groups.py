@@ -2,9 +2,11 @@
 
 Three kinds of group are supported: finite groups given by an explicit
 multiplication table, free groups of finite rank with elements stored as
-reduced words, and integer lattices Z^d. Elements are opaque handles tied
-to the group that created them; mixing elements across groups raises
-:class:`ContextMismatchError`.
+reduced words, and integer lattices Z^d. Groups are interned values:
+``FreeGroup(2)`` built twice is one object, and a table group is one object
+per (table, label). Groups therefore compare and hash by identity. Elements
+are opaque handles tied to the group that created them; mixing elements
+across groups raises :class:`ContextMismatchError`.
 
 Enumeration of word-length balls is deterministic (length first, then a
 fixed lexicographic letter order), so every downstream report that iterates
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import weakref
 from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
@@ -43,9 +46,9 @@ class Elem(namedtuple("Elem", ["group", "data"])):
     """Opaque group element: an index (finite), a reduced word (free),
     or an integer vector (lattice), always paired with its group.
 
-    A named pair, so hashing and equality are the tuple's, in C: equal
-    elements have equal groups and equal data. Groups keep their hash, so
-    hashing an element costs one cached lookup on its group.
+    A named pair, so hashing and equality are the tuple's: equal elements
+    have the same group and equal data. Groups hash by identity, so hashing
+    or comparing an element runs in C throughout.
     """
 
     __slots__ = ()
@@ -55,12 +58,13 @@ class Elem(namedtuple("Elem", ["group", "data"])):
 
 
 class Group:
-    """Common interface for the three group kinds."""
+    """Common interface for the three group kinds. Each kind keeps its live
+    groups in a weak-value table ``_live`` keyed by value."""
 
     label: str
 
     def check(self, a: Elem) -> None:
-        if a.group is not self and a.group != self:
+        if a.group is not self:
             raise ContextMismatchError(
                 f"element of {getattr(a.group, 'label', a.group)!r} used with {self.label!r}"
             )
@@ -109,16 +113,21 @@ class FiniteGroup(Group):
     elements are made once; the methods hand out those stored objects.
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], label: str = "finite"):
+    _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def __new__(cls, table: Sequence[Sequence[int]], label: str = "finite"):
         n = len(table)
         if n == 0:
             raise ValueError("empty multiplication table")
         tab = tuple(tuple(int(x) for x in row) for row in table)
+        self = cls._live.get((tab, label))
+        if self is not None:
+            return self
         for row in tab:
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise ValueError("table is not square over 0..n-1")
+        self = super().__new__(cls)
         self._table = tab
-        self._hash = hash(("finite", tab))
         self._n = n
         self.label = label
 
@@ -145,12 +154,8 @@ class FiniteGroup(Group):
                 for c in range(n):
                     if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
                         raise ValueError(f"table is not associative at ({a},{b},{c})")
-
-    def __eq__(self, other) -> bool:
-        return other is self or (isinstance(other, FiniteGroup) and other._table == self._table)
-
-    def __hash__(self) -> int:
-        return self._hash
+        cls._live[tab, label] = self
+        return self
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self._n})"
@@ -225,37 +230,35 @@ class FreeGroup(Group):
     """Free group of rank n; elements are reduced words over letters
     {1..n} u {-1..-n}, a negative letter being the inverse generator."""
 
-    def __init__(self, rank: int):
+    _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def __new__(cls, rank: int):
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        self.rank = rank
-        self.label = f"F{rank}"
-        self._hash = hash(("free", rank))
-
-    def __eq__(self, other) -> bool:
-        return other is self or (isinstance(other, FreeGroup) and other.rank == self.rank)
-
-    def __hash__(self) -> int:
-        return self._hash
+        self = cls._live.get(rank)
+        if self is None:
+            self = cls._live[rank] = super().__new__(cls)
+            self.rank, self.label = rank, f"F{rank}"
+        return self
 
     def __repr__(self) -> str:
         return f"FreeGroup({self.rank})"
 
     @property
     def identity(self) -> Elem:
-        return Elem(self, ())
+        return tuple.__new__(Elem, (self, ()))
 
     def word(self, letters: Iterable[int]) -> Elem:
         ls = tuple(int(l) for l in letters)
         for l in ls:
             if l == 0 or abs(l) > self.rank:
                 raise ValueError(f"letter {l} outside +-1..+-{self.rank}")
-        return Elem(self, _reduce_word(ls))
+        return tuple.__new__(Elem, (self, _reduce_word(ls)))
 
     def generator(self, i: int) -> Elem:
         if not (1 <= i <= self.rank):
             raise ValueError(f"generator index {i} outside 1..{self.rank}")
-        return Elem(self, (i,))
+        return tuple.__new__(Elem, (self, (i,)))
 
     def mul(self, a: Elem, b: Elem) -> Elem:
         """Both words are reduced, so letters cancel only where they meet:
@@ -265,16 +268,16 @@ class FreeGroup(Group):
             self.check(b)
         x, y = a.data, b.data
         if not x or not y or x[-1] != -y[0]:
-            return Elem(self, x + y)
+            return tuple.__new__(Elem, (self, x + y))
         k, n = 1, min(len(x), len(y))
         while k < n and x[-1 - k] == -y[k]:
             k += 1
-        return Elem(self, x[: len(x) - k] + y[k:])
+        return tuple.__new__(Elem, (self, x[: len(x) - k] + y[k:]))
 
     def inv(self, a: Elem) -> Elem:
         if a.group is not self:
             self.check(a)
-        return Elem(self, tuple(-l for l in reversed(a.data)))
+        return tuple.__new__(Elem, (self, tuple(-l for l in reversed(a.data))))
 
     def word_length(self, a: Elem) -> int:
         self.check(a)
@@ -290,12 +293,7 @@ class FreeGroup(Group):
         return len(a.data) > 0 and all(l > 0 for l in a.data)
 
     def ball(self, radius: int) -> list[Elem]:
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
-        out = [self.identity]
-        for layer in self._layers(radius):
-            out.extend(Elem(self, w) for w in layer)
-        return out
+        return list(self.walk(radius))
 
     def walk(self, radius: int) -> Iterator[Elem]:
         """The words of ``ball(radius)`` in its order, a layer made only
@@ -305,7 +303,7 @@ class FreeGroup(Group):
         yield self.identity
         for layer in self._layers(radius):
             for w in layer:
-                yield Elem(self, w)
+                yield tuple.__new__(Elem, (self, w))
 
     def _layers(self, radius: int) -> Iterator[list[tuple[int, ...]]]:
         """The reduced words of lengths 1..radius, one sorted layer at a
@@ -336,42 +334,40 @@ class LatticeGroup(Group):
     """The integer lattice Z^d with generators +-e_i; word length is the
     l1 norm."""
 
-    def __init__(self, dim: int):
+    _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def __new__(cls, dim: int):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        self.dim = dim
-        self.label = f"Z^{dim}"
-        self._hash = hash(("lattice", dim))
-
-    def __eq__(self, other) -> bool:
-        return other is self or (isinstance(other, LatticeGroup) and other.dim == self.dim)
-
-    def __hash__(self) -> int:
-        return self._hash
+        self = cls._live.get(dim)
+        if self is None:
+            self = cls._live[dim] = super().__new__(cls)
+            self.dim, self.label = dim, f"Z^{dim}"
+        return self
 
     def __repr__(self) -> str:
         return f"LatticeGroup({self.dim})"
 
     @property
     def identity(self) -> Elem:
-        return Elem(self, (0,) * self.dim)
+        return tuple.__new__(Elem, (self, (0,) * self.dim))
 
     def vector(self, coords: Iterable[int]) -> Elem:
         v = tuple(int(c) for c in coords)
         if len(v) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(v)}")
-        return Elem(self, v)
+        return tuple.__new__(Elem, (self, v))
 
     def mul(self, a: Elem, b: Elem) -> Elem:
         if a.group is not self or b.group is not self:
             self.check(a)
             self.check(b)
-        return Elem(self, tuple(map(operator.add, a.data, b.data)))
+        return tuple.__new__(Elem, (self, tuple(map(operator.add, a.data, b.data))))
 
     def inv(self, a: Elem) -> Elem:
         if a.group is not self:
             self.check(a)
-        return Elem(self, tuple(-x for x in a.data))
+        return tuple.__new__(Elem, (self, tuple(-x for x in a.data)))
 
     def word_length(self, a: Elem) -> int:
         self.check(a)
@@ -386,7 +382,7 @@ class LatticeGroup(Group):
             if sum(abs(x) for x in v) <= radius
         ]
         vecs.sort(key=lambda v: (sum(abs(x) for x in v), v))
-        return [Elem(self, v) for v in vecs]
+        return [tuple.__new__(Elem, (self, v)) for v in vecs]
 
     def format_elem(self, a: Elem) -> str:
         return ",".join(str(x) for x in a.data)

@@ -30,6 +30,7 @@ from fellap.algebra import (
     Ideal,
     IdealIso,
     PartialAction,
+    _inside_masks,
     apply_many,
     batch_norms,
     center_basis,
@@ -187,6 +188,22 @@ class TestPackedArithmetic:
         ):
             for g, w in zip(got.mats, want):
                 np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("blocks", [[2], [1, 2, 1, 3, 2, 1]], ids=["one-class", "multi-class"])
+    def test_inside_masks_are_the_stacked_ideal_masks(self, blocks):
+        alg = FdAlgebra(blocks)
+        rng = rng_for(62)
+        zero, whole = Ideal(alg, []), Ideal(alg, range(alg.nblocks))
+        mixed = [Ideal(alg, np.flatnonzero(rng.random(alg.nblocks) < 0.5)) for _ in range(6)]
+        for ideals in ([], [zero], [zero, zero], [whole, zero] + mixed):
+            for c, mem in enumerate(alg.members):
+                got = _inside_masks(ideals, c, len(mem))
+                stacked = np.array([i._by_class[c][0] for i in ideals], dtype=bool)
+                by_set = [[j in i.block_set for j in mem] for i in ideals]
+                for want in (stacked, np.array(by_set, dtype=bool)):
+                    want = want.reshape(-1, len(mem), 1, 1)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
     def test_iso_apply_matches_blockwise_conjugation(self):
         rng = rng_for(61)

@@ -642,7 +642,7 @@ class TestCachedGroupoidTable:
     def test_separate_tables_have_equal_reprs(self):
         """Groups have value reprs, so a table's repr carries no address."""
         first, second = spectral_groupoid(2, 2, 1), spectral_groupoid(2, 2, 1)
-        assert first.group is not second.group
+        assert first is not second and first.group is second.group
         assert repr(first) == repr(second)
         assert "FreeGroup(2)" in repr(first) and " at 0x" not in repr(first)
 

@@ -9,7 +9,9 @@ kernels report, the byte-exact boundary-net CSVs, and byte-identical
 reruns.
 """
 
+import csv
 import json
+import time
 import zlib
 
 import pytest
@@ -259,6 +261,25 @@ class TestRefusedInputs:
         missing = tmp_path / "missing"
         r = run("--config", conf, *(a.format(missing=missing) for a in args))
         assert_refused(r, f"config error: cannot write {missing}/")
+
+    def test_unwritable_out_is_refused_before_the_command_runs(self, conf, tmp_path):
+        """The validation below takes seconds; the refusal must not wait for it."""
+        missing = tmp_path / "missing" / "x.csv"
+        start = time.perf_counter()
+        r = run("--config", conf, "--out", str(missing), "validate", "bf2", "--window", "4", "--samples", "6")
+        assert time.perf_counter() - start < 1.0
+        assert_refused(r, f"config error: cannot write {missing}: No such file or directory")
+
+    def test_out_that_is_a_directory(self, conf, tmp_path):
+        r = run("--config", conf, "--out", str(tmp_path), "validate", "bz")
+        assert_refused(r, f"config error: cannot write {tmp_path}: Is a directory")
+
+    def test_refused_run_leaves_an_existing_out_unchanged(self, conf, tmp_path):
+        out = tmp_path / "v.csv"
+        out.write_text("kept\n")
+        r = run("--config", conf, "--out", str(out), "validate", "nothing")
+        assert r.exit_code == 2
+        assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
     @pytest.mark.parametrize(
@@ -532,6 +553,32 @@ class TestApCheck:
         last = [row.split(",") for row in rows[-2:]]
         assert [cells[3] for cells in last] == ["199", "199"]
         assert [float(cells[-1]) for cells in last] == [1 / 200, 2 / 200]
+
+    @pytest.mark.parametrize(
+        "text, ts",
+        [("1,0;0,-1", ["1,0", "0,-1"]), ("0,2;", ["0,2"]), ("1,0 ; -1,1 ;", ["1,0", "-1,1"])],
+    )
+    def test_lattice_targets_split_on_semicolons(self, tmp_path, text, ts):
+        """Z^2 prints an element as ``x,y``, so a list of them is split on
+        ``;``: the side-4 box defect against each is 1 - (4-|x|)(4-|y|)/16."""
+        conf = one_block_config(tmp_path, "groups", "g", {"kind": "lattice", "dim": 2})
+        out = tmp_path / "ap.csv"
+        r = run("--config", conf, "--tol", "0.5", "--out", str(out),
+                "ap-check", "--bundle", "b", "--witness", "builtin:folner:4", "--targets", text)
+        assert r.exit_code == 0, r.stderr
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["t"] for row in rows] == ts
+        for row in rows:
+            x, y = map(int, row["t"].split(","))
+            assert float(row["defect"]) == 1 - (4 - abs(x)) * (4 - abs(y)) / 16
+
+    def test_unreadable_lattice_targets_are_refused(self, tmp_path):
+        conf = one_block_config(tmp_path, "groups", "g", {"kind": "lattice", "dim": 2})
+        for text in ("1,0", "1,0;;0,1", ";"):
+            r = run("--config", conf, "ap-check", "--bundle", "b",
+                    "--witness", "builtin:folner:4", "--targets", text)
+            assert_refused(r, "config error: cannot read ")
 
     def test_unsupported_combinations(self, conf):
         r = run("--config", conf, "ap-check", "--bundle", "bline",

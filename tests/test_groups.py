@@ -1,6 +1,8 @@
 """Group arithmetic and ball enumeration."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from fellap.groups import (
     ContextMismatchError,
     Elem,
+    FiniteGroup,
     FreeGroup,
     LatticeGroup,
     _reduce_word,
@@ -190,12 +193,68 @@ def test_elem_parsing_round_trip():
         assert g.parse_elem(g.format_elem(e)) == e
 
 
+class TestInterning:
+    """A group is an interned value: one live object per value, compared
+    and hashed by identity."""
+
+    MAKERS = [
+        lambda: FreeGroup(2),
+        lambda: LatticeGroup(2),
+        lambda: cyclic_group(4),
+        lambda: symmetric_group(3),
+        lambda: FiniteGroup([[0, 1], [1, 0]], label="pair"),
+    ]
+
+    @pytest.mark.parametrize("make", MAKERS, ids=["free", "lattice", "cyclic", "symmetric", "table"])
+    def test_building_twice_gives_one_object(self, make):
+        assert make() is make()
+
+    def test_table_groups_are_keyed_by_table_and_label(self):
+        g = FiniteGroup(((0, 1), (1, 0)), label="pair")
+        assert FiniteGroup([[0, 1], [1, 0]], label="pair") is g
+        assert FiniteGroup([[0, 1], [1, 0]], label="other") is not g
+        assert FiniteGroup([[0, 1], [1, 0]], label="Z2") is cyclic_group(2)
+        assert g.elem(1) != cyclic_group(2).elem(1)
+
+    def test_groups_hash_by_identity(self):
+        for g in (FreeGroup(2), LatticeGroup(1), cyclic_group(3)):
+            assert type(g).__hash__ is object.__hash__
+            assert type(g).__eq__ is object.__eq__
+            assert hash(g) == object.__hash__(g)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FreeGroup(0),
+            lambda: LatticeGroup(0),
+            lambda: FiniteGroup([[0, 1], [1]]),
+            lambda: FiniteGroup([[1, 0], [1, 0]]),
+            lambda: FiniteGroup([[0, 1], [1, 1]]),
+            lambda: FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 1]]),
+        ],
+        ids=["rank", "dim", "not-square", "no-identity", "no-inverse", "not-latin"],
+    )
+    def test_invalid_values_raise_on_every_attempt(self, make):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                make()
+
+    def test_unreferenced_groups_are_dropped(self):
+        ref = weakref.ref(FreeGroup(11))
+        gc.collect()
+        assert ref() is None
+        assert FreeGroup(11).rank == 11
+
+
 class TestElementKeys:
     def test_equal_groups_give_one_key(self):
+        """Built twice, a group is one object, so equal data gives equal
+        elements and one dict key."""
         for make, data in [(lambda: FreeGroup(2), (1, -2)), (lambda: cyclic_group(3), 2)]:
             g, h = make(), make()
-            assert g is not h
+            assert g is h
             a, b = Elem(g, data), Elem(h, data)
+            assert a is not b
             assert a == b and hash(a) == hash(b)
             keys = {a: "first"}
             keys[b] = "second"
@@ -227,25 +286,30 @@ class TestElementKeys:
 
 class TestOwnershipFastPath:
     """``mul`` and ``inv`` check an element only when its group is not the
-    one called; an equal group still interoperates, a foreign one raises."""
+    one called: a group built again is the same object and skips the check,
+    a foreign one is checked and raises."""
 
     @pytest.mark.parametrize(
-        "make",
-        [lambda: cyclic_group(4), lambda: LatticeGroup(2), lambda: FreeGroup(2)],
+        "make, other",
+        [
+            (lambda: cyclic_group(4), lambda: cyclic_group(5)),
+            (lambda: LatticeGroup(2), lambda: LatticeGroup(3)),
+            (lambda: FreeGroup(2), lambda: FreeGroup(3)),
+        ],
         ids=["finite", "lattice", "free"],
     )
-    def test_own_elements_skip_check(self, make, monkeypatch):
+    def test_own_elements_skip_check(self, make, other, monkeypatch):
         g = make()
-        a, b = g.ball(1)[1], g.ball(1)[-1]
+        a, b = g.ball(1)[1], make().ball(1)[-1]
         checked = []
-        monkeypatch.setattr(g, "check", lambda x: checked.append(x))
+        monkeypatch.setattr(type(g), "check", lambda self, x: checked.append(x))
         g.mul(a, b)
-        g.inv(a)
+        g.inv(b)
         assert checked == []
-        twin = make()
-        g.mul(a, twin.ball(1)[1])
-        g.inv(twin.ball(1)[1])
-        assert len(checked) == 3
+        foreign = other().ball(1)[1]
+        g.mul(a, foreign)
+        g.inv(foreign)
+        assert checked == [a, foreign, foreign]
 
     def test_foreign_elements_raise(self):
         for g, other in [
@@ -263,7 +327,7 @@ class TestOwnershipFastPath:
 
 class TestStoredElements:
     """A finite group makes its elements once; every method hands out the
-    stored objects, also for elements of an equal twin group."""
+    stored objects, also for equal elements made outside the group."""
 
     @pytest.mark.parametrize("make", [lambda: cyclic_group(6), lambda: symmetric_group(3)])
     def test_methods_return_stored_elements(self, make):
@@ -277,10 +341,11 @@ class TestStoredElements:
             assert g.elem(a.data) is a
             assert g.inv(a) is els[g.inv(a).data]
             assert all(g.mul(a, b) is els[g.table[a.data][b.data]] for b in els)
-        twin = make()
-        a, b = twin.elem(1), twin.elem(g.order - 1)
+        assert make().elem(1) is els[1]
+        a, b = Elem(g, 1), Elem(g, g.order - 1)
+        assert a is not els[1] and a == els[1]
         assert g.mul(a, b) is els[g.table[1][g.order - 1]]
-        assert g.inv(a) is els[g.inv(g.elem(1)).data]
+        assert g.inv(a) is els[g.inv(els[1]).data]
 
     def test_elements_is_a_fresh_list(self):
         g = cyclic_group(3)

@@ -83,8 +83,6 @@ KEPT = {
     "groups.LatticeGroup.__repr__": "repr",
     "algebra.FdElement.__repr__": "repr",
     "kernels.Window.__repr__": "repr",
-    "groups.FiniteGroup.__eq__": "dunder protocol: equality of table groups",
-    "groups.LatticeGroup.__eq__": "dunder protocol: equality of lattices",
     "algebra.FdElement.__neg__": "dunder protocol: unary minus of the element arithmetic",
     "algebra._Blocks.__getitem__": "dunder protocol: reading block j of x.mats",
     "kernels.Kernel.__init__": "dunder protocol: the constructor from a mapping of entries",
