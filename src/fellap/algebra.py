@@ -472,8 +472,7 @@ class Ideal:
     @cached_property
     def _by_class(self) -> tuple[tuple[np.ndarray, np.ndarray, bytes], ...]:
         """Per size class: membership of its blocks as a mask of shape
-        (n_c, 1, 1), the positions of the blocks outside the ideal, and the
-        mask's bytes (one bool each)."""
+        (n_c, 1, 1), the positions of the blocks outside, and the mask's bytes."""
         got = []
         for m in self.algebra.members:
             inside = np.array([j in self.block_set for j in m])
@@ -529,8 +528,7 @@ class Ideal:
 
 
 def _inside_masks(ideals: Sequence[Ideal], c: int, n: int) -> np.ndarray:
-    """Membership masks of the n blocks of class c, per term: (m, n, 1, 1),
-    read only."""
+    """Membership masks of the n blocks of class c, per term: (m, n, 1, 1), read only."""
     raw = b"".join([ideal._by_class[c][2] for ideal in ideals])
     return np.frombuffer(raw, dtype=bool).reshape(-1, n, 1, 1)
 

@@ -63,6 +63,9 @@ class Group:
 
     label: str
 
+    def __reduce__(self):  # a copy or an unpickled group is the live one
+        return type(self), self._args
+
     def check(self, a: Elem) -> None:
         if a.group is not self:
             raise ContextMismatchError(
@@ -127,7 +130,7 @@ class FiniteGroup(Group):
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise ValueError("table is not square over 0..n-1")
         self = super().__new__(cls)
-        self._table = tab
+        self._table, self._args = tab, (tab, label)
         self._n = n
         self.label = label
 
@@ -238,7 +241,7 @@ class FreeGroup(Group):
         self = cls._live.get(rank)
         if self is None:
             self = cls._live[rank] = super().__new__(cls)
-            self.rank, self.label = rank, f"F{rank}"
+            self.rank, self.label, self._args = rank, f"F{rank}", (rank,)
         return self
 
     def __repr__(self) -> str:
@@ -342,7 +345,7 @@ class LatticeGroup(Group):
         self = cls._live.get(dim)
         if self is None:
             self = cls._live[dim] = super().__new__(cls)
-            self.dim, self.label = dim, f"Z^{dim}"
+            self.dim, self.label, self._args = dim, f"Z^{dim}", (dim,)
         return self
 
     def __repr__(self) -> str:

@@ -1,7 +1,9 @@
 """Group arithmetic and ball enumeration."""
 
+import copy
 import gc
 import itertools
+import pickle
 import weakref
 
 import pytest
@@ -220,7 +222,6 @@ class TestInterning:
         for g in (FreeGroup(2), LatticeGroup(1), cyclic_group(3)):
             assert type(g).__hash__ is object.__hash__
             assert type(g).__eq__ is object.__eq__
-            assert hash(g) == object.__hash__(g)
 
     @pytest.mark.parametrize(
         "make",
@@ -238,6 +239,15 @@ class TestInterning:
         for _ in range(3):
             with pytest.raises(ValueError):
                 make()
+
+    @pytest.mark.parametrize("make", MAKERS, ids=["free", "lattice", "cyclic", "symmetric", "table"])
+    def test_copies_and_pickles_are_the_live_group(self, make):
+        g = make()
+        a = g.ball(1)[-1]
+        assert copy.copy(g) is g and copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+        b = copy.deepcopy({a: 1})
+        assert list(b) == [a] and next(iter(b)).group is g
 
     def test_unreferenced_groups_are_dropped(self):
         ref = weakref.ref(FreeGroup(11))

@@ -83,6 +83,7 @@ KEPT = {
     "groups.LatticeGroup.__repr__": "repr",
     "algebra.FdElement.__repr__": "repr",
     "kernels.Window.__repr__": "repr",
+    "groups.Group.__reduce__": "dunder protocol: a copied or unpickled group is the live one",
     "algebra.FdElement.__neg__": "dunder protocol: unary minus of the element arithmetic",
     "algebra._Blocks.__getitem__": "dunder protocol: reading block j of x.mats",
     "kernels.Kernel.__init__": "dunder protocol: the constructor from a mapping of entries",
