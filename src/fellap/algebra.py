@@ -103,13 +103,7 @@ class FdAlgebra:
         )
 
     def one(self) -> "FdElement":
-        return _packed(
-            self,
-            tuple(
-                np.repeat(np.eye(d, dtype=complex)[None], len(m), axis=0)
-                for d, m in zip(self.sizes, self.members)
-            ),
-        )
+        return self.full_ideal().unit()
 
     def gaussian(self, rng: np.random.Generator) -> "FdElement":
         """Element with independent complex Gaussian entries.
@@ -160,7 +154,7 @@ class _Blocks:
     """The blocks of an element as a list-like view, in block order.
 
     Reading block j gives a view into its class array, so writing into it
-    (``x.mats[j][p, q] = 1``) or assigning a whole block (``x.mats[j] = m``)
+    (``x.mats[j][p, q] = 1``, or ``x.mats[j][...] = m`` for a whole block)
     changes the element.
     """
 
@@ -176,10 +170,6 @@ class _Blocks:
     def __getitem__(self, j: int) -> np.ndarray:
         c, p = self._where[j]
         return self._packs[c][p]
-
-    def __setitem__(self, j: int, m: np.ndarray) -> None:
-        c, p = self._where[j]
-        self._packs[c][p] = m
 
     def __iter__(self):
         packs = self._packs
@@ -447,12 +437,9 @@ def op_norms(xs: Sequence[FdElement]) -> list[float]:
 
 def center_basis(algebra: FdAlgebra) -> list[FdElement]:
     """The block-unit projections; they span the center."""
-    out = []
-    for j in range(algebra.nblocks):
-        p = algebra.zero()
-        p.mats[j] = np.eye(algebra.blocks[j], dtype=complex)
-        out.append(p)
-    return out
+    block = np.arange(algebra.nblocks)[:, None, None, None]
+    masks = [block == np.array(mem)[:, None, None] for mem in algebra.members]
+    return split_batch(algebra, _units(algebra, masks), algebra.nblocks)
 
 
 @dataclass(frozen=True)
@@ -480,14 +467,7 @@ class Ideal:
         return tuple(got)
 
     def unit(self) -> FdElement:
-        alg = self.algebra
-        return _packed(
-            alg,
-            tuple(
-                np.where(inside, np.eye(d, dtype=complex), 0)
-                for (inside, _, _), d in zip(self._by_class, alg.sizes)
-            ),
-        )
+        return _packed(self.algebra, _units(self.algebra, [m for m, _, _ in self._by_class]))
 
     def project(self, x: FdElement) -> FdElement:
         """Compression of ``x`` to the ideal (kill blocks outside it)."""
@@ -531,6 +511,18 @@ def _inside_masks(ideals: Sequence[Ideal], c: int, n: int) -> np.ndarray:
     """Membership masks of the n blocks of class c, per term: (m, n, 1, 1), read only."""
     raw = b"".join([ideal._by_class[c][2] for ideal in ideals])
     return np.frombuffer(raw, dtype=bool).reshape(-1, n, 1, 1)
+
+
+def _masks(algebra: FdAlgebra, ideals: Sequence[Ideal]) -> list[np.ndarray]:
+    """``_inside_masks`` of every size class of ``algebra``."""
+    return [_inside_masks(ideals, c, len(mem)) for c, mem in enumerate(algebra.members)]
+
+
+def _units(algebra: FdAlgebra, masks: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The units that per-class block masks describe: ``masks[c]`` of shape
+    (..., n_c, 1, 1) says which blocks of class c hold an identity, the rest
+    being zero. Every unit is made here, an exact 0/1 matrix."""
+    return tuple(np.where(mask, np.eye(d, dtype=complex), 0) for mask, d in zip(masks, algebra.sizes))
 
 
 def project_batch(ideals: Sequence[Ideal], batch: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -1068,7 +1060,6 @@ def unit_identity_residual(pa: PartialAction, elements: Sequence[Elem] | None = 
     elements = list(elements)
     n = len(elements)
     alg = pa.algebra
-    eyes = [np.eye(d, dtype=complex) for d in alg.sizes]
     res = 0.0
     for lo, hi in _chunks([n] * n, _TERM_BUDGET):
         rows = elements[lo:hi]
@@ -1078,18 +1069,17 @@ def unit_identity_residual(pa: PartialAction, elements: Sequence[Elem] | None = 
         keys = [g.inv(t) for t in rows] + elements + rows
         keys += [g.mul(t, s) for t in rows for s in elements]
         distinct, slot = _distinct(keys)
-        domains = [iso.target for iso in pa.isos(distinct)]
-        masks = [_inside_masks(domains, c, len(mem)) for c, mem in enumerate(alg.members)]
+        masks = _masks(alg, [iso.target for iso in pa.isos(distinct)])
         at_tinv = np.repeat(slot[:h], n)
         at_s = np.tile(slot[h : h + n], h)
         at_t = np.repeat(slot[h + n : 2 * h + n], n)
         at_ts = slot[2 * h + n :]
         lhs = apply_many(
             pa.isos(rows),
-            tuple(np.where(m[at_tinv] & m[at_s], eye, 0) for m, eye in zip(masks, eyes)),
+            _units(alg, [m[at_tinv] & m[at_s] for m in masks]),
             np.repeat(np.arange(h), n),
         )
-        rhs = tuple(np.where(m[at_t] & m[at_ts], eye, 0) for m, eye in zip(masks, eyes))
+        rhs = _units(alg, [m[at_t] & m[at_ts] for m in masks])
         norms = batch_norms(tuple(x - y for x, y in zip(lhs, rhs)), h * n)
         res = max([res, *norms.tolist()])
     return res

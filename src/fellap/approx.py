@@ -34,7 +34,10 @@ from .algebra import (
     PartialAction,
     _adjoints,
     _distinct,
+    _masks,
+    _minus,
     _take,
+    _units,
     apply_many,
     batch_norms,
     op_norm,
@@ -99,8 +102,9 @@ def witness_bound(a: APWitness) -> float:
     return op_norm(witness_gram(a))
 
 
-def _defect_sums(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) -> Tuple[np.ndarray, ...]:
-    """Batch of sum_r a(tr)* b a(r), one term per target (t, b).
+def _defect_sums(a: APWitness, ts: Sequence[Elem], bs: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
+    """Batch of sum_r a(tr)* b a(r), one term per target (t, b): t from
+    ``ts`` and b the matching term of the batch ``bs``.
 
     The summands of all targets are evaluated together, in two
     ``mul_many`` calls, and added per target in the order of ``a.data``.
@@ -108,29 +112,27 @@ def _defect_sums(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) -> Tup
     bundle = a.bundle
     g = bundle.group
     e = g.identity
-    alg = bundle.coeff_algebra
     at = {r: i for i, r in enumerate(a.data)}
-    owner, ts, left, right = [], [], [], []
-    for i, (t, _) in enumerate(targets):
+    owner, steps, left, right = [], [], [], []
+    for i, t in enumerate(ts):
         for r, k in at.items():
             j = at.get(g.mul(t, r))
             if j is not None:
                 owner.append(i)
-                ts.append(t)
+                steps.append(t)
                 left.append(j)
                 right.append(k)
-    values = stack_elements(alg, list(a.data.values()))
-    bs = stack_elements(alg, [b for _, b in targets])
-    es = [e] * len(ts)
-    mid = bundle.mul_many(es, _adjoints(_take(values, left)), ts, _take(bs, owner))
-    terms = bundle.mul_many(ts, mid, es, _take(values, right))
+    values = stack_elements(bundle.coeff_algebra, list(a.data.values()))
+    es = [e] * len(steps)
+    mid = bundle.mul_many(es, _adjoints(_take(values, left)), steps, _take(bs, owner))
+    terms = bundle.mul_many(steps, mid, es, _take(values, right))
     # The terms of a target are consecutive. With the targets ordered by
     # their number of terms, most first, the targets that have a k-th term
     # are a prefix, and adding the k-th terms of that prefix at once,
     # k = 0, 1, ..., makes every target's additions in the order
     # np.add.at(total, owner, term) makes them: the sums are the same to the
     # bit, from slices instead of a scatter.
-    counts = np.bincount(np.asarray(owner, dtype=int), minlength=len(targets))
+    counts = np.bincount(np.asarray(owner, dtype=int), minlength=len(ts))
     order = np.argsort(-counts, kind="stable")
     ranks = np.arange(counts.max(initial=0))[:, None]
     held = counts[order] > ranks
@@ -152,22 +154,26 @@ def _defect_sums(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) -> Tup
 
 def _fiber_targets(
     bundle: TwistedBundle, targets: Sequence[Tuple[Elem, FdElement]]
-) -> Tuple[List[Ideal], Tuple[np.ndarray, ...]]:
-    """The fiber ideals of targets (t, b) and the batch of their b's;
-    ValueError when some b lies outside the fiber over its t."""
-    ideals = bundle.fiber_ideals([t for t, _ in targets])
+) -> Tuple[List[Elem], List[Ideal], Tuple[np.ndarray, ...]]:
+    """The elements t of targets (t, b), their fiber ideals and the batch of
+    the b's; ValueError when some b lies outside the fiber over its t."""
+    ts = [t for t, _ in targets]
+    ideals = bundle.fiber_ideals(ts)
     bs = stack_elements(bundle.coeff_algebra, [b for _, b in targets])
     if not (outside_mass(ideals, bs) <= 1e-9).all():
         raise ValueError("target lies outside the fiber over t")
-    return ideals, bs
+    return ts, ideals, bs
 
 
 def ap_defects(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) -> List[float]:
     """Defects | b - sum_r a(tr)* b a(r) | of the witness at targets (t, b)."""
-    ideals, bs = _fiber_targets(a.bundle, targets)
-    sums = _defect_sums(a, targets)
-    gaps = project_batch(ideals, tuple(p - q for p, q in zip(bs, sums)))
-    return batch_norms(gaps, len(targets)).tolist()
+    return _direct_defects(a, *_fiber_targets(a.bundle, targets))
+
+
+def _direct_defects(a: APWitness, ts, ideals, bs) -> List[float]:
+    """``ap_defects`` at the targets ``_fiber_targets`` read."""
+    gaps = _minus(bs, _defect_sums(a, ts, bs))
+    return batch_norms(project_batch(ideals, gaps), len(ts)).tolist()
 
 
 def _is_central(a: APWitness) -> bool:
@@ -186,13 +192,14 @@ def _is_central(a: APWitness) -> bool:
 def _unit_target_sums(a: APWitness, ts: Sequence[Elem]) -> Tuple[np.ndarray, ...]:
     """Batch of the sums S_t = sum_r a(tr)* u_t a(r), u_t the unit of the
     fiber ideal over t, one term per element of ``ts``."""
-    units = [ideal.unit() for ideal in a.bundle.fiber_ideals(ts)]
-    return _defect_sums(a, list(zip(ts, units)))
+    bundle = a.bundle
+    alg = bundle.coeff_algebra
+    return _defect_sums(a, ts, _units(alg, _masks(alg, bundle.fiber_ideals(ts))))
 
 
-def _central_defects(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) -> List[float]:
-    """``ap_defects`` of a witness with central values, read off one sum
-    S_t per distinct t of the targets (see ``_unit_target_sums``).
+def _central_defects(a: APWitness, ts, ideals, bs) -> List[float]:
+    """``_direct_defects`` of a witness with central values, read off one
+    sum S_t per distinct t of the targets (see ``_unit_target_sums``).
 
     By the module product (x d_s)(y d_t) = x alpha_s(y) omega(s, t), the
     summand of r at a target (t, b) is
@@ -207,13 +214,12 @@ def _central_defects(a: APWitness, targets: Sequence[Tuple[Elem, FdElement]]) ->
     twist is used; the two routes agree up to rounding.
     """
     bundle = a.bundle
-    ideals, bs = _fiber_targets(bundle, targets)
-    elems, slot = _distinct([t for t, _ in targets])
+    elems, slot = _distinct(ts)
     sums = _unit_target_sums(a, elems)
     e = bundle.group.identity
-    moved = apply_many([bundle.family.iso(e)], bs, np.zeros(len(targets), dtype=int))
+    moved = apply_many([bundle.family.iso(e)], bs, np.zeros(len(ts), dtype=int))
     gaps = tuple(b - x @ s[slot] for b, x, s in zip(bs, moved, sums))
-    return batch_norms(project_batch(ideals, gaps), len(targets)).tolist()
+    return batch_norms(project_batch(ideals, gaps), len(ts)).tolist()
 
 
 def ad_function(a: APWitness, t: Elem) -> np.ndarray:
@@ -314,10 +320,15 @@ class Target:
 
 def default_targets(bundle: TwistedBundle, radius: int = 1, max_per_fiber: int = 0) -> List[Target]:
     """Basis targets of every nonzero fiber over the ball of the given radius."""
-    out: List[Target] = []
+    return _basis_targets(bundle, bundle.group.ball(radius), max_per_fiber)
+
+
+def _basis_targets(bundle: TwistedBundle, ts: Sequence[Elem], max_per_fiber: int = 0) -> List[Target]:
+    """The basis targets of the fibers over ``ts``, the first
+    ``max_per_fiber`` of each when that is positive, labelled ``t#bi``."""
     g = bundle.group
-    ball = g.ball(radius)
-    for t, fiber in zip(ball, bundle.fiber_ideals(ball)):
+    out: List[Target] = []
+    for t, fiber in zip(ts, bundle.fiber_ideals(ts)):
         basis = fiber.basis()
         if max_per_fiber > 0:
             basis = basis[:max_per_fiber]
@@ -403,13 +414,13 @@ def convexify(
     for (a, lam) in witnesses:
         gram_target = gram_target + lam * witness_gram(a)
     gram_res = op_norm(witness_gram(mixed) - gram_target)
-    pairs = [(tgt.t, tgt.b) for tgt in targets]
-    want = stack_elements(bundle.coeff_algebra, [bundle.coeff_algebra.zero()] * len(pairs))
+    ts = [tgt.t for tgt in targets]
+    bs = stack_elements(bundle.coeff_algebra, [tgt.b for tgt in targets])
+    want = tuple(np.zeros(p.shape, dtype=complex) for p in bs)
     for (a, lam) in witnesses:
-        want = tuple(p + complex(lam) * q for p, q in zip(want, _defect_sums(a, pairs)))
-    gaps = tuple(p - q for p, q in zip(_defect_sums(mixed, pairs), want))
-    ideals = bundle.fiber_ideals([t for t, _ in pairs])
-    defect_res = batch_norms(project_batch(ideals, gaps), len(pairs)).tolist()
+        want = tuple(p + complex(lam) * q for p, q in zip(want, _defect_sums(a, ts, bs)))
+    gaps = _minus(_defect_sums(mixed, ts, bs), want)
+    defect_res = batch_norms(project_batch(bundle.fiber_ideals(ts), gaps), len(ts)).tolist()
     cert = ConvexCertificate(
         translates=tuple(chosen),
         gram_residual=gram_res,
@@ -417,6 +428,11 @@ def convexify(
         bound=witness_bound(mixed),
     )
     return mixed, cert
+
+
+# The cap on the bound |sum_r a(r)* a(r)| of every witness of a certified
+# family: 1 up to rounding.
+BOUND_CAP = 1.0 + 1e-8
 
 
 @dataclass(frozen=True)
@@ -445,14 +461,15 @@ def ap_certify(
     witness_family: Sequence[APWitness],
     targets: Optional[Sequence[Target]] = None,
     tolerance: float = 1e-8,
-    bound_cap: float = 1.0 + 1e-8,
 ) -> APVerdict:
     """Evaluate a witness family against targets and give a verdict.
 
     Emits the full defect trace, one row per (witness index, target); the
-    verdict passes when every bound stays at or below the cap and the last
-    witness meets the tolerance on every target.  No extrapolation: only
-    the computed values speak.
+    verdict passes when every bound stays at or below ``BOUND_CAP`` and the
+    last witness meets the tolerance on every target.  No extrapolation:
+    only the computed values speak. The targets are read once (their fiber
+    ideals, the batch of their elements and the check that each lies in its
+    fiber) and serve every witness.
 
     A witness whose values are all central (every block exactly a scalar
     multiple of the identity, as for the uniform and box witnesses) takes
@@ -460,24 +477,25 @@ def ap_certify(
     u_t the unit of the fiber over t, and the defect of a target (t, b)
     read as | proj_t(b - alpha_e(b) S_t) | (derived in
     ``_central_defects``). That costs |support| products per t instead of
-    |support| per target. Every other witness goes through ``ap_defects``,
-    which stays the independent route; the two agree up to rounding.
+    |support| per target. Every other witness goes the route of
+    ``ap_defects``, which stays the independent one; the two agree up to
+    rounding.
     """
     if targets is None:
         targets = default_targets(bundle)
-    g = bundle.group
+    read = _fiber_targets(bundle, [(tgt.t, tgt.b) for tgt in targets])
+    t_labels = [bundle.group.format_elem(t) for t in read[0]]
     rows: List[APRow] = []
     bounds_ok = True
-    pairs = [(tgt.t, tgt.b) for tgt in targets]
     for i, a in enumerate(witness_family):
         bound = witness_bound(a)
-        bounds_ok = bounds_ok and bound <= bound_cap
-        defects = _central_defects(a, pairs) if _is_central(a) else ap_defects(a, pairs)
-        for tgt, defect in zip(targets, defects):
+        bounds_ok = bounds_ok and bound <= BOUND_CAP
+        defects = (_central_defects if _is_central(a) else _direct_defects)(a, *read)
+        for tgt, t_label, defect in zip(targets, t_labels, defects):
             rows.append(
                 APRow(
                     index=i,
-                    t_label=g.format_elem(tgt.t),
+                    t_label=t_label,
                     target_label=tgt.label,
                     bound=bound,
                     defect=defect,
@@ -491,6 +509,6 @@ def ap_certify(
         rows=tuple(rows),
         passed=bool(bounds_ok and final_ok),
         tolerance=tolerance,
-        bound_cap=bound_cap,
+        bound_cap=BOUND_CAP,
     )
 

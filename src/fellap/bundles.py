@@ -50,12 +50,14 @@ from .algebra import (
     _chunks,
     _concat,
     _distinct,
+    _masks,
     _minus,
     _mul,
     _one_term,
     _packed,
     _parts,
     _take,
+    _units,
     apply_many,
     batch_norms,
     center_basis,
@@ -159,44 +161,23 @@ class Twist:
         return self._rows.take(rows)
 
 
-def _corner_units(pa: PartialAction) -> Callable[[list, list], tuple[np.ndarray, ...]]:
-    """The function of two lists of elements s and u that gives the batch of
-    the units of the corners A_s n A_u. The corners are read from the
-    ``isos`` lists of the two lists; a unit is made once per pair of iso
-    objects (and shared by equal corners), and the distinct units of a call
-    are stacked once."""
-    alg = pa.algebra
-    by_isos: dict[tuple[IdealIso, IdealIso], FdElement] = {}
-    by_blocks: dict[frozenset[int], FdElement] = {}
-
-    def units(ss: list, us: list) -> tuple[np.ndarray, ...]:
-        isos = pa.isos(ss + us)
-        seen: dict = {}
-        slot = [seen.setdefault(key, len(seen)) for key in zip(isos[: len(ss)], isos[len(ss) :])]
-        values = []
-        for key in seen:
-            unit = by_isos.get(key)
-            if unit is None:
-                blocks = key[0].target.block_set & key[1].target.block_set
-                unit = by_blocks.get(blocks)
-                if unit is None:
-                    unit = by_blocks[blocks] = Ideal(alg, blocks).unit()
-                by_isos[key] = unit
-            values.append(unit)
-        stacked = stack_elements(alg, values)
-        return stacked if len(seen) == len(slot) else _take(stacked, slot)
-
-    return units
+def _corner_units(pa: PartialAction, ss: list, us: list) -> tuple[np.ndarray, ...]:
+    """The batch of the units of the corners A_s n A_u, s and u running
+    over the two lists together: per pair, the AND of the block masks of the
+    two domains, read from one ``isos`` call."""
+    masks = _masks(pa.algebra, [iso.target for iso in pa.isos(ss + us)])
+    k = len(ss)
+    return _units(pa.algebra, [m[:k] & m[k:] for m in masks])
 
 
 def trivial_twist(pa: PartialAction) -> Twist:
     """The twist whose every value is the unit of the relevant corner
-    A_s n A_st, gathered from the distinct corner units of a fill (see
-    ``_corner_units``)."""
-    units = _corner_units(pa)
+    A_s n A_st, made for a whole fill from the block masks of the domains
+    (see ``_corner_units``)."""
     mul = pa.group.mul
     return Twist.batched(
-        pa.algebra, lambda pairs: units([s for s, _ in pairs], [mul(s, t) for s, t in pairs])
+        pa.algebra,
+        lambda pairs: _corner_units(pa, [s for s, _ in pairs], [mul(s, t) for s, t in pairs]),
     )
 
 
@@ -399,7 +380,6 @@ def validate_twist(
     isos = family.isos(ball)
     inside = [iso.target.block_set for iso in isos]  # A_t
     inv_inside = domains_of([g.inv(t) for t in ball])  # A_{t^-1}
-    one = _one_term(alg.one())
     ideals: dict[frozenset, Ideal] = {}
     bases: dict[frozenset, tuple] = {}
 
@@ -437,7 +417,7 @@ def validate_twist(
         ideal(a & b)
         for a, b in zip(domains_of([s for s, _ in ends]), domains_of([mul(s, t) for s, t in ends]))
     ]
-    at = checks.norms(_minus(values(ends), project_batch(corners, one)), len(ends))
+    at = checks.norms(_minus(values(ends), _units(alg, _masks(alg, corners))), len(ends))
     for i, text in enumerate(label):
         checks.add("twist-unit-left", text, at=at + 2 * i)
         checks.add("twist-unit-right", text, at=at + 2 * i + 1)
@@ -469,7 +449,7 @@ def validate_twist(
         m = len(terms)
         om = values([(ball[si], ball[ti]) for si, ti, *_ in terms])
         corners = [ideal(corner) for *_, corner, _ in terms]
-        units = project_batch(corners, one)
+        units = _units(alg, _masks(alg, corners))
         at = checks.norms(
             _concat(
                 _minus(_mul(_adjoints(om), om), units),
@@ -812,7 +792,7 @@ def _generated_ideal_blocks(bundle: TwistedBundle, t: Elem) -> frozenset[int]:
     )
 
 
-def central_partial_action(bundle: TwistedBundle, tol: float = 1e-9) -> PartialAction:
+def central_partial_action(bundle: TwistedBundle) -> PartialAction:
     """Partial action on the center of the unit fiber induced by the bundle.
 
     The ideal I_t is generated by B_t B_t*; the map sends a central z of
@@ -863,7 +843,7 @@ def central_partial_action(bundle: TwistedBundle, tol: float = 1e-9) -> PartialA
         for j, rhs in zip(src, rows):
             c, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
             resid = float(np.linalg.norm(mat @ c - rhs))
-            if resid > tol:
+            if resid > 1e-9:
                 raise ArithmeticError(
                     f"no central intertwiner at {g.format_elem(t)} block {j}: "
                     f"residual {resid:.3e}"

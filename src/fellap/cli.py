@@ -48,7 +48,14 @@ from .algebra import (
     unit_identity_residual,
     validate_partial_action,
 )
-from .approx import Target, ap_certify, default_targets, folner_witness, uniform_witness
+from .approx import (
+    BOUND_CAP,
+    Target,
+    _basis_targets,
+    ap_certify,
+    folner_witness,
+    uniform_witness,
+)
 from .bundles import (
     Twist,
     TwistedBundle,
@@ -137,10 +144,15 @@ def _arrow_count(n: int, depth: int, radius: int) -> int:
 def _parse_elems(g: Group, text: str) -> List[Elem]:
     """The elements of a list separated by semicolons, or by commas when the
     text has no semicolon: ``1,0;0,-1`` names two elements of Z^2 and
-    ``1,0;`` one. A token the group cannot read is a config error."""
+    ``1,0;`` one. A token the group cannot read is a config error, with a
+    hint on that split when Z^d, d >= 2, gets a token without a comma."""
+    planar = isinstance(g, LatticeGroup) and g.dim >= 2
     out = []
     for token in text.removesuffix(";").split(";") if ";" in text else text.split(","):
-        with _naming(f"cannot read {token.strip()!r} in {g.label}"):
+        where = f"cannot read {token.strip()!r} in {g.label}"
+        if planar and "," not in token:
+            where += " (the list splits on ',' unless it contains ';', and '1,0;' names one element)"
+        with _naming(where):
             out.append(g.parse_elem(token.strip()))
     return out
 
@@ -586,15 +598,10 @@ def _write_envelope_config(store: ConfigStore, action: str, glob, path: str) -> 
 
 
 def _parse_targets(bundle: TwistedBundle, text: Optional[str]) -> List[Target]:
-    if text is None:
-        return default_targets(bundle, radius=1)
+    """The basis targets over the listed elements, or over ball(1) when
+    there is no list (``default_targets`` at radius 1)."""
     g = bundle.group
-    out: List[Target] = []
-    for t in _parse_elems(g, text):
-        basis = bundle.fiber_ideal(t).basis()
-        for i, b in enumerate(basis):
-            out.append(Target(t, b, f"{g.format_elem(t)}#b{i}"))
-    return out
+    return _basis_targets(bundle, g.ball(1) if text is None else _parse_elems(g, text))
 
 
 def _acting(g: FreeGroup, targets: List[Elem]) -> List[Elem]:
@@ -652,7 +659,7 @@ def ap_check(store: ConfigStore, tol: float, bundle_ref, witness_spec, targets_t
             for r in table
         ]
         worst = max((r.defect for r in table if r.i == imax), default=0.0)
-        passed = all(bound <= 1.0 + 1e-8 for bound in bounds.values()) and worst <= tol
+        passed = all(bound <= BOUND_CAP for bound in bounds.values()) and worst <= tol
         measured = f"final defect {worst:.3e}"
     else:
         if parts[1] == "uniform":

@@ -43,9 +43,11 @@ from .algebra import (
     FdElement,
     _concat,
     _inside_masks,
+    _masks,
     _minus,
     _parts,
     _take,
+    _units,
     batch_norms,
     outside_mass,
     project_batch,
@@ -366,10 +368,7 @@ class _WindowRep:
         corners = bundle.fiber_ideals(self.inverses)
         classes = list(enumerate(zip(alg.sizes, alg.members)))
         # the units of the fibers, and their involutions, as batches
-        self.units = tuple(
-            np.where(_inside_masks(fibers, c, len(mem)), np.eye(d, dtype=complex), 0)
-            for c, (d, mem) in classes
-        )
+        self.units = _units(alg, _masks(alg, fibers))
         self.unit_stars = bundle.star_many(elems, self.units)
         # which slots hold which blocks, and which coordinates of C^V
         held = np.zeros((len(elems), alg.nblocks), dtype=bool)

@@ -36,8 +36,8 @@ from .bundles import (
     Twist,
     TwistedBundle,
     _corner_units,
-    make_semidirect,
     make_twisted,
+    trivial_twist,
 )
 from .kernels import Kernel, Window
 from .groups import (
@@ -81,16 +81,8 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return _haar(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
 
 
-def random_element(
-    rng: np.random.Generator, algebra: FdAlgebra, scale: float = 1.0, hermitian: bool = False
-) -> FdElement:
-    mats = []
-    for d in algebra.blocks:
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        if hermitian:
-            m = 0.5 * (m + m.conj().T)
-        mats.append(scale * m)
-    return FdElement(algebra, mats)
+def random_element(rng: np.random.Generator, algebra: FdAlgebra, scale: float = 1.0) -> FdElement:
+    return scale * algebra.gaussian(rng)
 
 
 def random_block_unitary(rng: np.random.Generator, algebra: FdAlgebra) -> FdElement:
@@ -216,12 +208,11 @@ def scalar_coboundary_twist(pa: PartialAction, salt: int = 0) -> Twist:
     these fixtures are exactly valid by construction. A fill forms each
     product st once; its batch is the vector of phases, each a product of
     Python complex numbers, times the batch of the corner units of A_s n
-    A_st, read from ``pa.isos`` and stacked once per distinct unit (the
-    values of ``trivial_twist(pa)``).
+    A_st, made from the block masks of the domains (the values of
+    ``trivial_twist(pa)``, see ``fellap.bundles._corner_units``).
     """
     g = pa.group
     phases: dict[Elem, complex] = {g.identity: 1.0 + 0.0j}
-    units = _corner_units(pa)
 
     def b(t: Elem) -> complex:
         got = phases.get(t)
@@ -233,7 +224,7 @@ def scalar_coboundary_twist(pa: PartialAction, salt: int = 0) -> Twist:
         ss = [s for s, _ in pairs]
         sts = [g.mul(s, t) for s, t in pairs]
         phase = np.array([b(s) * b(t) * np.conj(b(st)) for (s, t), st in zip(pairs, sts)])
-        return tuple(phase[:, None, None, None] * p for p in units(ss, sts))
+        return tuple(phase[:, None, None, None] * p for p in _corner_units(pa, ss, sts))
 
     return Twist.batched(pa.algebra, fn_many)
 
@@ -313,28 +304,16 @@ def random_fell_bundle(
     g = group if group is not None else random_group(rng)
     fl = flavor or ("semidirect", "scalar-twist", "matrix-twist")[int(rng.integers(3))]
     salt = int(rng.integers(2**31))
-    finite = isinstance(g, FiniteGroup)
-    if fl == "semidirect":
-        pa = (
-            random_partial_action(rng, g)
-            if finite
-            else random_infinite_partial_action(rng, g)
-        )
-        return make_semidirect(pa), f"semidirect/{g.label}"
-    if fl == "scalar-twist":
-        pa = (
-            random_partial_action(rng, g)
-            if finite
-            else random_infinite_partial_action(rng, g)
-        )
-        return make_twisted(pa, scalar_coboundary_twist(pa, salt)), f"scalar-twist/{g.label}"
-    glob = (
-        random_global_action(rng, g)
-        if finite
-        else random_infinite_partial_action(rng, g, force_global=True)
-    )
-    family, twist = matrix_twist(glob, salt)
-    return make_twisted(family, twist), f"matrix-twist/{g.label}"
+    whole = fl not in ("semidirect", "scalar-twist")  # any other name is the matrix twist
+    if isinstance(g, FiniteGroup):
+        pa = random_global_action(rng, g) if whole else random_partial_action(rng, g)
+    else:
+        pa = random_infinite_partial_action(rng, g, force_global=whole)
+    if whole:
+        fl, (pa, twist) = "matrix-twist", matrix_twist(pa, salt)
+    else:
+        twist = trivial_twist(pa) if fl == "semidirect" else scalar_coboundary_twist(pa, salt)
+    return make_twisted(pa, twist), f"{fl}/{g.label}"
 
 
 def random_section(

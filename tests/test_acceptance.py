@@ -171,9 +171,9 @@ def test_criterion_03_central_action():
             # is exactly what "restriction to the center" means here
             for j, k in phi.items():
                 p_j = alg.zero()
-                p_j.mats[j] = np.eye(alg.blocks[j], dtype=complex)
+                p_j.mats[j][...] = np.eye(alg.blocks[j], dtype=complex)
                 p_k = alg.zero()
-                p_k.mats[k] = np.eye(alg.blocks[k], dtype=complex)
+                p_k.mats[k][...] = np.eye(alg.blocks[k], dtype=complex)
                 worst_map = max(worst_map, op_norm(pa.apply(t, p_j) - p_k))
         worst_unit = max(worst_unit, unit_identity_residual(central, elements=probe))
     ok = worst_map <= TOL and worst_unit <= TOL

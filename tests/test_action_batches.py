@@ -219,7 +219,7 @@ class TestBatchNorms:
             x = random_element(rng, alg)
             for j in range(alg.nblocks):
                 if (k + j) % 3 == 0 or k % 4 == 0:
-                    x.mats[j] = np.zeros_like(x.mats[j])
+                    x.mats[j][...] = np.zeros_like(x.mats[j])
             xs.append(x)
         want = [max(float(np.linalg.norm(m, 2)) for m in x.mats) for x in xs]
         assert 0.0 in want

@@ -27,10 +27,13 @@ from hypothesis import strategies as st
 from fellap.algebra import (
     ActionReport,
     FdAlgebra,
+    FdElement,
     Ideal,
     IdealIso,
     PartialAction,
     _inside_masks,
+    _masks,
+    _units,
     apply_many,
     batch_norms,
     center_basis,
@@ -175,6 +178,65 @@ class TestIdealsAndIsos:
 MIXED = FdAlgebra([2, 1, 5, 2, 1, 3])
 
 
+def unit_by_blocks(alg: FdAlgebra, blocks) -> FdElement:
+    """The unit of the ideal on ``blocks``, written block by block into zero."""
+    x = alg.zero()
+    for j in blocks:
+        x.mats[j][...] = np.eye(alg.blocks[j])
+    return x
+
+
+def batch_bytes(batch) -> list:
+    return [(p.shape, p.tobytes()) for p in batch]
+
+
+class TestUnits:
+    """``_units``, the one place where units are made, against units
+    written block by block and against stacked ``Ideal.unit()``; every unit
+    is an exact 0/1 matrix, so the bytes agree."""
+
+    @pytest.mark.parametrize("blocks", [MIXED.blocks, (2, 2, 1), (3,), ()])
+    def test_units_of_ideals(self, blocks):
+        alg = FdAlgebra(blocks)
+        rng = rng_for(81)
+        ideals = [alg.zero_ideal(), alg.full_ideal(), alg.zero_ideal()]
+        ideals += [Ideal(alg, np.flatnonzero(rng.random(alg.nblocks) < 0.5)) for _ in range(8)]
+        for some in (ideals, ideals[:1], ideals[2:3], []):
+            got = batch_bytes(_units(alg, _masks(alg, some)))
+            assert got == batch_bytes(stack_elements(alg, [ideal.unit() for ideal in some]))
+            written = [unit_by_blocks(alg, ideal.block_set) for ideal in some]
+            assert got == batch_bytes(stack_elements(alg, written))
+
+    @pytest.mark.parametrize("blocks", [MIXED.blocks, (1,), ()])
+    def test_one_and_center_basis(self, blocks):
+        alg = FdAlgebra(blocks)
+        whole = unit_by_blocks(alg, range(alg.nblocks))
+        assert batch_bytes(alg.one().packs) == batch_bytes(whole.packs)
+        basis = center_basis(alg)
+        assert len(basis) == alg.nblocks
+        for j, p in enumerate(basis):
+            assert batch_bytes(p.packs) == batch_bytes(unit_by_blocks(alg, [j]).packs)
+
+    def test_random_element_draws_block_by_block(self):
+        """``random_element`` is ``scale * algebra.gaussian(rng)``: the
+        draws and values, sign bits included, of the former loop over the
+        blocks."""
+
+        def loop(rng, algebra, scale):
+            mats = []
+            for d in algebra.blocks:
+                mats.append(scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))
+            return FdElement(algebra, mats)
+
+        for alg in (MIXED, FdAlgebra([1]), FdAlgebra([3, 3]), FdAlgebra([])):
+            for scale in (1.0, 0.5, -2.0):
+                for seed in range(20):
+                    rng, ref = rng_for(seed), rng_for(seed)
+                    got, want = random_element(rng, alg, scale), loop(ref, alg, scale)
+                    assert batch_bytes(got.packs) == batch_bytes(want.packs)
+                    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestPackedArithmetic:
     """Blocks stored packed by size class, against block-by-block numpy."""
 
@@ -257,7 +319,7 @@ class TestPackedArithmetic:
         for k, x in enumerate(xs[2:7], 2):
             for j in range(MIXED.nblocks):
                 if (j + k) % 3:
-                    x.mats[j] = np.zeros_like(x.mats[j])
+                    x.mats[j][...] = np.zeros_like(x.mats[j])
         xs[7].mats[1][0, 0] = np.nan  # a 1 x 1 block: an SVD refuses NaN
         batch = stack_elements(MIXED, xs)
         live = [p.any(axis=(-2, -1)) for p in batch]
@@ -269,7 +331,7 @@ class TestPackedArithmetic:
     def test_block_writes_change_the_element(self):
         x = MIXED.zero()
         x.mats[2][1, 3] = 1.0
-        x.mats[5] = 2.0 * np.eye(3)
+        x.mats[5][...] = 2.0 * np.eye(3)
         assert x.mats[2][1, 3] == 1.0
         assert np.array_equal(x.mats[5], 2.0 * np.eye(3))
         assert op_norm(x) == 2.0

@@ -53,6 +53,8 @@ from fellap.approx import (
     TranslateSearchError,
     _central_defects,
     _defect_sums,
+    _direct_defects,
+    _fiber_targets,
     ad_function,
     ap_certify,
     ap_defect,
@@ -615,7 +617,7 @@ def moving_unit_bundle(seed, twisted):
 
 
 def central_gap(a, pairs):
-    got = _central_defects(a, pairs)
+    got = _central_defects(a, *_fiber_targets(a.bundle, pairs))
     want = ap_defects(a, pairs)
     assert len(got) == len(want) == len(pairs)
     return max((abs(x - y) for x, y in zip(got, want)), default=0.0)
@@ -635,7 +637,8 @@ class TestDefectSums:
             cases += [(a, pairs_of(targets)) for a, _ in witnesses]
         cases += criterion_5_shapes()[::5] + cli_shapes()
         for a, pairs in cases:
-            got, want = _defect_sums(a, pairs), ref_defect_sums(a, pairs)
+            bs = stack_elements(a.bundle.coeff_algebra, [b for _, b in pairs])
+            got, want = _defect_sums(a, [t for t, _ in pairs], bs), ref_defect_sums(a, pairs)
             assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
 
@@ -667,12 +670,14 @@ class TestCentralRoute:
         b = APWitness(bundle, {**a.data, bundle.group.identity: nudged})
         routes = []
         monkeypatch.setattr(
-            approx, "ap_defects", lambda w, pairs: routes.append("direct") or ap_defects(w, pairs)
+            approx,
+            "_direct_defects",
+            lambda w, *read: routes.append("direct") or _direct_defects(w, *read),
         )
         monkeypatch.setattr(
             approx,
             "_central_defects",
-            lambda w, pairs: routes.append("central") or _central_defects(w, pairs),
+            lambda w, *read: routes.append("central") or _central_defects(w, *read),
         )
         ap_certify(bundle, [a, b, APWitness.zero(bundle)])
         assert routes == ["central", "direct", "central"]
@@ -683,12 +688,12 @@ class TestCentralRoute:
         zero = APWitness.zero(bundle)
         pairs = pairs_of(default_targets(bundle))
         pairs += [(t, random_fiber_element(rng, bundle, t)) for t in bundle.group.elements()]
-        got = _central_defects(zero, pairs)
+        got = _central_defects(zero, *_fiber_targets(bundle, pairs))
         want = [fiber_norm(bundle, t, b) for t, b in pairs]
         assert max(abs(x - y) for x, y in zip(got, want)) <= EXACT
         verdict = ap_certify(bundle, [zero, uniform_witness(bundle)], targets=[])
         assert verdict.rows == () and verdict.passed
-        assert _central_defects(uniform_witness(bundle), []) == []
+        assert _central_defects(uniform_witness(bundle), *_fiber_targets(bundle, [])) == []
 
     def test_target_outside_fiber_rejected(self):
         bundle = make_semidirect(random_partial_action(np.random.default_rng(62), cyclic_group(4)))

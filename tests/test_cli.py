@@ -14,11 +14,13 @@ import json
 import time
 import zlib
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fellap.approx import default_targets
 from fellap.cantor import spectral_groupoid
-from fellap.cli import ARROW_CAP, BALL_CAP, _arrow_count, main
+from fellap.cli import ARROW_CAP, BALL_CAP, ConfigStore, _arrow_count, _parse_targets, main
 from test_acceptance import CLI_CONFIG
 
 
@@ -579,6 +581,40 @@ class TestApCheck:
             r = run("--config", conf, "ap-check", "--bundle", "b",
                     "--witness", "builtin:folner:4", "--targets", text)
             assert_refused(r, "config error: cannot read ")
+
+    def test_lattice_token_without_comma_gets_a_hint(self, tmp_path):
+        """``1,0`` on Z^2 splits into the tokens 1 and 0, which Z^2 cannot
+        read; the refusal says how the list splits. A token with a comma,
+        and a token of Z^1, get no hint."""
+        hint = "(the list splits on ',' unless it contains ';', and '1,0;' names one element)"
+        conf = one_block_config(tmp_path, "groups", "g", {"kind": "lattice", "dim": 2})
+        for text, token in (("1,0", "1"), ("1,0;2", "2")):
+            r = run("--config", conf, "ap-check", "--bundle", "b",
+                    "--witness", "builtin:folner:4", "--targets", text)
+            assert_refused(
+                r, f"config error: cannot read '{token}' in Z^2 {hint}: expected 2 coordinates, got 1"
+            )
+        r = run("--config", conf, "ap-check", "--bundle", "b",
+                "--witness", "builtin:folner:4", "--targets", "1,0,0;")
+        assert_refused(r, "config error: cannot read '1,0,0' in Z^2: expected 2 coordinates, got 3")
+        line = one_block_config(tmp_path, "groups", "g", {"kind": "lattice", "dim": 1})
+        r = run("--config", line, "ap-check", "--bundle", "b",
+                "--witness", "builtin:folner:4", "--targets", "1,x")
+        assert_refused(r, "config error: cannot read 'x' in Z^1: ")
+        assert hint not in r.stderr
+
+    @pytest.mark.parametrize("name", ["bs3", "b1", "b2", "bz", "bline", "bf2"])
+    def test_listed_ball_targets_are_the_default_targets(self, name):
+        """Basis targets over a listed ball(1), and with no list, carry the
+        labels and elements of ``default_targets`` at radius 1."""
+        bundle = ConfigStore(raw=BASE_CONFIG, sha="-", seed=7).bundle(name)
+        g = bundle.group
+        want = default_targets(bundle, radius=1)
+        listed = "".join(f"{g.format_elem(t)};" for t in g.ball(1))
+        for got in (_parse_targets(bundle, None), _parse_targets(bundle, listed)):
+            assert [(x.t, x.label) for x in got] == [(x.t, x.label) for x in want]
+            for x, y in zip(got, want):
+                assert all(np.array_equal(p, q) for p, q in zip(x.b.packs, y.b.packs))
 
     def test_unsupported_combinations(self, conf):
         r = run("--config", conf, "ap-check", "--bundle", "bline",

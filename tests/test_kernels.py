@@ -319,7 +319,7 @@ def per_block_sub_expectation(sub, window, samples=8, seed=0):
         x = bundle.coeff_algebra.zero()
         for j in fib.block_set:
             d = bundle.coeff_algebra.blocks[j]
-            x.mats[j] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            x.mats[j][...] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         return x
 
     drawn = []

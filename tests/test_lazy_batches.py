@@ -5,7 +5,10 @@ list in one call of a batch function, and the fixtures of
 ``fellap.testing`` compute their twist values and family isos that way.
 The per-pair functions below are the fixtures' former formulas, kept
 verbatim as reference routes: every value of the batched fixtures must be
-``np.array_equal`` to theirs. The file also checks that a batch fill still
+``np.array_equal`` to theirs. So must the corner units that
+``_corner_units`` makes from block masks to one ``Ideal`` unit per pair,
+and ``random_fell_bundle`` to its former body (the same draws, isos and
+twist values). The file also checks that a batch fill still
 refuses isos over the wrong algebra and elements of another group, and
 that per-pair twists (``Twist(fn)``, the CLI's perturbed twist) give the
 same values through the rows as through ``omega``.
@@ -42,7 +45,10 @@ from fellap.algebra import (
 from fellap.bundles import (
     Twist,
     TwistedBundle,
+    _corner_units,
     central_partial_action,
+    make_semidirect,
+    make_twisted,
     restrict_to_subgroup,
     trivial_twist,
     validate_bundle,
@@ -51,6 +57,7 @@ from fellap.cli import ConfigStore
 from fellap.groups import (
     ContextMismatchError,
     Elem,
+    FiniteGroup,
     FreeGroup,
     LatticeGroup,
     cyclic_group,
@@ -63,6 +70,8 @@ from fellap.testing import (
     random_global_action,
     random_hom_to_finite,
     random_infinite_partial_action,
+    random_fell_bundle,
+    random_group,
     random_partial_action,
     scalar_coboundary_twist,
 )
@@ -138,12 +147,50 @@ def reference_matrix_twist(glob: PartialAction, salt: int = 0) -> tuple[PartialA
     return PartialAction(g, alg, fam_fn), Twist(tw_fn)
 
 
+def reference_random_fell_bundle(rng, group=None, flavor=None):
+    """``random_fell_bundle`` as it was written before its flavors shared
+    one choice of action and one of twist."""
+    g = group if group is not None else random_group(rng)
+    fl = flavor or ("semidirect", "scalar-twist", "matrix-twist")[int(rng.integers(3))]
+    salt = int(rng.integers(2**31))
+    finite = isinstance(g, FiniteGroup)
+    if fl == "semidirect":
+        pa = (
+            random_partial_action(rng, g)
+            if finite
+            else random_infinite_partial_action(rng, g)
+        )
+        return make_semidirect(pa), f"semidirect/{g.label}"
+    if fl == "scalar-twist":
+        pa = (
+            random_partial_action(rng, g)
+            if finite
+            else random_infinite_partial_action(rng, g)
+        )
+        return make_twisted(pa, scalar_coboundary_twist(pa, salt)), f"scalar-twist/{g.label}"
+    glob = (
+        random_global_action(rng, g)
+        if finite
+        else random_infinite_partial_action(rng, g, force_global=True)
+    )
+    family, twist = matrix_twist(glob, salt)
+    return make_twisted(family, twist), f"matrix-twist/{g.label}"
+
+
+def reference_corner_units(pa: PartialAction, ss: list, us: list) -> tuple:
+    """The units of the corners A_s n A_u, one ``Ideal`` per pair, stacked."""
+    alg = pa.algebra
+    corners = [pa.domain(s).block_set & pa.domain(u).block_set for s, u in zip(ss, us)]
+    return stack_elements(alg, [Ideal(alg, blocks).unit() for blocks in corners])
+
+
 # ---------------------------------------------------------------------------
 # Fixtures, built twice from one seed: once batched, once per pair.
 # ---------------------------------------------------------------------------
 
 GROUPS = {
     "Z3": cyclic_group(3),
+    "Z6": cyclic_group(6),
     "S3": symmetric_group(3),
     "F2": FreeGroup(2),
     "Z": LatticeGroup(1),
@@ -211,6 +258,42 @@ class TestAgainstReferenceRoutes:
             assert all(same_element(w, ref_twist.omega(s, t)) for (s, t), w in zip(order, got))
             elems = scrambled(g.ball(3), seed)
             assert all(same_iso(a, ref_family.iso(t)) for t, a in zip(elems, family.isos(elems)))
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_corner_units_per_pair(self, name):
+        """The corner units of the masks against one ``Ideal`` per pair, on
+        lists in an order unlike the ball's, one pair, and no pair."""
+        g = GROUPS[name]
+        ball = g.ball(2)
+        for seed in range(4):
+            for flavor in FLAVORS:
+                family, _ = build(g, flavor, seed, reference=False)
+                order = scrambled([(s, t) for s in ball for t in ball], seed)
+                ss, us = [s for s, _ in order], [g.mul(s, t) for s, t in order]
+                for k in (len(ss), 1, 0):
+                    got = _corner_units(family, ss[:k], us[:k])
+                    assert same_batch(got, reference_corner_units(family, ss[:k], us[:k]))
+
+    @pytest.mark.parametrize("flavor", FLAVORS + (None,))
+    @pytest.mark.parametrize("kind", ["finite", "free", "lattice", None])
+    def test_random_fell_bundle(self, kind, flavor):
+        """The same draws, labels, isos and twist values as the former
+        body, kept above, over seeds, flavors and group kinds (None: the
+        fixture draws them)."""
+        for seed in range(6):
+            group = None if kind is None else random_group(np.random.default_rng(seed), (kind,))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            bundle, label = random_fell_bundle(rng, group, flavor)
+            ref, ref_label = reference_random_fell_bundle(ref_rng, group, flavor)
+            assert label == ref_label
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            g = bundle.group
+            elems = scrambled(g.ball(2), seed)
+            isos = zip(bundle.family.isos(elems), ref.family.isos(elems))
+            assert all(same_iso(a, b) for a, b in isos)
+            pairs = [(s, t) for s in g.ball(1) for t in g.ball(2)]
+            got = omegas(bundle.twist, pairs, bundle.coeff_algebra)
+            assert all(same_element(w, ref.twist.omega(s, t)) for (s, t), w in zip(pairs, got))
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_one_pair_at_a_time(self, flavor):
