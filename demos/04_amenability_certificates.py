@@ -58,10 +58,11 @@ print(
     f" = 3/10 x |b| = {0.3 * fiber_norm(zbundle, t, b):.6f}"
 )
 
-# The box witness has central values, so sum_s a(ts)* b a(s) = b c_t with
-# one scalar c_t per block: its positive-type function c_t = 1 - |t|/N.
-# ap_certify reads every defect from it, one sum per t whatever the
-# number of targets.
+# The box witness has central values, scalars on each block, so its
+# positive-type function c_t = sum_s conj(a(ts)) a(s) = 1 - |t|/N is index
+# arithmetic on those scalars, and sum_s a(ts)* b a(s) = b c_t. ap_certify
+# reads every defect over t from c_t and two products, whatever the number
+# of targets.
 print(f"box N={N} positive-type function c_t (one block, M_2):")
 for k in range(-1, 12, 3):
     c = ad_function(box, line.vector([k]))[0].real

@@ -12,10 +12,11 @@ inner product and defect sums split exactly over the inputs; the split is an
 algebraic consequence of support disjointness, so its residuals double as a
 certificate that the chosen translates really are disjoint.
 
-A witness whose values are central in the unit fiber is certified from
-one sum per group element instead of one per target: the defect sum at
-(t, b) is alpha_e(b) S_t, with S_t the sum at the unit of the fiber over t
-(``ap_certify``, ``ad_function``).
+A witness whose values are central in the unit fiber is read as block
+scalars xi(r)_k: its positive-type function c_{t,k} = sum_r conj(xi(tr)_k)
+xi(r)_{phi_t^-1(k)} is index arithmetic (``ad_function``), and
+``ap_certify`` reads its defects over t from c_t and two products per
+distinct t; ``ap_defects`` stays the independent route.
 
 Norm convergence is the only mode certified here.  Weak-topology variants
 are documented as out of scope: a norm-small defect implies the weak one.
@@ -102,16 +103,11 @@ def witness_bound(a: APWitness) -> float:
     return op_norm(witness_gram(a))
 
 
-def _defect_sums(a: APWitness, ts: Sequence[Elem], bs: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
-    """Batch of sum_r a(tr)* b a(r), one term per target (t, b): t from
-    ``ts`` and b the matching term of the batch ``bs``.
-
-    The summands of all targets are evaluated together, in two
-    ``mul_many`` calls, and added per target in the order of ``a.data``.
-    """
-    bundle = a.bundle
-    g = bundle.group
-    e = g.identity
+def _terms(a: APWitness, ts: Sequence[Elem]) -> Tuple[np.ndarray, List[Elem], List[int], List[int]]:
+    """The terms of sum_r a(tr)* ... a(r) for each t of ``ts``, r running
+    over the support with tr in it: the position of t, t itself, and the
+    positions of tr and r in ``a.data``."""
+    g = a.bundle.group
     at = {r: i for i, r in enumerate(a.data)}
     owner, steps, left, right = [], [], [], []
     for i, t in enumerate(ts):
@@ -122,34 +118,31 @@ def _defect_sums(a: APWitness, ts: Sequence[Elem], bs: Tuple[np.ndarray, ...]) -
                 steps.append(t)
                 left.append(j)
                 right.append(k)
+    return np.asarray(owner, dtype=int), steps, left, right
+
+
+def _sums(owner: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """The sums of the terms of owners 0..n-1, added in order."""
+    total = np.zeros((n,) + terms.shape[1:], dtype=complex)
+    np.add.at(total, owner, terms)
+    return total
+
+
+def _defect_sums(a: APWitness, ts: Sequence[Elem], bs: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
+    """Batch of sum_r a(tr)* b a(r), one term per target (t, b): t from
+    ``ts`` and b the matching term of the batch ``bs``.
+
+    The summands of all targets are evaluated together, in two
+    ``mul_many`` calls, and added per target in the order of ``a.data``.
+    """
+    bundle = a.bundle
+    e = bundle.group.identity
+    owner, steps, left, right = _terms(a, ts)
     values = stack_elements(bundle.coeff_algebra, list(a.data.values()))
     es = [e] * len(steps)
     mid = bundle.mul_many(es, _adjoints(_take(values, left)), steps, _take(bs, owner))
     terms = bundle.mul_many(steps, mid, es, _take(values, right))
-    # The terms of a target are consecutive. With the targets ordered by
-    # their number of terms, most first, the targets that have a k-th term
-    # are a prefix, and adding the k-th terms of that prefix at once,
-    # k = 0, 1, ..., makes every target's additions in the order
-    # np.add.at(total, owner, term) makes them: the sums are the same to the
-    # bit, from slices instead of a scatter.
-    counts = np.bincount(np.asarray(owner, dtype=int), minlength=len(ts))
-    order = np.argsort(-counts, kind="stable")
-    ranks = np.arange(counts.max(initial=0))[:, None]
-    held = counts[order] > ranks
-    pick = ((np.cumsum(counts) - counts)[order] + ranks)[held]
-    widths = held.sum(axis=1).tolist()
-    sums = []
-    for b, p in zip(bs, terms):
-        ranked = p[pick]
-        total = np.zeros(b.shape, dtype=complex)
-        lo = 0
-        for w in widths:
-            total[:w] += ranked[lo : lo + w]
-            lo += w
-        out = np.empty_like(total)
-        out[order] = total
-        sums.append(out)
-    return tuple(sums)
+    return tuple(_sums(owner, p, len(ts)) for p in terms)
 
 
 def _fiber_targets(
@@ -176,71 +169,78 @@ def _direct_defects(a: APWitness, ts, ideals, bs) -> List[float]:
     return batch_norms(project_batch(ideals, gaps), len(ts)).tolist()
 
 
-def _is_central(a: APWitness) -> bool:
-    """Whether every block of every value of the witness is exactly a
-    finite scalar multiple of the identity: off-diagonal entries exactly 0
-    and the diagonal constant, with no tolerance."""
-    for p in stack_elements(a.bundle.coeff_algebra, list(a.data.values())):
-        d = p.shape[-1]
+def _block_scalars(a: APWitness) -> Optional[np.ndarray]:
+    """The scalars xi(r)_k of a(r) on each block k, one row per r of
+    ``a.data``; None unless every block of every value is exactly a finite
+    scalar multiple of the identity (no tolerance)."""
+    alg = a.bundle.coeff_algebra
+    xi = np.zeros((len(a.data), alg.nblocks), dtype=complex)
+    for d, members, p in zip(alg.sizes, alg.members, stack_elements(alg, list(a.data.values()))):
         diag = np.diagonal(p, axis1=-2, axis2=-1)
         scalar = np.isfinite(diag) & (diag == diag[..., :1])
         if p[..., ~np.eye(d, dtype=bool)].any() or not scalar.all():
-            return False
-    return True
+            return None
+        xi[:, list(members)] = diag[..., 0]
+    return xi
 
 
-def _unit_target_sums(a: APWitness, ts: Sequence[Elem]) -> Tuple[np.ndarray, ...]:
-    """Batch of the sums S_t = sum_r a(tr)* u_t a(r), u_t the unit of the
-    fiber ideal over t, one term per element of ``ts``."""
-    bundle = a.bundle
-    alg = bundle.coeff_algebra
-    return _defect_sums(a, ts, _units(alg, _masks(alg, bundle.fiber_ideals(ts))))
+def _scalar_sums(a: APWitness, xi: np.ndarray, ts: Sequence[Elem]) -> np.ndarray:
+    """c_{t,k} = sum_r conj(xi(tr)_k) xi(r)_{phi_t^-1(k)} on the blocks k
+    of D_t, 0 elsewhere, one row per t of ``ts``: xi from ``_block_scalars``,
+    phi_t the block map of alpha_t: D_{t^-1} -> D_t."""
+    owner, _, left, right = _terms(a, ts)
+    src = np.zeros((len(ts), xi.shape[1]), dtype=int)
+    held = np.zeros(src.shape, dtype=bool)
+    for i, iso in enumerate(a.bundle.family.isos(list(ts))):
+        for j, k in iso.phi.items():
+            src[i, k], held[i, k] = j, True
+    moved = np.where(held[owner], np.take_along_axis(xi[right], src[owner], axis=1), 0)
+    return _sums(owner, xi[left].conj() * moved, len(ts))
 
 
-def _central_defects(a: APWitness, ts, ideals, bs) -> List[float]:
-    """``_direct_defects`` of a witness with central values, read off one
-    sum S_t per distinct t of the targets (see ``_unit_target_sums``).
+def _central_defects(a: APWitness, xi: np.ndarray, ts, ideals, bs) -> List[float]:
+    """``_direct_defects`` of a witness with central values, xi its
+    ``_block_scalars``, from two products per distinct t.
 
-    By the module product (x d_s)(y d_t) = x alpha_s(y) omega(s, t), the
-    summand of r at a target (t, b) is
-
-        a(tr)* alpha_e(b) omega(e, t) alpha_t(a(r)) omega(t, e).
-
-    Since b = b u_t and alpha_e is multiplicative, alpha_e(b) =
-    alpha_e(b) alpha_e(u_t), and the central a(tr)* commutes with
-    alpha_e(b). So the summand is alpha_e(b) times the summand at the
-    target (t, u_t), and the sum is alpha_e(b) S_t. The defect is
-    | proj_t(b - alpha_e(b) S_t) |. Neither alpha_e = id nor a normalized
-    twist is used; the two routes agree up to rounding.
+    By (x d_s)(y d_t) = x alpha_s(y) omega(s, t), the summand of r at a
+    target (t, b) is a(tr)* alpha_e(b) omega(e, t) alpha_t(a(r)) omega(t, e).
+    a(tr)* and alpha_t(a(r)) are central, with block scalars conj(xi(tr)_k)
+    and xi(r)_{phi_t^-1(k)} on D_t, so the sum is alpha_e(b) S_t with C_t
+    the central element of scalars c_{t,k} (``_scalar_sums``), u_t the unit
+    of D_t (b = b u_t, C_t = C_t u_t) and
+    S_t = (C_t d_e)(u_t d_t)(1 d_e) = C_t alpha_e(u_t) omega(e, t) u_t omega(t, e).
+    The defect is | proj_t(b - alpha_e(b) S_t) |. Neither alpha_e = id nor
+    a normalized twist is used.
     """
     bundle = a.bundle
-    elems, slot = _distinct(ts)
-    sums = _unit_target_sums(a, elems)
+    alg = bundle.coeff_algebra
     e = bundle.group.identity
+    elems, slot = _distinct(ts)
+    c = _scalar_sums(a, xi, elems)
+    es = [e] * len(elems)
+    scalars = tuple(c[:, list(m), None, None] * np.eye(d) for d, m in zip(alg.sizes, alg.members))
+    mid = bundle.mul_many(es, scalars, elems, _units(alg, _masks(alg, bundle.fiber_ideals(elems))))
+    sums = bundle.mul_many(elems, mid, es, _units(alg, _masks(alg, [alg.full_ideal()] * len(elems))))
     moved = apply_many([bundle.family.iso(e)], bs, np.zeros(len(ts), dtype=int))
     gaps = tuple(b - x @ s[slot] for b, x, s in zip(bs, moved, sums))
     return batch_norms(project_batch(ideals, gaps), len(ts)).tolist()
 
 
 def ad_function(a: APWitness, t: Elem) -> np.ndarray:
-    """The block scalars c_{t,j} of S_t = sum_r a(tr)* u_t a(r), u_t the
-    unit of the fiber over t, for a witness with central values: the
-    normalized trace of S_t on each block j, 0 outside the fiber D_t.
+    """The block scalars c_{t,k} = sum_r conj(xi(tr)_k) xi(r)_{phi_t^-1(k)}
+    of a witness with central values, xi(r)_k the scalar of a(r) on block
+    k, phi_t the block map of alpha_t: D_{t^-1} -> D_t; 0 off D_t.
 
-    t -> S_t is the positive-type function of the witness on the group.
-    Where alpha_e is the identity and S_t is a scalar on block j, as for
-    every bundle ``fellap.testing`` builds, the defect at a basis target
-    in block j over t is |1 - c_{t,j}|; for the side-N box witness on Z
-    this is c_t = 1 - |t|/N. ValueError for a witness whose values are
-    not central.
+    t -> c_t is the positive-type function of the witness. Where alpha_e
+    is the identity and the twist is normalized at e, as for every bundle
+    ``fellap.testing`` builds, the defect at a basis target in block k over
+    t is |1 - c_{t,k}| (see ``_central_defects``); for the side-N box on Z,
+    c_t = 1 - |t|/N. ValueError for a witness whose values are not central.
     """
-    if not _is_central(a):
+    xi = _block_scalars(a)
+    if xi is None:
         raise ValueError("the witness values are not central")
-    alg = a.bundle.coeff_algebra
-    out = np.zeros(alg.nblocks, dtype=complex)
-    for d, members, p in zip(alg.sizes, alg.members, _unit_target_sums(a, [t])):
-        out[list(members)] = np.trace(p[0], axis1=-2, axis2=-1) / d
-    return out
+    return _scalar_sums(a, xi, [t])[0]
 
 
 def ap_defect(a: APWitness, t: Elem, b: FdElement) -> float:
@@ -473,13 +473,11 @@ def ap_certify(
 
     A witness whose values are all central (every block exactly a scalar
     multiple of the identity, as for the uniform and box witnesses) takes
-    the central route: one sum S_t = sum_r a(tr)* u_t a(r) per distinct t,
-    u_t the unit of the fiber over t, and the defect of a target (t, b)
-    read as | proj_t(b - alpha_e(b) S_t) | (derived in
-    ``_central_defects``). That costs |support| products per t instead of
-    |support| per target. Every other witness goes the route of
-    ``ap_defects``, which stays the independent one; the two agree up to
-    rounding.
+    the central route: its block scalars, read once, give c_{t,k} by index
+    arithmetic, and the defects over t follow from two products per
+    distinct t (``_central_defects``). Every other witness goes the route
+    of ``ap_defects``, which stays the independent one; the two agree up
+    to rounding.
     """
     if targets is None:
         targets = default_targets(bundle)
@@ -490,7 +488,8 @@ def ap_certify(
     for i, a in enumerate(witness_family):
         bound = witness_bound(a)
         bounds_ok = bounds_ok and bound <= BOUND_CAP
-        defects = (_central_defects if _is_central(a) else _direct_defects)(a, *read)
+        xi = _block_scalars(a)
+        defects = _direct_defects(a, *read) if xi is None else _central_defects(a, xi, *read)
         for tgt, t_label, defect in zip(targets, t_labels, defects):
             rows.append(
                 APRow(

@@ -99,18 +99,22 @@ class ConfigError(ValueError):
 
 
 # The work of ``validate`` and ``kernels`` grows with the ball they walk
-# times their samples, that of ``groupoid`` with its ball and its arrows,
-# and a table group or a Folner box enumerates its elements; larger requests
-# are refused (exit 2) before anything is built.
+# times their samples, that of ``validate`` on a twist with the cube of the
+# ball times the algebra's dimension (the cocycle law on each (r, s, t) and
+# basis element), that of ``groupoid`` with its ball and its arrows, and a
+# table group or a Folner box enumerates its elements; larger requests are
+# refused (exit 2) before anything is built.
 BALL_CAP = 200
+TWIST_CAP = 600_000
 ARROW_CAP = 2**16
 
 
-def _check_ball(g: Group, radius: int, samples: int = 1) -> None:
-    """Refuse a ball of more than BALL_CAP elements, counted from the group's
-    shape: layers of 2n (2n - 1)^(k - 1) words in a free group of rank n,
-    sum_k 2^k C(d, k) C(radius, k) points in Z^d; and refuse more than
-    5 BALL_CAP (element, sample) pairs."""
+def _check_ball(g: Group, radius: int, samples: int = 1) -> int:
+    """The size of the ball, counted from the group's shape: layers of
+    2n (2n - 1)^(k - 1) words in a free group of rank n,
+    sum_k 2^k C(d, k) C(radius, k) points in Z^d. Refuse a ball of more
+    than BALL_CAP elements, and more than 5 BALL_CAP (element, sample)
+    pairs."""
     if isinstance(g, FreeGroup):
         size, layer = 1, 2 * g.rank
         for _ in range(radius):
@@ -126,6 +130,7 @@ def _check_ball(g: Group, radius: int, samples: int = 1) -> None:
         raise ConfigError(f"the ball of radius {radius} in {g.label} has over {BALL_CAP} elements")
     if size * samples > 5 * BALL_CAP:
         raise ConfigError(f"--samples {samples} on a ball of {size} elements makes over {5 * BALL_CAP} pairs")
+    return size
 
 
 def _arrow_count(n: int, depth: int, radius: int) -> int:
@@ -459,7 +464,12 @@ def validate(store: ConfigStore, tol: float, target, window, samples) -> Report:
         rep = validate_bundle(obj, window=window, samples=samples, seed=store.seed, tol=tol)
     elif target in store.raw.get("twists", {}):
         kind, (pa, tw) = "twist", store.twist(target)
-        _check_ball(pa.group, window)
+        size = _check_ball(pa.group, window)
+        if size**3 * pa.algebra.dim > TWIST_CAP:
+            raise ConfigError(
+                f"the cocycle law on a ball of {size} elements in an algebra of dimension "
+                f"{pa.algebra.dim} makes over {TWIST_CAP} terms"
+            )
         rep = validate_twist(pa, tw, window=window, tol=tol)
     elif target in store.raw.get("actions", {}):
         kind, pa = "action", store.action(target)

@@ -299,18 +299,22 @@ def random_fell_bundle(
     """A random bundle plus a short label describing how it was built.
 
     Flavors: plain semidirect over a partial action, scalar-coboundary
-    twisted over a partial action, and matrix-twisted over a global action.
+    twisted over a partial action, and matrix-twisted over a global action;
+    ValueError for any other name.
     """
     g = group if group is not None else random_group(rng)
-    fl = flavor or ("semidirect", "scalar-twist", "matrix-twist")[int(rng.integers(3))]
+    flavors = ("semidirect", "scalar-twist", "matrix-twist")
+    fl = flavor or flavors[int(rng.integers(3))]
+    if fl not in flavors:
+        raise ValueError(f"unknown flavor {fl!r}: use semidirect, scalar-twist or matrix-twist")
     salt = int(rng.integers(2**31))
-    whole = fl not in ("semidirect", "scalar-twist")  # any other name is the matrix twist
+    whole = fl == "matrix-twist"
     if isinstance(g, FiniteGroup):
         pa = random_global_action(rng, g) if whole else random_partial_action(rng, g)
     else:
         pa = random_infinite_partial_action(rng, g, force_global=whole)
     if whole:
-        fl, (pa, twist) = "matrix-twist", matrix_twist(pa, salt)
+        pa, twist = matrix_twist(pa, salt)
     else:
         twist = trivial_twist(pa) if fl == "semidirect" else scalar_coboundary_twist(pa, salt)
     return make_twisted(pa, twist), f"{fl}/{g.label}"

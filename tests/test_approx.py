@@ -25,9 +25,11 @@ Frozen oracles, fixed ahead of the implementation:
   computed from the partial action must agree with the bundle-route defect
   over the semidirect bundle to 1e-10.
 
-* Central route.  For a witness with central values, the defects
-  ``ap_certify`` reads from one unit-target sum per t agree with the
-  per-target sums of ``ap_defects`` to 1e-13.
+* Central route.  For a witness with central values (block scalars
+  xi(r)_k), the defects ``ap_certify`` reads from the scalars
+  c_{t,k} = sum_r conj(xi(tr)_k) xi(r)_{phi_t^-1(k)} and two products per
+  t agree with the per-target sums of ``ap_defects``, the independent
+  route, to 1e-13; ``ad_function`` returns c_t.
 """
 
 import numpy as np
@@ -42,6 +44,8 @@ from fellap.algebra import (
     Ideal,
     IdealIso,
     PartialAction,
+    _masks,
+    _units,
     op_norm,
     pullback_action,
     restrict_action,
@@ -51,6 +55,7 @@ from fellap.approx import (
     APWitness,
     Target,
     TranslateSearchError,
+    _block_scalars,
     _central_defects,
     _defect_sums,
     _direct_defects,
@@ -616,8 +621,36 @@ def moving_unit_bundle(seed, twisted):
     return make_twisted(family, omega)
 
 
+def complex_scalar_witness(rng, bundle, support):
+    """A witness on ``support`` whose values are random complex scalars on
+    each block, scaled to bound 1."""
+    alg = bundle.coeff_algebra
+    z = rng.normal(size=(len(support), alg.nblocks)) + 1j * rng.normal(size=(len(support), alg.nblocks))
+    z /= np.sqrt((np.abs(z) ** 2).sum(axis=0).max())
+    values = [FdElement(alg, [x * np.eye(d) for x, d in zip(row, alg.blocks)]) for row in z]
+    return APWitness(bundle, dict(zip(support, values)))
+
+
+def complex_scalar_shapes():
+    """(witness, target pairs): random complex block scalars on the whole
+    of a random finite group and on ball(1) of F2 and Z^2 (pullback
+    actions), in all three flavors, against the basis targets and one
+    random fiber element over each t of ball(2)."""
+    out = []
+    for seed in range(3):
+        rng = np.random.default_rng(1100 + seed)
+        for flavor in ("semidirect", "scalar-twist", "matrix-twist"):
+            for g in (random_finite_group(rng), FreeGroup(2), LatticeGroup(2)):
+                bundle, _ = random_fell_bundle(rng, group=g, flavor=flavor)
+                a = complex_scalar_witness(rng, bundle, g.elements() if g.is_finite else g.ball(1))
+                pairs = pairs_of(default_targets(bundle, radius=2))
+                pairs += [(t, random_fiber_element(rng, bundle, t)) for t in g.ball(2)]
+                out.append((a, pairs))
+    return out
+
+
 def central_gap(a, pairs):
-    got = _central_defects(a, *_fiber_targets(a.bundle, pairs))
+    got = _central_defects(a, _block_scalars(a), *_fiber_targets(a.bundle, pairs))
     want = ap_defects(a, pairs)
     assert len(got) == len(want) == len(pairs)
     return max((abs(x - y) for x, y in zip(got, want)), default=0.0)
@@ -662,6 +695,16 @@ class TestCentralRoute:
             pairs = pairs_of(default_targets(bundle, radius=2))
             assert central_gap(uniform_witness(bundle), pairs) <= 1e-13
 
+    def test_complex_block_scalars(self):
+        """Complex scalars tell conj(xi(tr)_k) xi(r)_{phi_t^-1(k)} from its
+        conjugate, which the moving units of alpha_e turn into a different
+        defect."""
+        assert max(central_gap(a, pairs) for a, pairs in complex_scalar_shapes()) <= 1e-13
+        for seed in range(6):
+            bundle = moving_unit_bundle(seed, twisted=seed % 2)
+            a = complex_scalar_witness(np.random.default_rng(seed), bundle, bundle.group.elements())
+            assert central_gap(a, pairs_of(default_targets(bundle, radius=2))) <= 1e-13
+
     def test_near_central_witness_takes_the_direct_route(self, monkeypatch):
         bundle = group_bundle(cyclic_group(3), FdAlgebra([2]))
         a = uniform_witness(bundle)
@@ -688,12 +731,13 @@ class TestCentralRoute:
         zero = APWitness.zero(bundle)
         pairs = pairs_of(default_targets(bundle))
         pairs += [(t, random_fiber_element(rng, bundle, t)) for t in bundle.group.elements()]
-        got = _central_defects(zero, *_fiber_targets(bundle, pairs))
+        got = _central_defects(zero, _block_scalars(zero), *_fiber_targets(bundle, pairs))
         want = [fiber_norm(bundle, t, b) for t, b in pairs]
         assert max(abs(x - y) for x, y in zip(got, want)) <= EXACT
         verdict = ap_certify(bundle, [zero, uniform_witness(bundle)], targets=[])
         assert verdict.rows == () and verdict.passed
-        assert _central_defects(uniform_witness(bundle), *_fiber_targets(bundle, [])) == []
+        a = uniform_witness(bundle)
+        assert _central_defects(a, _block_scalars(a), *_fiber_targets(bundle, [])) == []
 
     def test_target_outside_fiber_rejected(self):
         bundle = make_semidirect(random_partial_action(np.random.default_rng(62), cyclic_group(4)))
@@ -705,7 +749,8 @@ class TestCentralRoute:
     def test_one_sum_per_element_not_per_target(self, monkeypatch):
         """S3 with base block M_2, matrix-twisted: ball(1) is the whole
         group and the default targets are 6 x 24 = 144. The central route
-        sums 6 x 6 = 36 terms per product step, the direct route 864."""
+        makes one term per element, 6 per product step, the direct route
+        864."""
         glob = random_global_action(np.random.default_rng(63), symmetric_group(3), (2,))
         bundle = make_twisted(*matrix_twist(glob, 63))
         a = uniform_witness(bundle)
@@ -719,7 +764,7 @@ class TestCentralRoute:
         targets = default_targets(bundle)
         monkeypatch.setattr(TwistedBundle, "mul_many", counted)
         assert all(r.defect <= EXACT for r in ap_certify(bundle, [a], targets).rows)
-        assert len(targets) == 144 and terms == [36, 36]
+        assert len(targets) == 144 and terms == [6, 6]
         terms.clear()
         ap_defects(a, pairs_of(targets))
         assert terms == [864, 864]
@@ -759,6 +804,20 @@ class TestAdFunction:
                 defects = ap_defects(a, [(t, b) for b in ideal.basis()])
                 want = [abs(1 - c[j]) for j in basis_blocks(ideal)]
                 assert want == pytest.approx(defects, abs=1e-13)
+
+    def test_trace_of_the_unit_target_sums(self):
+        """c_{t,k} is the normalized trace on block k of the product-route
+        sum_r a(tr)* u_t a(r), u_t the unit of D_t, on the complex-scalar
+        witnesses."""
+        for a, pairs in complex_scalar_shapes():
+            alg = a.bundle.coeff_algebra
+            ts = list(dict.fromkeys(t for t, _ in pairs))
+            sums = _defect_sums(a, ts, _units(alg, _masks(alg, a.bundle.fiber_ideals(ts))))
+            for i, t in enumerate(ts):
+                want = np.zeros(alg.nblocks, dtype=complex)
+                for d, members, p in zip(alg.sizes, alg.members, sums):
+                    want[list(members)] = np.trace(p[i], axis1=-2, axis2=-1) / d
+                assert np.abs(ad_function(a, t) - want).max() <= 1e-13
 
     def test_non_central_witness_refused(self):
         bundle = group_bundle(cyclic_group(3), FdAlgebra([2]))

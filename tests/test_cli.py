@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fellap.cli as cli
+from fellap.algebra import ActionReport
 from fellap.approx import default_targets
 from fellap.cantor import spectral_groupoid
-from fellap.cli import ARROW_CAP, BALL_CAP, ConfigStore, _arrow_count, _parse_targets, main
+from fellap.cli import ARROW_CAP, BALL_CAP, TWIST_CAP, ConfigStore, _arrow_count, _parse_targets, main
 from test_acceptance import CLI_CONFIG
 
 
@@ -233,10 +235,11 @@ class TestRefusedInputs:
             ("bundles", "b", {"kind": "semidirect"}),
             ("witness_families", "w", {"kind": "folner"}),
             ("witness_families", "w", {"kind": "folner", "n": "x"}),
+            ("bundles", "b", {"kind": "random", "group": "g", "flavor": "semidirectt"}),
         ],
         ids=[
             "symmetric-5", "cyclic-0", "cyclic-no-order", "cyclic-over-cap", "free-0",
-            "block-0", "semidirect-no-action", "folner-no-n", "folner-n-x",
+            "block-0", "semidirect-no-action", "folner-no-n", "folner-n-x", "flavor-typo",
         ],
     )
     def test_refused_value_names_its_block(self, tmp_path, section, name, block):
@@ -339,6 +342,32 @@ class TestRefusedInputs:
             r = run("--config", conf, "ap-check", "--bundle", "b", "--witness", "w", "--targets", "1")
             assert r.exit_code == code, r.stderr
         assert r.stderr.startswith(f"config error: groups.g: a cyclic group of order {BALL_CAP + 1} ")
+
+    @pytest.mark.parametrize(
+        "order, blocks, admitted",
+        [(84, [1], True), (85, [1], False), (42, [2, 2], True), (42, [3], False)],
+        ids=["order-at-cap", "order-over", "dimension-at-cap", "dimension-over"],
+    )
+    def test_twist_check_at_the_cap(self, tmp_path, monkeypatch, order, blocks, admitted):
+        """The cocycle law of a twist makes at most |ball|^3 times the
+        algebra's dimension terms: 84^3 and 42^3 * 8 are within TWIST_CAP,
+        85^3 and 42^3 * 9 past it. The validator is stubbed, so no
+        admitted case runs."""
+        assert (order**3 * sum(d * d for d in blocks) <= TWIST_CAP) == admitted
+        path = tmp_path / "tw.json"
+        path.write_text(json.dumps({
+            "groups": {"g": {"kind": "cyclic", "order": order}},
+            "algebras": {"a": {"blocks": blocks}},
+            "actions": {"id": {"kind": "identity", "group": "g", "algebra": "a"}},
+            "twists": {"t": {"kind": "scalar", "action": "id", "salt": 1}},
+        }))
+        monkeypatch.setattr(cli, "validate_twist", lambda *args, **kwargs: ActionReport())
+        r = run("--config", str(path), "validate", "t")
+        if admitted:
+            assert r.exit_code == 0, r.stderr
+        else:
+            assert_refused(r, f"config error: the cocycle law on a ball of {order} elements ")
+            assert f"over {TWIST_CAP} terms" in r.stderr
 
 
 class TestValidate:
