@@ -78,3 +78,5 @@ x = next(a for a in table.arrows if not table.is_unit(a))
 x_inv = table.invert(x)
 print("  x =", show(x), "; x^-1 =", show(x_inv),
       "; x x^-1 =", show(table.compose(x, x_inv)))
+print("  x x^-1 is the unit at the range of x:",
+      table.compose(x, x_inv) == table.unit_at(table.range_word(x)))

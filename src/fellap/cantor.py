@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -372,49 +373,108 @@ def validate_cantor_action(
     return report
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """Coarsened groupoid arrow: a source cylinder and an acting symbol."""
 
     source: Word
     g: Elem
 
 
+ArrowIds = Tuple[int, int]  # (word id, symbol id) in one GroupoidTable's ids
+
+
+class _Ids(dict):
+    """``ids[value]`` is value's id, 0, 1, ... in order of first sight;
+    ``ids.by_id[k]`` is the value of id k."""
+
+    def __init__(self):
+        super().__init__()
+        self.by_id: list = []
+
+    def __missing__(self, value) -> int:
+        k = self[value] = len(self.by_id)
+        self.by_id.append(value)
+        return k
+
+
+class _Memo(dict):
+    """A dict that fills each missing key once, with ``fill(key)``."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 @dataclass(frozen=True)
 class GroupoidTable:
     """The arrows of a truncated boundary groupoid, with lazy symbol data.
 
-    Each distinct element g met by ``range_word``, ``invert`` or
-    ``compose`` is parsed once into its shift (a, |b|) for g = a b^{-1};
-    its label is formatted once, and each product g h is formed once.  The
-    caches take any element of the group, since a product may leave
-    ball(radius).  They are filled on first use and sit outside equality,
-    hashing and repr, so a table that has been validated equals a fresh one
-    built from the same arguments.
+    Each word and symbol met gets a small integer id, once; each symbol
+    is parsed, and each range word, product, inverse and label formed,
+    once, in caches keyed by ids that take any element of the group (a
+    product may leave ball(radius)) and sit outside equality, hashing and
+    repr.  ``compose_ids`` is the only composition code; ``compose``,
+    ``range_word``, ``invert`` and ``unit_at`` are its Arrow-level views.
     """
 
     group: FreeGroup
     depth: int
     radius: int
     arrows: Tuple[Arrow, ...]
-    # g -> (a, |b|)
-    _shifts: Dict[Elem, Tuple[Word, int]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    _labels: Dict[Elem, str] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    _products: Dict[Tuple[Elem, Elem], Elem] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    _words: _Ids = field(default_factory=_Ids, init=False, compare=False, repr=False)
+    _symbols: _Ids = field(default_factory=_Ids, init=False, compare=False, repr=False)
+
+    def _range(self, ids: ArrowIds) -> int:
+        sym = self._parsed[ids[1]]
+        return self._words[sym.pos + self._words.by_id[ids[0]][len(sym.neg) :]]
+
+    def _product(self, key: ArrowIds) -> int:
+        elems = self._symbols.by_id
+        return self._symbols[self.group.mul(elems[key[0]], elems[key[1]])]
+
+    # made on first use: symbol -> its parse, (word, symbol) -> range word,
+    # (symbol, symbol) -> product and symbol -> inverse, by ids; element -> label
+    _parsed = cached_property(lambda t: _Memo(lambda sid: partial_symbol(t.group, t._symbols.by_id[sid])))
+    _ranges = cached_property(lambda t: _Memo(t._range))
+    _products = cached_property(lambda t: _Memo(t._product))
+    _inverses = cached_property(lambda t: _Memo(lambda sid: t._symbols[t.group.inv(t._symbols.by_id[sid])]))
+    _labels = cached_property(lambda t: _Memo(t.group.format_elem))
+
+    def ids(self, arrow: Arrow) -> ArrowIds:
+        return self._words[arrow.source], self._symbols[arrow.g]
+
+    def arrow(self, ids: ArrowIds) -> Arrow:
+        return Arrow(self._words.by_id[ids[0]], self._symbols.by_id[ids[1]])
+
+    def range_id(self, ids: ArrowIds) -> int:
+        return self._ranges[ids]
+
+    def invert_ids(self, ids: ArrowIds) -> ArrowIds:
+        return self._ranges[ids], self._inverses[ids[1]]
+
+    def unit_ids(self, word_id: int) -> ArrowIds:
+        return word_id, self._symbols[self.group.identity]
+
+    def compose_ids(self, first: ArrowIds, second: ArrowIds) -> Optional[ArrowIds]:
+        """first . second on ids, applying second's symbol first.
+
+        Defined when the range word of ``second`` is the source of
+        ``first`` exactly; the composite sits at second's source with the
+        product symbol, found in two dict lookups on pairs of small ints.
+        Germs compose more widely: an arrow a b^{-1} with |a| != |b| meets
+        units only here.  ROADMAP item 8 replaces this with the
+        composition of germs on refined cylinders.
+        """
+        if self._ranges[second] != first[0]:
+            return None
+        return second[0], self._products[first[1], second[1]]
 
     def range_word(self, arrow: Arrow) -> Word:
-        shift = self._shifts.get(arrow.g)
-        if shift is None:
-            sym = partial_symbol(self.group, arrow.g)
-            shift = self._shifts[arrow.g] = (sym.pos, len(sym.neg))
-        pos, cut = shift
-        return pos + arrow.source[cut:]
+        return self._words.by_id[self.range_id(self.ids(arrow))]
 
     @cached_property
     def range_words(self) -> Tuple[Word, ...]:
@@ -423,39 +483,21 @@ class GroupoidTable:
 
     def label(self, g: Elem) -> str:
         """``format_elem`` of g."""
-        text = self._labels.get(g)
-        if text is None:
-            text = self._labels[g] = self.group.format_elem(g)
-        return text
+        return self._labels[g]
 
     def is_unit(self, arrow: Arrow) -> bool:
         return arrow.g == self.group.identity
 
     def invert(self, arrow: Arrow) -> Arrow:
-        return Arrow(self.range_word(arrow), self.group.inv(arrow.g))
+        return self.arrow(self.invert_ids(self.ids(arrow)))
 
     def unit_at(self, word: Word) -> Arrow:
-        return Arrow(word, self.group.identity)
+        return self.arrow(self.unit_ids(self._words[word]))
 
     def compose(self, first: Arrow, second: Arrow) -> Optional[Arrow]:
-        """first . second, applying second's symbol first.
-
-        Defined on representatives when the range word of ``second``
-        matches the source of ``first`` exactly; the composite sits at
-        second's source with the product symbol.  This is narrower than
-        the composition of germs: the range of a b^{-1} on a depth-d
-        cylinder has d + |a| - |b| letters while every source has d, so
-        an arrow with |a| != |b| composes with units only, and at radius 1
-        no two non-unit arrows compose.  ROADMAP item 5 replaces it with
-        the composition of germs on refined cylinders.
-        """
-        if self.range_word(second) != first.source:
-            return None
-        key = (first.g, second.g)
-        product = self._products.get(key)
-        if product is None:
-            product = self._products[key] = self.group.mul(first.g, second.g)
-        return Arrow(second.source, product)
+        """``compose_ids`` on the ids of two arrows."""
+        out = self.compose_ids(self.ids(first), self.ids(second))
+        return None if out is None else self.arrow(out)
 
 
 def spectral_groupoid(n: int, depth: int, radius: int) -> GroupoidTable:
@@ -478,73 +520,47 @@ def spectral_groupoid(n: int, depth: int, radius: int) -> GroupoidTable:
 
 
 def validate_groupoid(table: GroupoidTable) -> ActionReport:
-    """Exhaustive axiom check on the enumerated arrow table.
+    """Exhaustive axiom check on the enumerated arrow table, on its ids.
 
-    Associativity is checked on every composable triple: y composes after
-    x when its range word is x's source, so arrows are indexed by range
-    word once and each triple is reached from x through that index, in the
-    order of an all-pairs scan.  compose(y, z) depends on the pair only,
-    so it is formed once per pair, on the first x that reaches y; every
-    product still goes through ``table.compose``.
-
-    The check is only as wide as ``compose``: composition needs an exact
-    match of range word and source, so arrows with |a| != |b| meet units
-    only, and at radius 1 every associativity triple is (x, unit, unit).
-    ROADMAP item 5 widens it to the composition of germs.
+    Every composite goes through ``table.compose_ids``, so a table that
+    overrides it is checked as it composes.  Associativity is checked on
+    every composable triple, reached through an index of arrows by range
+    id in the order of an all-pairs scan, with compose(y, z) formed once
+    per pair.  A triple costs two ``compose_ids`` calls and one report
+    entry; no Arrow is built and no element hashed.  The check is as
+    narrow as ``compose_ids``: at radius 1 every associativity triple is
+    (x, unit, unit).  ROADMAP item 8 widens it to the composition of germs.
     """
     report = ActionReport()
-    arrows = table.arrows
-    ranges = table.range_words
-    by_range: Dict[Word, List[int]] = {}
+    add = report.add
+    compose = table.compose_ids
+    ids = [table.ids(arrow) for arrow in table.arrows]
+    ranges = [table.range_id(a) for a in ids]
+    by_range: Dict[int, List[int]] = {}
     for k, rng in enumerate(ranges):
         by_range.setdefault(rng, []).append(k)
-    for arrow, rng in zip(arrows, ranges):
+    for arrow, a, rng in zip(table.arrows, ids, ranges):
         label = f"({''.join(map(str, arrow.source))},{table.label(arrow.g)})"
-        inv = table.invert(arrow)
-        double = table.invert(inv)
-        report.add(
-            "inversion-involutive", label, 0.0 if double == arrow else 1.0, 0.5
-        )
-        report.add(
-            "inverse-source-is-range",
-            label,
-            0.0 if inv.source == rng else 1.0,
-            0.5,
-        )
-        left_unit = table.unit_at(rng)
-        right_unit = table.unit_at(arrow.source)
-        report.add(
-            "unit-absorbs",
-            label,
-            0.0
-            if table.compose(left_unit, arrow) == arrow
-            and table.compose(arrow, right_unit) == arrow
-            else 1.0,
-            0.5,
-        )
-    # after[j]: the pairs (z, compose(y, z)) for y = arrows[j], in index order
-    after: List[Optional[List[Tuple[Arrow, Optional[Arrow]]]]] = [None] * len(arrows)
-    for x in arrows:
-        for j in by_range.get(x.source, ()):
-            y = arrows[j]
-            xy = table.compose(x, y)
+        inv = table.invert_ids(a)
+        add("inversion-involutive", label, 0.0 if table.invert_ids(inv) == a else 1.0, 0.5)
+        add("inverse-source-is-range", label, 0.0 if inv[0] == rng else 1.0, 0.5)
+        absorbs = compose(table.unit_ids(rng), a) == a and compose(a, table.unit_ids(a[0])) == a
+        add("unit-absorbs", label, 0.0 if absorbs else 1.0, 0.5)
+    # after[j]: the pairs (z, compose(y, z)) for y = ids[j], in index order
+    after: List[Optional[List[Tuple[ArrowIds, Optional[ArrowIds]]]]] = [None] * len(ids)
+    for x in ids:
+        for j in by_range.get(x[0], ()):
+            y = ids[j]
+            xy = compose(x, y)
             if xy is None:
                 continue
             row = after[j]
             if row is None:
-                row = after[j] = [
-                    (arrows[k], table.compose(y, arrows[k]))
-                    for k in by_range.get(y.source, ())
-                ]
+                row = after[j] = [(ids[k], compose(y, ids[k])) for k in by_range.get(y[0], ())]
             for z, yz in row:
                 if yz is None:
                     continue
-                lhs = table.compose(xy, z)
-                rhs = table.compose(x, yz)
-                report.add(
-                    "associativity",
-                    "assoc",
-                    0.0 if lhs is not None and rhs is not None and lhs == rhs else 1.0,
-                    0.5,
-                )
+                lhs = compose(xy, z)
+                rhs = compose(x, yz)
+                add("associativity", "assoc", 0.0 if lhs == rhs and lhs is not None else 1.0, 0.5)
     return report

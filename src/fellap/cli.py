@@ -759,9 +759,10 @@ def _parse_word(grp: FreeGroup, token: str) -> Elem:
                 raise ConfigError(f"dangling inverse mark in {token!r}")
             letters[-1] = -letters[-1]
         else:
-            idx = ord(ch.lower()) - ord("a") + 1
+            idx = ord(ch) - ord("a") + 1
             if not (1 <= idx <= grp.rank):
-                raise ConfigError(f"letter {ch!r} outside the rank-{grp.rank} alphabet")
+                hint = f"; write {ch.lower()}' for the inverse of {ch.lower()}" if "A" <= ch <= "Z" else ""
+                raise ConfigError(f"letter {ch!r} outside the rank-{grp.rank} alphabet{hint}")
             letters.append(idx)
     return grp.word(letters)
 

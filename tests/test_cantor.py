@@ -21,7 +21,11 @@ Frozen oracles, derived before the implementation ran:
     (4 units, 8 forward shifts, 4 backward shifts).
   * groupoid validation outcomes (checked counts, the violation rows of a
     table that miscomposes one pair, and the order of every report entry)
-    are pinned from the all-pairs validator.
+    are pinned from the all-pairs validator.  ``validate_groupoid`` runs
+    on the table's integer ids; ``reference_validate_groupoid`` below is
+    the Arrow-level route it replaced, and the two make the same report
+    entries call for call, on honest tables and on tables whose id
+    primitive miscomposes one pair.
   * the table's lazily cached symbol data agrees with a fresh
     ``partial_symbol`` per arrow, its products with ``FreeGroup.word`` on
     the joined letters (a full reduction, not the junction cancellation
@@ -155,24 +159,93 @@ def walked_cuntz_defect(i, g, grp, include_identity=False):
     return float(np.abs(numerator).max(initial=0)) / float(i)
 
 
-class MisComposingTable(GroupoidTable):
-    """Planted defect: composing the unit at X_11 with the arrow
-    (X_21, 1 2^-1) returns a wrong symbol instead of the arrow itself."""
+def miscomposing(first, second):
+    """A table class whose id primitive miscomposes first . second,
+    multiplying the composite's symbol by the first generator; both
+    validation routes compose through that primitive."""
 
-    def compose(self, first, second):
-        out = super().compose(first, second)
-        grp = self.group
-        if (
-            out is not None
-            and first == self.unit_at((1, 1))
-            and second == Arrow((2, 1), grp.word([1, -2]))
-        ):
-            return Arrow(out.source, grp.mul(out.g, grp.generator(1)))
-        return out
+    class Planted(GroupoidTable):
+        def compose_ids(self, f, s):
+            out = super().compose_ids(f, s)
+            if out is not None and self.arrow(f) == first and self.arrow(s) == second:
+                composite = self.arrow(out)
+                grp = self.group
+                return self.ids(Arrow(composite.source, grp.mul(composite.g, grp.generator(1))))
+            return out
+
+    return Planted
 
 
-def recorded_adds(monkeypatch, table):
-    """validate_groupoid's report entries in call order, with the report."""
+# Planted defect: composing the unit at X_11 with the arrow (X_21, 1 2^-1)
+# returns a wrong symbol instead of the arrow itself.
+F2 = FreeGroup(2)
+MisComposingTable = miscomposing(Arrow((1, 1), F2.identity), Arrow((2, 1), F2.word([1, -2])))
+
+
+def reference_validate_groupoid(table):
+    """Reference route: the Arrow-level validator, composing Arrow values
+    through the table's views (``compose``, ``invert``, ``unit_at``) with
+    the same checks in the same order as ``validate_groupoid``."""
+    report = algebra.ActionReport()
+    arrows = table.arrows
+    ranges = table.range_words
+    by_range = {}
+    for k, rng in enumerate(ranges):
+        by_range.setdefault(rng, []).append(k)
+    for arrow, rng in zip(arrows, ranges):
+        label = f"({''.join(map(str, arrow.source))},{table.label(arrow.g)})"
+        inv = table.invert(arrow)
+        double = table.invert(inv)
+        report.add(
+            "inversion-involutive", label, 0.0 if double == arrow else 1.0, 0.5
+        )
+        report.add(
+            "inverse-source-is-range",
+            label,
+            0.0 if inv.source == rng else 1.0,
+            0.5,
+        )
+        left_unit = table.unit_at(rng)
+        right_unit = table.unit_at(arrow.source)
+        report.add(
+            "unit-absorbs",
+            label,
+            0.0
+            if table.compose(left_unit, arrow) == arrow
+            and table.compose(arrow, right_unit) == arrow
+            else 1.0,
+            0.5,
+        )
+    # after[j]: the pairs (z, compose(y, z)) for y = arrows[j], in index order
+    after = [None] * len(arrows)
+    for x in arrows:
+        for j in by_range.get(x.source, ()):
+            y = arrows[j]
+            xy = table.compose(x, y)
+            if xy is None:
+                continue
+            row = after[j]
+            if row is None:
+                row = after[j] = [
+                    (arrows[k], table.compose(y, arrows[k]))
+                    for k in by_range.get(y.source, ())
+                ]
+            for z, yz in row:
+                if yz is None:
+                    continue
+                lhs = table.compose(xy, z)
+                rhs = table.compose(x, yz)
+                report.add(
+                    "associativity",
+                    "assoc",
+                    0.0 if lhs is not None and rhs is not None and lhs == rhs else 1.0,
+                    0.5,
+                )
+    return report
+
+
+def recorded_adds(monkeypatch, table, validate=validate_groupoid):
+    """A validator's report entries in call order, with the report."""
     calls = []
     add = algebra.ActionReport.add
 
@@ -180,8 +253,9 @@ def recorded_adds(monkeypatch, table):
         calls.append((axiom, context, residual, tol))
         add(self, axiom, context, residual, tol)
 
-    monkeypatch.setattr(algebra.ActionReport, "add", record)
-    report = validate_groupoid(table)
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra.ActionReport, "add", record)
+        report = validate(table)
     return calls, report
 
 
@@ -661,3 +735,72 @@ class TestCachedGroupoidTable:
         assert parsed
         assert len(parsed) == len(set(parsed))
         assert set(parsed) <= set(table.group.ball(2 * table.radius))
+
+
+class TestIdRoute:
+    """``validate_groupoid`` on ids against the Arrow-level reference route."""
+
+    SHAPES = [(2, 2, 1), (2, 2, 2), (2, 4, 2), (3, 3, 2), (2, 3, 3), (2, 4, 3), (3, 2, 2)]
+
+    @staticmethod
+    def both_routes(monkeypatch, make):
+        """Each route on its own fresh table from ``make``."""
+        ids_calls, ids_report = recorded_adds(monkeypatch, make())
+        ref_calls, ref_report = recorded_adds(
+            monkeypatch, make(), validate=reference_validate_groupoid
+        )
+        assert ids_calls == ref_calls
+        assert ids_report == ref_report
+        return ids_report
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_same_adds_as_the_reference_route(self, monkeypatch, shape):
+        report = self.both_routes(monkeypatch, lambda: spectral_groupoid(*shape))
+        assert report.passed, report.render()
+
+    def test_planted_primitive_defect_reaches_both_routes(self, monkeypatch):
+        t = spectral_groupoid(2, 2, 2)
+        report = self.both_routes(
+            monkeypatch, lambda: MisComposingTable(t.group, t.depth, t.radius, t.arrows)
+        )
+        assert report.checked == 280 and len(report.rows) == 13
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 3, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_miscomposed_pair(self, monkeypatch, shape, seed):
+        t = spectral_groupoid(*shape)
+        pairs = [
+            (x, y)
+            for x in t.arrows
+            for y, rng in zip(t.arrows, t.range_words)
+            if rng == x.source
+        ]
+        first, second = pairs[np.random.default_rng(seed).integers(len(pairs))]
+        planted = miscomposing(first, second)
+        report = self.both_routes(monkeypatch, lambda: planted(t.group, t.depth, t.radius, t.arrows))
+        assert not report.passed
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (3, 3, 2)])
+    def test_views_round_trip_through_ids(self, shape):
+        table = spectral_groupoid(*shape)
+        grp = table.group
+        for arrow, rng in zip(table.arrows, table.range_words):
+            ids = table.ids(arrow)
+            assert table.ids(arrow) == ids
+            assert table.arrow(ids) == arrow
+            assert table.arrow((table.range_id(ids), ids[1])).source == rng
+            assert table.invert(arrow) == Arrow(rng, grp.inv(arrow.g))
+            assert table.unit_at(rng) == Arrow(rng, grp.identity)
+            assert table.compose(table.unit_at(rng), arrow) == arrow
+        # distinct words and symbols get distinct ids, numbered from 0
+        words = {a.source for a in table.arrows} | set(table.range_words)
+        assert sorted(table._words.values()) == list(range(len(table._words)))
+        assert set(table._words) == words
+
+    def test_arrow_is_a_named_pair(self):
+        grp = FreeGroup(2)
+        arrow = Arrow((1, 2), grp.word([-1]))
+        assert repr(arrow) == "Arrow(source=(1, 2), g=Elem(F2:-1))"
+        assert arrow == Arrow(source=(1, 2), g=grp.word([-1]))
+        assert hash(arrow) == hash(((1, 2), grp.word([-1])))
+        assert (arrow.source, arrow.g) == tuple(arrow)

@@ -804,6 +804,16 @@ class TestCuntzAp:
         r = run("cuntz-ap", "--n", "2", "--targets", "c")
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("targets", ["A", "A,a", "bA'"])
+    def test_uppercase_letter_refused(self, targets):
+        r = run("cuntz-ap", "--n", "2", "--targets", targets)
+        assert r.exit_code == 2
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0] == (
+            "config error: letter 'A' outside the rank-2 alphabet; write a' for the inverse of a"
+        )
+
 
 class TestGroupoid:
     def test_arrow_count_matches_the_table(self):
