@@ -176,10 +176,12 @@ def miscomposing(first, second):
     return Planted
 
 
-# Planted defect: composing the unit at X_11 with the arrow (X_21, 1 2^-1)
-# returns a wrong symbol instead of the arrow itself.
 F2 = FreeGroup(2)
-MisComposingTable = miscomposing(Arrow((1, 1), F2.identity), Arrow((2, 1), F2.word([1, -2])))
+
+
+class MisComposingTable(miscomposing(Arrow((1, 1), F2.identity), Arrow((2, 1), F2.word([1, -2])))):
+    """Planted defect: composing the unit at X_11 with the arrow
+    (X_21, 1 2^-1) returns a wrong symbol instead of the arrow itself."""
 
 
 def reference_validate_groupoid(table):
