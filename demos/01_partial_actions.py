@@ -69,3 +69,10 @@ back = globalize_finite(part)
 print("round-trip envelope blocks:", back.algebra.blocks)
 print("image sits in blocks:", sorted(back.image_blocks))
 print("round-trip structure residual:", f"{back.structure_residual:.2e}")
+
+# The embedding copies each input block unchanged into its envelope block;
+# ``mats`` lists an element's blocks in block order.
+x = part.algebra.gaussian(rng)
+blocks = list(back.embed(x).mats)
+same = all(np.array_equal(blocks[back.block_of_input_block[j]], m) for j, m in enumerate(x.mats))
+print("embedding copies input blocks unchanged:", same)

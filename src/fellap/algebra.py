@@ -144,10 +144,15 @@ class FdAlgebra:
         return np.concatenate(pairs).ravel()
 
     def full_ideal(self) -> "Ideal":
-        return Ideal(self, frozenset(range(self.nblocks)))
+        """The ideal of every block, one object per algebra."""
+        return self._ideals[0]
 
     def zero_ideal(self) -> "Ideal":
-        return Ideal(self, frozenset())
+        return self._ideals[1]
+
+    @cached_property
+    def _ideals(self) -> tuple["Ideal", "Ideal"]:
+        return Ideal(self, range(self.nblocks)), Ideal(self, ())
 
 
 class _Blocks:
@@ -269,6 +274,18 @@ def split_batch(algebra: FdAlgebra, batch: Sequence[np.ndarray], m: int) -> list
     """The m elements of a batch, as views into it. ``m`` is passed because
     the zero algebra has no class array to read it from."""
     return [_packed(algebra, tuple(p[i] for p in batch)) for i in range(m)]
+
+
+class _Memo(dict):
+    """A dict that fills each missing key once, with ``fill(key)``."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class _Rows:
@@ -627,6 +644,12 @@ class IdealIso:
     ``apply`` factors through the source projection, so feeding it an element
     with mass outside the source silently drops that mass; validators, not
     the arithmetic, are responsible for flagging ill-typed data.
+
+    ``IdealIso(...)`` checks that phi is a bijection of the source blocks
+    onto the target blocks, of equal sizes, with one unitary of that size
+    per source block. ``_trusted`` skips the checks, for derivations that
+    keep them for any input iso: ``inverse``, ``translation_action``,
+    ``conjugate_action``, ``restrict_action``, ``testing.matrix_twist``.
     """
 
     source: Ideal
@@ -658,6 +681,13 @@ class IdealIso:
                 raise ValueError(f"phi maps block {j} (dim {dj}) to block {k} (dim {dk})")
             if unis[j].shape != (dj, dj):
                 raise ValueError("unitary shape mismatch")
+
+    @classmethod
+    def _trusted(cls, source: Ideal, target: Ideal, phi: Mapping, unitaries: Mapping) -> "IdealIso":
+        """The iso of these fields, not checked (see the class docstring)."""
+        iso = object.__new__(cls)
+        iso.__dict__.update(source=source, target=target, phi=phi, unitaries=unitaries)
+        return iso
 
     @cached_property
     def _plan(self) -> tuple:
@@ -713,7 +743,7 @@ class IdealIso:
         if inv is None:
             phi_inv = {k: j for j, k in self.phi.items()}
             unis = {k: self.unitaries[j].conj().T for j, k in self.phi.items()}
-            inv = IdealIso(self.target, self.source, phi_inv, unis)
+            inv = IdealIso._trusted(self.target, self.source, phi_inv, unis)
             object.__setattr__(inv, "_inverse", self)
             object.__setattr__(self, "_inverse", inv)
         return inv
@@ -974,13 +1004,14 @@ def translation_action(group: FiniteGroup, base: FdAlgebra) -> PartialAction:
     nb = base.nblocks
     algebra = FdAlgebra(base.blocks * n)
     full = algebra.full_ideal()
-    # every block unitary is an identity, one matrix per base block shared
-    eyes = [np.eye(d, dtype=complex) for d in base.blocks] * n
+    # every block unitary is an identity, one matrix per base block, in one
+    # mapping that all isos share
+    unis = dict(enumerate([np.eye(d, dtype=complex) for d in base.blocks] * n))
 
     def fn(s: Elem) -> IdealIso:
         row = group.table[s.data]
         phi = {t * nb + j: row[t] * nb + j for t in range(n) for j in range(nb)}
-        return IdealIso(full, full, phi, dict(enumerate(eyes)))
+        return IdealIso._trusted(full, full, phi, unis)
 
     return PartialAction(group, algebra, fn)
 
@@ -997,18 +1028,35 @@ def pullback_action(
 
 
 def conjugate_action(pa: PartialAction, w: FdElement) -> PartialAction:
-    """Conjugate every alpha_t by a fixed unitary w of the algebra."""
+    """Conjugate every alpha_t by a fixed unitary w of the algebra: block j,
+    sent to block k, gets W_k U_j W_j*. Per size class, a fill stacks its
+    U_j and makes two stacked products (the bits of two per block). The isos
+    keep the ideals and phi of ``pa``'s, so they are ``IdealIso._trusted``.
+    """
+    alg, where = pa.algebra, pa.algebra.where
+    if w.algebra != alg:
+        raise ValueError("w belongs to a different algebra")
 
-    ws = list(w.mats)
-    ws_star = [m.conj().T for m in ws]
+    def conjugated(ts: list) -> list[IdealIso]:
+        isos = pa.isos(ts)
+        # per size class: the fill's U_j, and the class positions of its j's and k's
+        us, js, ks = ([[] for _ in alg.sizes] for _ in range(3))
+        for iso in isos:
+            for j, k in iso.phi.items():
+                c, p = where[j]
+                us[c].append(iso.unitaries[j])
+                js[c].append(p)
+                ks[c].append(where[k][1])
+        made = [
+            iter(wc[k] @ np.array(u) @ _adjoint(wc[j])) if u else None
+            for wc, u, j, k in zip(w.packs, us, js, ks)
+        ]
+        return [
+            IdealIso._trusted(iso.source, iso.target, iso.phi, {j: next(made[where[j][0]]) for j in iso.phi})
+            for iso in isos
+        ]
 
-    def conjugated(iso: IdealIso) -> IdealIso:
-        unis = {j: ws[k] @ iso.unitaries[j] @ ws_star[j] for j, k in iso.phi.items()}
-        return IdealIso(iso.source, iso.target, dict(iso.phi), unis)
-
-    return PartialAction.batched(
-        pa.group, pa.algebra, lambda ts: [conjugated(iso) for iso in pa.isos(ts)]
-    )
+    return PartialAction.batched(pa.group, alg, conjugated)
 
 
 def restrict_action(pa: PartialAction, J: Ideal) -> PartialAction:
@@ -1017,12 +1065,15 @@ def restrict_action(pa: PartialAction, J: Ideal) -> PartialAction:
     The carrier becomes the block algebra of J (blocks in sorted order); the
     new domains are J_t = J n alpha_t(A_{t^-1} n J), realized blockwise by
     keeping exactly the source blocks of alpha_t that lie in J and map into J.
+    A part of a block bijection is one, so the isos are ``IdealIso._trusted``,
+    and the action hands out one ``Ideal`` per block set.
     """
     if J.algebra != pa.algebra:
         raise ValueError("ideal belongs to a different algebra")
     old_blocks = sorted(J.block_set)
     new_index = {j: i for i, j in enumerate(old_blocks)}
     sub = FdAlgebra([pa.algebra.blocks[j] for j in old_blocks])
+    ideals = _Memo(lambda blocks: Ideal(sub, blocks))  # block set -> its one Ideal
 
     def restricted(iso: IdealIso) -> IdealIso:
         phi, unis = {}, {}
@@ -1030,7 +1081,7 @@ def restrict_action(pa: PartialAction, J: Ideal) -> PartialAction:
             if j in new_index and k in new_index:
                 phi[new_index[j]] = new_index[k]
                 unis[new_index[j]] = iso.unitaries[j]
-        return IdealIso(Ideal(sub, phi.keys()), Ideal(sub, phi.values()), phi, unis)
+        return IdealIso._trusted(ideals[frozenset(phi)], ideals[frozenset(phi.values())], phi, unis)
 
     return PartialAction.batched(
         pa.group, sub, lambda ts: [restricted(iso) for iso in pa.isos(ts)]

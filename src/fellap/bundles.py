@@ -43,6 +43,7 @@ from .algebra import (
     Ideal,
     IdealIso,
     PartialAction,
+    _Memo,
     _Rows,
     _TERM_BUDGET,
     _adjoint,
@@ -380,14 +381,8 @@ def validate_twist(
     isos = family.isos(ball)
     inside = [iso.target.block_set for iso in isos]  # A_t
     inv_inside = domains_of([g.inv(t) for t in ball])  # A_{t^-1}
-    ideals: dict[frozenset, Ideal] = {}
+    ideal = _Memo(lambda blocks: Ideal(alg, blocks))
     bases: dict[frozenset, tuple] = {}
-
-    def ideal(blocks: frozenset) -> Ideal:
-        got = ideals.get(blocks)
-        if got is None:
-            got = ideals[blocks] = Ideal(alg, blocks)
-        return got
 
     def span(blocks: frozenset) -> int:
         return sum(alg.blocks[j] ** 2 for j in blocks)
@@ -396,7 +391,7 @@ def validate_twist(
         """The bases of ``domains``, one after another, as one batch."""
         for blocks in domains:
             if blocks not in bases:
-                bases[blocks] = ideal(blocks).basis_batch()
+                bases[blocks] = ideal[blocks].basis_batch()
         return _concat(*(bases[blocks] for blocks in domains))
 
     def values(keys: list, repeat=None) -> tuple[np.ndarray, ...]:
@@ -414,7 +409,7 @@ def validate_twist(
     checks = _Checks(rep, tol)
     ends = [key for t in ball for key in ((e, t), (t, e))]
     corners = [
-        ideal(a & b)
+        ideal[a & b]
         for a, b in zip(domains_of([s for s, _ in ends]), domains_of([mul(s, t) for s, t in ends]))
     ]
     at = checks.norms(_minus(values(ends), _units(alg, _masks(alg, corners))), len(ends))
@@ -448,7 +443,7 @@ def validate_twist(
         terms = [p for row in pairs[lo:hi] for p in row]
         m = len(terms)
         om = values([(ball[si], ball[ti]) for si, ti, *_ in terms])
-        corners = [ideal(corner) for *_, corner, _ in terms]
+        corners = [ideal[corner] for *_, corner, _ in terms]
         units = _units(alg, _masks(alg, corners))
         at = checks.norms(
             _concat(
@@ -805,21 +800,15 @@ def central_partial_action(bundle: TwistedBundle) -> PartialAction:
     alg = bundle.coeff_algebra
     z_alg = FdAlgebra([1] * alg.nblocks)
     e = g.identity
-    generated: dict[Elem, list[int]] = {}
-
-    def ideal_blocks(t: Elem) -> list[int]:
-        """The sorted blocks of I_t, each found once per action, since
-        ``solve`` asks for them at t and at t^-1."""
-        got = generated.get(t)
-        if got is None:
-            got = generated[t] = sorted(_generated_ideal_blocks(bundle, t))
-        return got
+    # t -> the sorted blocks of I_t, found once per action, since ``solve``
+    # asks for them at t and at t^-1
+    ideal_blocks = _Memo(lambda t: sorted(_generated_ideal_blocks(bundle, t)))
 
     def solve(t: Elem) -> IdealIso:
         if t == e:
             return IdealIso.identity_on(z_alg.full_ideal())
-        src = ideal_blocks(g.inv(t))
-        tgt = ideal_blocks(t)
+        src = ideal_blocks[g.inv(t)]
+        tgt = ideal_blocks[t]
         # Row i holds the entries of the products m p_j (for i < len(src))
         # or p_k m (after) of block (src + tgt)[i], over the basis m of B_t,
         # all from one mul_many call.

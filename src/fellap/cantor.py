@@ -22,12 +22,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import ActionReport
+from .algebra import ActionReport, _Memo
 from .groups import Elem, FreeGroup
 
 Word = Tuple[int, ...]
@@ -397,28 +397,17 @@ class _Ids(dict):
         return k
 
 
-class _Memo(dict):
-    """A dict that fills each missing key once, with ``fill(key)``."""
-
-    def __init__(self, fill: Callable):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 @dataclass(frozen=True)
 class GroupoidTable:
     """The arrows of a truncated boundary groupoid, with lazy symbol data.
 
     Each word and symbol met gets a small integer id, once; each symbol
-    is parsed, and each range word, product, inverse and label formed,
-    once, in caches keyed by ids that take any element of the group (a
-    product may leave ball(radius)) and sit outside equality, hashing and
-    repr.  ``compose_ids`` is the only composition code; ``compose``,
-    ``range_word``, ``invert`` and ``unit_at`` are its Arrow-level views.
+    is parsed, and each range word, product, inverse, label and word text
+    formed, once, in caches keyed by ids that take any element of the
+    group (a product may leave ball(radius)) and sit outside equality,
+    hashing and repr.  ``compose_ids`` is the only composition code;
+    ``compose``, ``range_word``, ``invert`` and ``unit_at`` are its
+    Arrow-level views.
     """
 
     group: FreeGroup
@@ -437,12 +426,14 @@ class GroupoidTable:
         return self._symbols[self.group.mul(elems[key[0]], elems[key[1]])]
 
     # made on first use: symbol -> its parse, (word, symbol) -> range word,
-    # (symbol, symbol) -> product and symbol -> inverse, by ids; element -> label
+    # (symbol, symbol) -> product and symbol -> inverse, by ids; element -> label;
+    # word -> its letters as a string, by ids
     _parsed = cached_property(lambda t: _Memo(lambda sid: partial_symbol(t.group, t._symbols.by_id[sid])))
     _ranges = cached_property(lambda t: _Memo(t._range))
     _products = cached_property(lambda t: _Memo(t._product))
     _inverses = cached_property(lambda t: _Memo(lambda sid: t._symbols[t.group.inv(t._symbols.by_id[sid])]))
     _labels = cached_property(lambda t: _Memo(t.group.format_elem))
+    _texts = cached_property(lambda t: _Memo(lambda wid: "".join(map(str, t._words.by_id[wid]))))
 
     def ids(self, arrow: Arrow) -> ArrowIds:
         return self._words[arrow.source], self._symbols[arrow.g]
@@ -484,6 +475,10 @@ class GroupoidTable:
     def label(self, g: Elem) -> str:
         """``format_elem`` of g."""
         return self._labels[g]
+
+    def text(self, word: Word) -> str:
+        """The letters of ``word`` as one string, joined once per word id."""
+        return self._texts[self._words[word]]
 
     def is_unit(self, arrow: Arrow) -> bool:
         return arrow.g == self.group.identity
@@ -540,7 +535,7 @@ def validate_groupoid(table: GroupoidTable) -> ActionReport:
     for k, rng in enumerate(ranges):
         by_range.setdefault(rng, []).append(k)
     for arrow, a, rng in zip(table.arrows, ids, ranges):
-        label = f"({''.join(map(str, arrow.source))},{table.label(arrow.g)})"
+        label = f"({table._texts[a[0]]},{table.label(arrow.g)})"
         inv = table.invert_ids(a)
         add("inversion-involutive", label, 0.0 if table.invert_ids(inv) == a else 1.0, 0.5)
         add("inverse-source-is-range", label, 0.0 if inv[0] == rng else 1.0, 0.5)

@@ -816,9 +816,9 @@ def groupoid(store: ConfigStore, tol: float, n, depth, radius) -> Report:
             str(depth),
             str(radius),
             str(idx),
-            "".join(map(str, arrow.source)),
+            table.text(arrow.source),
             table.label(arrow.g),
-            "".join(map(str, rng)),
+            table.text(rng),
             "1" if table.is_unit(arrow) else "0",
         )
         for idx, (arrow, rng) in enumerate(zip(table.arrows, table.range_words))

@@ -223,7 +223,7 @@ def scalar_coboundary_twist(pa: PartialAction, salt: int = 0) -> Twist:
     def fn_many(pairs: list) -> tuple[np.ndarray, ...]:
         ss = [s for s, _ in pairs]
         sts = [g.mul(s, t) for s, t in pairs]
-        phase = np.array([b(s) * b(t) * np.conj(b(st)) for (s, t), st in zip(pairs, sts)])
+        phase = np.array([b(s) * b(t) * b(st).conjugate() for (s, t), st in zip(pairs, sts)])
         return tuple(phase[:, None, None, None] * p for p in _corner_units(pa, ss, sts))
 
     return Twist.batched(pa.algebra, fn_many)
@@ -267,7 +267,7 @@ def matrix_twist(glob: PartialAction, salt: int = 0) -> tuple[PartialAction, Twi
             for j, k in iso.phi.items():
                 c, p = where[k]
                 unis[j] = packs[c][r, p] @ iso.unitaries[j]
-            out.append(IdealIso(iso.source, iso.target, dict(iso.phi), unis))
+            out.append(IdealIso._trusted(iso.source, iso.target, dict(iso.phi), unis))
         return out
 
     def tw_many(pairs: list) -> tuple[np.ndarray, ...]:

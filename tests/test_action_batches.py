@@ -60,6 +60,7 @@ from fellap.groups import (
     symmetric_group,
 )
 from fellap.testing import (
+    matrix_twist,
     random_block_unitary,
     random_element,
     random_fell_bundle,
@@ -532,3 +533,99 @@ class TestPlanPins:
             unis = {j: w.mats[j] for j in phi}
             iso = IdealIso(Ideal(alg, phi), Ideal(alg, phi.values()), phi, unis)
             assert same_plan(iso._plan, ref_plan(iso))
+
+
+def trusted_isos(monkeypatch, run) -> list[IdealIso]:
+    """Every iso that ``IdealIso._trusted`` builds while ``run()`` runs."""
+    made, build = [], IdealIso._trusted.__func__
+
+    def traced(cls, *fields):
+        made.append(build(cls, *fields))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(IdealIso, "_trusted", classmethod(traced))
+        run()
+    return made
+
+
+def assert_rebuilds(isos: list[IdealIso]) -> None:
+    """The public constructor accepts every iso's fields, copied, and the iso
+    it builds has the same bits and the same plan."""
+    for iso in isos:
+        unis = {j: u.copy() for j, u in iso.unitaries.items()}
+        checked = IdealIso(iso.source, iso.target, dict(iso.phi), unis)
+        assert same_bits(checked, iso)
+        assert same_plan(checked._plan, iso._plan)
+
+
+def fill_chain(pa: PartialAction, envelope: bool = True) -> list[PartialAction]:
+    """Fill every iso and inverse of ``pa`` and, with ``envelope``, of its
+    restricted envelope; returns the actions filled."""
+    actions = [pa]
+    if envelope:
+        glob = globalize_finite(pa)
+        actions.append(restrict_action(glob.action, glob.image_ideal()))
+    for act in actions:
+        for iso in act.isos(act.group.elements()):
+            iso.inverse()
+    return actions
+
+
+def assert_one_ideal_per_block_set(pa: PartialAction) -> None:
+    ideals = {}
+    for iso in pa.isos(pa.group.elements()):
+        for ideal in (iso.source, iso.target):
+            ideals.setdefault(ideal.block_set, set()).add(id(ideal))
+    assert all(len(ids) == 1 for ids in ideals.values())
+
+
+class TestTrustedIsos:
+    """The isos built unchecked (``IdealIso._trusted``) pass every check of
+    ``IdealIso(...)``: ``translation_action``, ``conjugate_action``,
+    ``restrict_action``, ``inverse`` and the ``matrix_twist`` family."""
+
+    def test_criterion_2_fixtures(self, monkeypatch):
+        for seed in range(200):
+            for fixture in (random_global_action, random_partial_action):
+                pa = fixture(np.random.default_rng(seed))
+                made = trusted_isos(monkeypatch, lambda: fill_chain(pa))
+                assert made
+                assert_rebuilds(made)
+
+    @pytest.mark.parametrize(
+        "group, base, kept",
+        ENVELOPE_SHAPES,
+        ids=[f"{g.label}-{'+'.join(map(str, b))}-{k}" for g, b, k in ENVELOPE_SHAPES],
+    )
+    def test_envelope_shapes(self, monkeypatch, group, base, kept):
+        for seed in range(4):
+            rng = np.random.default_rng(100 + seed)
+            actions = []
+            made = trusted_isos(
+                monkeypatch, lambda: actions.extend(fill_chain(random_partial_action(rng, group, base, kept)))
+            )
+            assert_rebuilds(made)
+            for act in actions:
+                assert_one_ideal_per_block_set(act)
+
+    def test_matrix_twist_families(self, monkeypatch):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            glob = random_global_action(rng)
+            family, _ = matrix_twist(glob, salt=seed)
+            assert_rebuilds(trusted_isos(monkeypatch, lambda: fill_chain(family, envelope=False)))
+
+    def test_a_broken_phi_fails(self, monkeypatch):
+        """A trusted derivation that sends every block to one target block."""
+        build = IdealIso._trusted.__func__
+
+        def broken(cls, source, target, phi, unitaries):
+            first = next(iter(phi.values()), None)
+            return build(cls, source, target, {j: first for j in phi}, unitaries)
+
+        monkeypatch.setattr(IdealIso, "_trusted", classmethod(broken))
+        glob = random_global_action(np.random.default_rng(5), cyclic_group(3), (1, 2))
+        made = trusted_isos(monkeypatch, lambda: fill_chain(glob, envelope=False))
+        with pytest.raises(ValueError, match="phi must be"):
+            assert_rebuilds(made)
