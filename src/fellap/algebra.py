@@ -346,6 +346,19 @@ class _Rows:
         return _take(self.packs, rows)
 
 
+def _singular_values(p: np.ndarray) -> np.ndarray:
+    """``np.linalg.svd(p, compute_uv=False)`` on a stack of square matrices,
+    but NaN values, not an error, for each matrix with non-finite entries
+    (an overflowed product), on which the SVD does not converge."""
+    try:
+        return np.linalg.svd(p, compute_uv=False)
+    except np.linalg.LinAlgError:
+        out = np.full(p.shape[:-1], np.nan)
+        finite = np.isfinite(p).all(axis=(-2, -1))
+        out[finite] = np.linalg.svd(p[finite], compute_uv=False)
+        return out
+
+
 def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
     """``op_norm`` of every term of a batch: the largest modulus for a class
     of 1 x 1 blocks, otherwise one batched SVD per class, over the blocks
@@ -357,11 +370,11 @@ def batch_norms(batch: Sequence[np.ndarray], m: int) -> np.ndarray:
             continue
         live = p.any(axis=(-2, -1))
         if live.all():
-            s = np.linalg.svd(p, compute_uv=False)
+            s = _singular_values(p)
             np.maximum(out, s.max(axis=(1, 2)), out=out)
         elif live.any():
             norms = np.zeros(live.shape)
-            norms[live] = np.linalg.svd(p[live], compute_uv=False).max(axis=1)
+            norms[live] = _singular_values(p[live]).max(axis=1)
             np.maximum(out, norms.max(axis=1), out=out)
     return out
 
@@ -569,7 +582,7 @@ def conjugation_distance(u: np.ndarray, v: np.ndarray) -> float:
     lam = np.trace(w) / d
     if abs(lam) > 0:
         lam = lam / abs(lam)
-    return float(np.linalg.norm(w - lam * np.eye(d), ord=2))
+    return float(_singular_values(w - lam * np.eye(d)).max())
 
 
 # Blocks up to this size are conjugated through the d^2 x d^2 matrix of
@@ -791,7 +804,7 @@ def unitarity_residuals(isos: Sequence[IdealIso]) -> list[float]:
     res = np.zeros(len(mats))
     for (d, _), ps in groups.items():
         u = np.array([mats[p] for p in ps])
-        res[ps] = np.linalg.svd(_adjoint(u) @ u - np.eye(d), compute_uv=False).max(axis=1)
+        res[ps] = _singular_values(_adjoint(u) @ u - np.eye(d)).max(axis=1)
     out = np.zeros(len(isos))
     np.maximum.at(out, owners, res[where])
     return out.tolist()

@@ -686,7 +686,7 @@ def ap_check(store: ConfigStore, tol: float, bundle_ref, witness_spec, targets_t
             (str(r.index), r.t_label, r.target_label, _fval(r.bound), _fval(r.defect))
             for r in verdict.rows
         ]
-        worst = max((r.defect for r in verdict.rows), default=0.0)
+        worst = float(np.max([r.defect for r in verdict.rows], initial=0.0))
         passed = verdict.passed
         measured = f"{len(rows)} rows, max defect {worst:.3e}"
     return Report(
@@ -723,7 +723,7 @@ def kernels(store: ConfigStore, tol: float, bundle_ref, window, samples) -> Repo
         lhs = beta_act(t, k_mul(h, k))
         rhs = k_mul(beta_act(t, h), beta_act(t, k))
         res = norm2(lhs - rhs) + norm2(beta_act(t, k_star(k)) - k_star(beta_act(t, k)))
-        worst = max(worst, res)
+        worst = float(np.maximum(worst, res))  # a NaN residual stays the worst
         rows.append(
             (
                 bundle_ref,

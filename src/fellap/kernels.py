@@ -46,6 +46,7 @@ from .algebra import (
     _masks,
     _minus,
     _parts,
+    _singular_values,
     _take,
     _units,
     batch_norms,
@@ -107,10 +108,13 @@ class Kernel:
     Fiber membership of every entry is checked at construction, by either
     constructor; exact zero entries are dropped so that support bookkeeping
     stays meaningful.  With ``project`` set, entries are projected into
-    their fibers instead of checked.
+    their fibers instead of checked.  ``_trusted`` skips both; only
+    ``beta_act`` uses it (see there).  For as long as it lives a kernel
+    keeps its involution in ``_star`` and its window products per rep in
+    ``_products`` (see ``k_star`` and ``_WindowRep``); neither holds it.
     """
 
-    __slots__ = ("bundle", "keys", "elems", "batch")
+    __slots__ = ("bundle", "keys", "elems", "batch", "_star", "_products")
 
     def __init__(
         self,
@@ -130,6 +134,14 @@ class Kernel:
         coordinates the caller gives as ``elems``."""
         k = object.__new__(cls)
         k._settle(bundle, keys, elems, batch, project)
+        return k
+
+    @classmethod
+    def _trusted(cls, bundle: TwistedBundle, keys, elems, batch) -> "Kernel":
+        """The kernel of these fields, not checked (see the class docstring)."""
+        k = object.__new__(cls)
+        k.bundle, k.keys, k.elems, k.batch = bundle, tuple(keys), elems, batch
+        k._star, k._products = None, {}
         return k
 
     def _settle(self, bundle, keys, elems, batch, project) -> None:
@@ -156,22 +168,15 @@ class Kernel:
             batch = _take(batch, keep)
         for p in batch:
             p.flags.writeable = False
-        self.bundle = bundle
-        self.keys = tuple(keys)
-        self.elems = tuple(elems)
-        self.batch = tuple(batch)
+        self.bundle, self.keys, self.elems = bundle, tuple(keys), tuple(elems)
+        self.batch, self._star, self._products = tuple(batch), None, {}
 
     @staticmethod
     def diagonal_unit(bundle: TwistedBundle, window: Window) -> "Kernel":
         """The unit of M_F(B): the unit of B_e at every (t, t) of the window."""
         n = len(window)
-        one = bundle.coeff_algebra.one()
-        return Kernel._of(
-            bundle,
-            [(t, t) for t in window],
-            [bundle.group.identity] * n,
-            tuple(np.repeat(p[None], n, axis=0) for p in one.packs),
-        )
+        units = tuple(np.repeat(p[None], n, axis=0) for p in bundle.coeff_algebra.one().packs)
+        return Kernel._of(bundle, [(t, t) for t in window], [bundle.group.identity] * n, units)
 
     def support(self) -> set:
         return set(self.keys)
@@ -252,12 +257,15 @@ def k_mul(h: Kernel, k: Kernel) -> Kernel:
 
 def k_star(k: Kernel) -> Kernel:
     """Involution k*(r, s) = k(s, r)* taken in the bundle: the batch is
-    starred at ``elems``, and the key (r, s) sits at (s r^-1)^-1."""
-    g = k.bundle.group
-    stars = k.bundle.star_many(list(k.elems), k.batch)
-    return Kernel._of(
-        k.bundle, [(r, s) for s, r in k.keys], [g.inv(x) for x in k.elems], stars
-    )
+    starred at ``elems``, and the key (r, s) sits at (s r^-1)^-1.  Made
+    once and kept on k (``k._star``), so every call returns that kernel;
+    not kept back on it, since k** need not be k bit for bit."""
+    if k._star is None:
+        g = k.bundle.group
+        stars = k.bundle.star_many(list(k.elems), k.batch)
+        keys = [(r, s) for s, r in k.keys]
+        k._star = Kernel._of(k.bundle, keys, [g.inv(x) for x in k.elems], stars)
+    return k._star
 
 
 def norm2(k: Kernel) -> float:
@@ -276,13 +284,14 @@ def beta_act(t: Elem, k: Kernel) -> Kernel:
     Pure index arithmetic: entries are moved, never transformed, so norm2
     is preserved exactly and beta is a group action by *-automorphisms.
     The batch and ``elems`` carry over as they are, because
-    (r t^-1)(s t^-1)^-1 = r s^-1.
+    (r t^-1)(s t^-1)^-1 = r s^-1; the parent's entries were fiber checked
+    and zero filtered, so the translate is ``Kernel._trusted``.
     """
     g = k.bundle.group
     g.check(t)
     tinv = g.inv(t)
     moved = [(g.mul(r, tinv), g.mul(s, tinv)) for r, s in k.keys]
-    return Kernel._of(k.bundle, moved, k.elems, k.batch)
+    return Kernel._trusted(k.bundle, moved, k.elems, k.batch)
 
 
 def rank_one(xi: Section, eta: Section) -> Kernel:
@@ -355,6 +364,10 @@ class _WindowRep:
     coordinate in the dense matrix (chunks in window order, blocks in index
     order inside a chunk), and ``local[c]`` its row in pi_j(k) (slots
     holding j in window order).
+
+    A kernel's window products (``_inner``) are kept read-only in its
+    ``_products`` under the rep, so ``matrix`` and ``norm`` take them once;
+    the rep holds no kernel, so they go with the kernel.
     """
 
     def __init__(self, bundle: TwistedBundle, window: Window):
@@ -409,7 +422,9 @@ class _WindowRep:
     def _inner(self, k: Kernel):
         """<u_s, k(s, t) u_t> for every entry of k between occupied slots,
         in two batched product steps, with the window positions of s and t;
-        None when there is no such entry."""
+        None when there is no such entry.  Kept in ``k._products``."""
+        if self in k._products:
+            return k._products[self]
         index = self.window._index
         occupied = self.occupied
         rows, si, ti = [], [], []
@@ -423,6 +438,7 @@ class _WindowRep:
                 si.append(i)
                 ti.append(j)
         if not rows:
+            k._products[self] = None
             return None
         values = k.batch if len(rows) == len(k.keys) else _take(k.batch, rows)
         srow, tcol = np.array(si, dtype=int), np.array(ti, dtype=int)
@@ -438,7 +454,10 @@ class _WindowRep:
             [k.keys[r][0] for r in rows],
             moved,
         )
-        return inner, srow, tcol
+        for p in (*inner, srow, tcol):
+            p.flags.writeable = False
+        got = k._products[self] = inner, srow, tcol
+        return got
 
     def _blocks(self, inner, si, ti):
         """Per size class c: the blocks of ``inner`` held by both slots of
@@ -461,8 +480,6 @@ class _WindowRep:
         return out
 
     def norm(self, k: Kernel) -> float:
-        if self.dim == 0:
-            return 0.0
         got = self._inner(k)
         if got is None:
             return 0.0
@@ -478,8 +495,8 @@ class _WindowRep:
                     continue
                 mats = np.zeros((m, side, side), dtype=complex)
                 mats[place[q[pick]][:, None, None], r[pick], col[pick]] = y[pick]
-                worst = max(worst, float(np.linalg.svd(mats, compute_uv=False).max()))
-        return worst
+                worst = np.maximum(worst, _singular_values(mats).max())
+        return float(worst)
 
     def vector(self, f: Section, v: np.ndarray) -> np.ndarray:
         """Coordinates of f (x) v: the chunk of slot t is <u_t, f(t)> v.
@@ -637,10 +654,7 @@ def validate_sub_expectation(
     lhs = sub.expect_many(fibers, _concat(pbs, stars[0], prods[0], prods[2]))
     gaps = _minus(lhs, _concat(pbs, stars[1], prods[1], prods[3]))
     ideals = bundle.fiber_ideals(fibers)
-    worst = 0.0
-    for v in batch_norms(project_batch(ideals, gaps), len(ideals)).tolist():
-        worst = max(worst, v)
-    return worst
+    return float(batch_norms(project_batch(ideals, gaps), len(ideals)).max(initial=0.0))
 
 
 def cond_expectation_pf(

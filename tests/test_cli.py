@@ -370,6 +370,55 @@ class TestRefusedInputs:
             assert f"over {TWIST_CAP} terms" in r.stderr
 
 
+class TestOverflowingUnitary:
+    """An explicit unitary whose entries overflow every product it enters
+    leaves non-finite residuals; each command judges them FAIL (exit 1)
+    with its summary, never a traceback from a diverging SVD."""
+
+    CONFIG = {
+        "groups": {"z2": {"kind": "cyclic", "order": 2}},
+        "algebras": {"m2": {"blocks": [2]}},
+        "actions": {
+            "x": {
+                "kind": "explicit",
+                "group": "z2",
+                "algebra": "m2",
+                "isos": {
+                    "0": {"phi": {"0": 0}, "unitaries": {"0": [[1, 0], [0, 1]]}},
+                    "1": {"phi": {"0": 0}, "unitaries": {"0": [[1e200, 1e200], [1e200, 1e200]]}},
+                },
+            }
+        },
+        "bundles": {"b": {"kind": "semidirect", "action": "x"}},
+    }
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args, summary",
+        [
+            (("validate", "x"), "validate x [action]: FAIL"),
+            (("validate", "b"), "validate b [bundle]: FAIL"),
+            (("globalize", "x"), "globalize x: input fails axioms, FAIL"),
+            (("kernels", "--bundle", "b", "--window", "1"), "kernels b: |F|=2, dim M_F=16, max shift residual nan, FAIL"),
+            (
+                ("ap-check", "--bundle", "b", "--witness", "builtin:uniform"),
+                "ap-check b with builtin:uniform: 8 rows, max defect nan, FAIL",
+            ),
+        ],
+        ids=["validate-action", "validate-bundle", "globalize", "kernels", "ap-check"],
+    )
+    def test_fails_with_a_verdict(self, tmp_path, args, summary):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(self.CONFIG))
+        r = run("--config", str(p), "--out", str(tmp_path / "out.csv"), *args)
+        assert r.exit_code == 1, r.stderr
+        # the summary line, then only the indented violations it lists
+        lines = r.stderr.strip().split("\n")
+        assert lines[0].startswith(summary), lines
+        assert all(line.startswith("  ") for line in lines[1:]), lines
+        assert isinstance(r.exception, SystemExit)
+
+
 class TestValidate:
     def test_bundle_passes(self, conf, tmp_path):
         out = tmp_path / "v.csv"

@@ -27,6 +27,7 @@ implementation existed:
 """
 
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -46,6 +47,8 @@ from fellap.algebra import (
 )
 from fellap.bundles import (
     Section,
+    SubBundle,
+    TwistedBundle,
     fiber_norm,
     group_bundle,
     make_semidirect,
@@ -81,6 +84,7 @@ from fellap.testing import (
     random_section,
 )
 
+from test_acceptance import kernel_pools
 from test_bundles import _ScaledBundle, _WrongInverseBundle, expect, ref_mul, ref_star
 
 TOL = 1e-10
@@ -1258,3 +1262,177 @@ class TestPackedKernels:
             k.batch[0][0] = 0
         with pytest.raises(ValueError):
             entry(k, *k.keys[0]).packs[0][...] = 0
+
+
+def same_kernel(a: Kernel, b: Kernel) -> bool:
+    """The two kernels have the same fields, bit for bit."""
+    return (
+        a.bundle is b.bundle
+        and a.keys == b.keys
+        and a.elems == b.elems
+        and len(a.batch) == len(b.batch)
+        and all(np.array_equal(p, q) for p, q in zip(a.batch, b.batch))
+    )
+
+
+def unkept(k: Kernel) -> Kernel:
+    """A checked copy of k that keeps nothing yet."""
+    return Kernel._of(k.bundle, k.keys, k.elems, k.batch)
+
+
+def reuse_cases():
+    """(rng, window, a larger window, kernels): the ``twin_kernels``
+    families of ``packed_cases``, and the first two rounds of criterion 4's
+    pools."""
+    for _, rng, bundle, w in packed_cases():
+        (h, k), _ = twin_kernels(rng, bundle, w, 2)
+        yield rng, w, Window.ball(bundle.group, 2), (h, k, k_mul(h, k))
+    pools = kernel_pools()
+    rng = np.random.default_rng(404)
+    for i in range(2 * len(pools)):
+        grp, w, _, big = pools[i % len(pools)]
+        bundle, _ = random_fell_bundle(rng, group=grp)
+        h, k = random_kernel(rng, bundle, w), random_kernel(rng, bundle, w)
+        yield rng, w, big, (h, k, k_mul(h, k))
+
+
+class _LeakyBundle(TwistedBundle):
+    """Deliberately wrong products that leave their fibers: every product
+    and involution gets the unit of the coefficient algebra added."""
+
+    def _leak(self, batch):
+        return tuple(p + q for p, q in zip(batch, self.coeff_algebra.one().packs))
+
+    def mul_many(self, ss, xs, ts, ys):
+        return self._leak(super().mul_many(ss, xs, ts, ys))
+
+    def star_many(self, ts, xs):
+        return self._leak(super().star_many(ts, xs))
+
+
+class TestKernelReuse:
+    """A kernel keeps its involution and its window products, and a
+    translate shares its parent's checked batch; nothing changes a bit."""
+
+    def test_kept_values_match_a_fresh_kernel(self):
+        for rng, w, big, ks in reuse_cases():
+            t = w.elements[int(rng.integers(len(w)))]
+            for k in ks:
+                for win in (w, big):
+                    norm, mat = mf_embed_norm(k, win), pi_matrix(k, win)
+                    assert np.array_equal(pi_matrix(k, win), mat)
+                    assert mf_embed_norm(k, win) == norm
+                    assert np.array_equal(pi_matrix(unkept(k), win), mat)
+                    assert mf_embed_norm(unkept(k), win) == norm
+                star = k_star(k)
+                assert k_star(k) is star and star._star is None
+                assert same_kernel(star, k_star(unkept(k)))
+                k._star = None
+                k._products.clear()
+                assert same_kernel(k_star(k), star)
+                assert np.array_equal(pi_matrix(k, w), pi_matrix(unkept(k), w))
+                moved = beta_act(t, k)
+                assert moved.batch is k.batch and moved.elems is k.elems
+                assert same_kernel(moved, Kernel._of(k.bundle, moved.keys, k.elems, k.batch))
+
+    def test_products_are_taken_once_per_kernel_and_window(self, monkeypatch):
+        rng, bundle, w = bundle_with_window(85)
+        big = Window.ball(bundle.group, 2)
+        reps = window_rep(bundle, w), window_rep(bundle, big)
+        k = random_kernel(rng, bundle, w)
+        calls = []
+        for name in ("mul_many", "star_many"):
+            real = getattr(bundle, name)
+            monkeypatch.setattr(
+                bundle, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        star = k_star(k)
+        assert k_star(k) is star and k_star(k) is star
+        assert calls == ["star_many"]
+        pi_matrix(k, w)
+        mf_embed_norm(k, w)
+        assert calls.count("mul_many") == 2
+        mf_embed_norm(k, w)
+        pi_matrix(k, w)
+        assert calls.count("mul_many") == 2
+        mf_embed_norm(k, big)
+        pi_matrix(k, big)
+        assert calls.count("mul_many") == 4
+        assert list(k._products) == list(reps) and None not in k._products.values()
+        with pytest.raises(ValueError):
+            k._products[reps[0]][0][0][...] = 0
+
+    def test_kept_values_go_with_the_kernel(self):
+        rng, bundle, w = bundle_with_window(86)
+        k = random_kernel(rng, bundle, w)
+        held = sys.getrefcount(k)
+        k_star(k)
+        pi_matrix(k, w)
+        mf_embed_norm(k, w)
+        beta_act(w.elements[-1], k)
+        # neither the bundle, its window reps, the involution nor the
+        # translate holds the kernel
+        assert sys.getrefcount(k) == held
+        rep = window_rep(bundle, w)
+        assert all(k not in gc.get_referents(x) for x in (bundle, rep, vars(rep), k._star))
+        inner = weakref.ref(k._products[rep][0][0])
+        starred = weakref.ref(k._star.batch[0])
+        del k
+        assert inner() is None and starred() is None
+
+    def test_only_translates_skip_the_fiber_check(self, monkeypatch):
+        pa = random_partial_action(np.random.default_rng(86), cyclic_group(4), (1, 2), max_kept_blocks=3)
+        bad = _LeakyBundle(pa, make_semidirect(pa).twist)
+        g, alg = bad.group, bad.coeff_algebra
+        e = g.identity
+        w = Window.ball(g, 1)
+        t = next(x for x in w if 0 < bad.fiber_ideal(x).dim() < alg.dim)
+        unit = bad.fiber_ideal(t).unit()
+        off = alg.one() - unit  # outside the fiber over t
+        k = Kernel(bad, {(t, e): unit})
+        one = Kernel.diagonal_unit(bad, w)
+        # each just inside the fiber check's tolerance, their difference not
+        near = Kernel(bad, {(t, e): unit + 0.75e-9 * off})
+        far = Kernel(bad, {(t, e): unit - 0.75e-9 * off})
+        leaky = SubBundle(bad, lambda x: True, bad._leak)
+        for call in (
+            lambda: k_mul(one, k),
+            lambda: k_star(k),
+            lambda: near - far,
+            lambda: cond_expectation_pf(leaky, k, w, validate=False),
+        ):
+            with pytest.raises(ValueError, match="outside its fiber"):
+                call()
+        assert same_kernel(beta_act(t, k), Kernel._of(bad, [(e, g.inv(t))], k.elems, k.batch))
+
+        # with every entry reported outside its fiber, every constructor
+        # but the translate refuses
+        rng, bundle, w = bundle_with_window(88)
+        sub = trace_sub_bundle(bundle, lambda x: x == bundle.group.identity)
+        h, k = random_kernel(rng, bundle, w), random_kernel(rng, bundle, w)
+        xi, eta = (random_section(rng, bundle, w.elements) for _ in range(2))
+        values = dict(zip(k.keys, split_batch(bundle.coeff_algebra, k.batch, len(k.keys))))
+        made = []
+        real = Kernel._trusted.__func__
+
+        def traced(cls, *args):
+            made.append(sys._getframe(1).f_code.co_name)
+            return real(cls, *args)
+
+        monkeypatch.setattr(Kernel, "_trusted", classmethod(traced))
+        monkeypatch.setattr(kernels, "outside_mass", lambda fibers, batch: np.ones(len(fibers)))
+        for call in (
+            lambda: Kernel(bundle, values),
+            lambda: Kernel.diagonal_unit(bundle, w),
+            lambda: k_mul(h, k),
+            lambda: k_star(k),
+            lambda: h - k,
+            lambda: cond_expectation_pf(sub, k, w, validate=False),
+            lambda: rank_one(xi, eta),
+        ):
+            with pytest.raises(ValueError, match="outside its fiber"):
+                call()
+        random_kernel(rng, bundle, w)  # projected, not checked
+        for x in w:
+            assert same_kernel(beta_act(x, beta_act(bundle.group.inv(x), k)), k)
+        assert made == ["beta_act"] * (2 * len(w))
