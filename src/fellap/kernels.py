@@ -105,13 +105,14 @@ class Kernel:
     share it (``beta_act`` and ``cond_expectation_pf`` may pass it on as it
     is).
 
-    Fiber membership of every entry is checked at construction, by either
-    constructor; exact zero entries are dropped so that support bookkeeping
-    stays meaningful.  With ``project`` set, entries are projected into
-    their fibers instead of checked.  ``_trusted`` skips both; only
-    ``beta_act`` uses it (see there).  For as long as it lives a kernel
-    keeps its involution in ``_star`` and its window products per rep in
-    ``_products`` (see ``k_star`` and ``_WindowRep``); neither holds it.
+    Fiber membership of every entry is checked at construction, by
+    ``Kernel(...)`` and ``_of``; exact zero entries are dropped so that
+    support bookkeeping stays meaningful.  With ``project`` set, entries
+    are projected into their fibers instead of checked.  ``_trusted`` does
+    neither; only ``beta_act`` uses it (see there).  For as long as it
+    lives a kernel keeps its involution in ``_star`` and its window
+    products per rep in ``_products`` (see ``k_star`` and ``_WindowRep``);
+    neither holds the kernel.
     """
 
     __slots__ = ("bundle", "keys", "elems", "batch", "_star", "_products")
